@@ -8,8 +8,7 @@ from .core import (Atom, DegenerateDenominator, DomainError, Geometry,
 from .dispersion import (ReflectionPair, WaveNumbers, reflect_halfspace,
                          reflect_perfect_lens, reflect_slab_mirror,
                          wave_numbers)
-from .green import FixedReflection, GreenComponents, green_components, \
-    green_xx, green_zz
+from .green import FixedReflection, GreenComponents, green_components
 from .potential import (PotentialMethod, PotentialSample, potential_auto,
                         potential_nonretarded, potential_numeric,
                         potential_perfect_lens, potential_retarded)
@@ -26,7 +25,7 @@ __all__ = [
     "validate_material", "ReflectionPair", "WaveNumbers",
     "reflect_halfspace", "reflect_perfect_lens", "reflect_slab_mirror",
     "wave_numbers", "FixedReflection", "GreenComponents", "green_components",
-    "green_xx", "green_zz", "PotentialMethod", "PotentialSample",
+    "PotentialMethod", "PotentialSample",
     "potential_auto", "potential_nonretarded", "potential_numeric",
     "potential_perfect_lens", "potential_retarded", "DEFAULT_SPEC",
     "IntegralResult", "QuadratureSpec", "integrate_evanescent",

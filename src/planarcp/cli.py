@@ -17,8 +17,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (Atom, DomainError, HalfSpace, NORMALIZED, NotConverged,
-                   PerfectLens, SlabWithMirror, Transition, validate_material)
+from .core import (Atom, DegenerateDenominator, DomainError, HalfSpace,
+                   NotConverged, PerfectLens, SlabWithMirror, Transition,
+                   validate_material)
 from .potential import (PotentialMethod, potential_auto, potential_nonretarded,
                         potential_numeric, potential_perfect_lens,
                         potential_retarded)
@@ -136,7 +137,7 @@ def _eval_point(args):
         else:
             s = potential_perfect_lens(atom, config.thickness, z)
         return z, s.value * U0_INV, s.error_estimate * U0_INV, s.method.value
-    except NotConverged:
+    except (NotConverged, DegenerateDenominator):
         return z, float("nan"), float("inf"), "failed"
 
 
@@ -147,7 +148,7 @@ def _eval_compare(args):
     spec = config.quad_spec()
     try:
         num = potential_numeric(atom, geometry, z, spec).value * U0_INV
-    except NotConverged:
+    except (NotConverged, DegenerateDenominator):
         num = float("nan")
     row = {"z_norm": z, "U_numeric": num}
     if config.geometry == "halfspace":
@@ -226,7 +227,7 @@ def run_sweep(config: SweepConfig) -> int:
     _emit(config, ("z_norm", "U_norm", "U_err", "method"), rows, "sweep")
     failed = sum(1 for r in rows if r["method"] == "failed")
     if failed:
-        print(f"planarcp: {failed}/{len(rows)} points failed to converge",
+        print(f"planarcp: {failed}/{len(rows)} points failed",
               file=sys.stderr)
         return 2
     return 0
@@ -241,7 +242,7 @@ def run_compare(config: SweepConfig) -> int:
     _emit(config, columns, rows, "compare")
     failed = sum(1 for r in rows if math.isnan(r["U_numeric"]))
     if failed:
-        print(f"planarcp: {failed}/{len(rows)} points failed to converge",
+        print(f"planarcp: {failed}/{len(rows)} points failed",
               file=sys.stderr)
         return 2
     return 0

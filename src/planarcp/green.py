@@ -220,13 +220,13 @@ def _check_domain(z_A: float, geometry):
             f"(z_A = {z_A}, thickness = {geometry.thickness})")
 
 
-def green_xx(z_A: float, omega: float, geometry: Geometry,
-             spec: QuadratureSpec = DEFAULT_SPEC,
-             units: UnitSystem = NORMALIZED):
-    """G_xx at the atom, with the quadrature error estimate.
+def green_components(z_A: float, omega: float, geometry: Geometry,
+                     spec: QuadratureSpec = DEFAULT_SPEC,
+                     units: UnitSystem = NORMALIZED) -> GreenComponents:
+    """G_xx and G_zz at the atom, from one (xx, zz) integrand per sector.
 
-    Returns (value, error, evaluations). The integrand combines
-    r_s - (beta^2 c^2 / omega^2) r_p with the round-trip phase.
+    G_xx combines r_s - (beta^2 c^2 / omega^2) r_p with the round-trip
+    phase; only r_p enters G_zz, weighted by 2 q^2 c^2 / omega^2.
     """
     _check_domain(z_A, geometry)
     c = units.c
@@ -234,45 +234,18 @@ def green_xx(z_A: float, omega: float, geometry: Geometry,
     rs_rp, z_offset = _coefficients(geometry, omega, c)
 
     def prop(beta):
-        q = np.sqrt(np.maximum(k0 * k0 - beta * beta, 0.0))
-        r_s, r_p = rs_rp(q)
-        return np.exp(2j * beta * z_A) * (r_s - (beta / k0) ** 2 * r_p)
-
-    def evan(kappa):
-        q = np.sqrt(kappa * kappa + k0 * k0)
-        r_s, r_p = rs_rp(q)
-        # beta = i kappa, so -(beta/k0)^2 = +(kappa/k0)^2; the decay
-        # exp(-2 kappa (z_A - z_offset)) is applied by the engine, with
-        # the image offset already pulled out of the coefficients.
-        return r_s + (kappa / k0) ** 2 * r_p
-
-    res_p = integrate_propagating(prop, k0, spec,
-                                  max_panel_width=_osc_panel_width(z_A, geometry))
-    res_e = integrate_evanescent(evan, z_A - z_offset, spec,
-                                 breakpoints=_evanescent_breakpoints(geometry, omega, c))
-    value = (1j / (8.0 * math.pi)) * res_p.value + (1.0 / (8.0 * math.pi)) * res_e.value
-    error = (res_p.error_estimate + res_e.error_estimate) / (8.0 * math.pi)
-    return value, error, res_p.evaluations + res_e.evaluations
-
-
-def green_zz(z_A: float, omega: float, geometry: Geometry,
-             spec: QuadratureSpec = DEFAULT_SPEC,
-             units: UnitSystem = NORMALIZED):
-    """G_zz at the atom; only r_p enters, weighted by 2 q^2 c^2 / omega^2."""
-    _check_domain(z_A, geometry)
-    c = units.c
-    k0 = omega / c
-    rs_rp, z_offset = _coefficients(geometry, omega, c)
-
-    def prop(beta):
         q2 = np.maximum(k0 * k0 - beta * beta, 0.0)
-        _, r_p = rs_rp(np.sqrt(q2))
-        return np.exp(2j * beta * z_A) * 2.0 * (q2 / (k0 * k0)) * r_p
+        r_s, r_p = rs_rp(np.sqrt(q2))
+        return np.exp(2j * beta * z_A) * np.stack(
+            (r_s - (beta / k0) ** 2 * r_p, 2.0 * (q2 / (k0 * k0)) * r_p))
 
     def evan(kappa):
         q2 = kappa * kappa + k0 * k0
-        _, r_p = rs_rp(np.sqrt(q2))
-        return 2.0 * (q2 / (k0 * k0)) * r_p
+        r_s, r_p = rs_rp(np.sqrt(q2))
+        # beta = i kappa, so -(beta/k0)^2 = +(kappa/k0)^2; the decay
+        # exp(-2 kappa (z_A - z_offset)) is applied by the engine, with
+        # the image offset already pulled out of the coefficients.
+        return np.stack((r_s + (kappa / k0) ** 2 * r_p, 2.0 * (q2 / (k0 * k0)) * r_p))
 
     res_p = integrate_propagating(prop, k0, spec,
                                   max_panel_width=_osc_panel_width(z_A, geometry))
@@ -280,14 +253,7 @@ def green_zz(z_A: float, omega: float, geometry: Geometry,
                                  breakpoints=_evanescent_breakpoints(geometry, omega, c))
     value = (1j / (8.0 * math.pi)) * res_p.value + (1.0 / (8.0 * math.pi)) * res_e.value
     error = (res_p.error_estimate + res_e.error_estimate) / (8.0 * math.pi)
-    return value, error, res_p.evaluations + res_e.evaluations
-
-
-def green_components(z_A: float, omega: float, geometry: Geometry,
-                     spec: QuadratureSpec = DEFAULT_SPEC,
-                     units: UnitSystem = NORMALIZED) -> GreenComponents:
-    g_xx, err_xx, n_xx = green_xx(z_A, omega, geometry, spec, units)
-    g_zz, err_zz, n_zz = green_zz(z_A, omega, geometry, spec, units)
-    return GreenComponents(g_xx=g_xx, g_zz=g_zz, omega=omega, z_A=z_A,
-                           error_xx=err_xx, error_zz=err_zz,
-                           evaluations=n_xx + n_zz)
+    return GreenComponents(g_xx=complex(value[0]), g_zz=complex(value[1]),
+                           omega=omega, z_A=z_A, error_xx=float(error[0]),
+                           error_zz=float(error[1]),
+                           evaluations=res_p.evaluations + res_e.evaluations)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .core import (Atom, DegenerateDenominator, DomainError, Geometry,
                    HalfSpace, MaterialResponse, NORMALIZED, PerfectLens,
@@ -49,13 +49,14 @@ class PotentialSample:
     error_estimate: float
     per_transition: tuple[float, ...]
     flags: tuple[str, ...] = ()
+    evaluations: int = 0  # Green integrand evaluations; 0 for closed forms
 
 
-def _sample(z_A, contributions, method, error, flags=()):
+def _sample(z_A, contributions, method, error, flags=(), evaluations=0):
     return PotentialSample(z_A=float(z_A), value=float(sum(contributions)),
                            method=method, error_estimate=float(error),
                            per_transition=tuple(float(u) for u in contributions),
-                           flags=tuple(flags))
+                           flags=tuple(flags), evaluations=evaluations)
 
 
 def potential_numeric(atom: Atom, geometry: Geometry, z_A: float,
@@ -65,14 +66,17 @@ def potential_numeric(atom: Atom, geometry: Geometry, z_A: float,
     mu0 = units.mu0
     contributions = []
     error = 0.0
+    evaluations = 0
     for t in atom.transitions:
         g = green_components(z_A, t.omega, geometry, spec, units)
+        evaluations += g.evaluations
         contributions.append(
             -mu0 * t.omega**2 * (g.g_xx.real * t.d_par_sq
                                  + g.g_zz.real * t.d_perp_sq))
         error += mu0 * t.omega**2 * (g.error_xx * t.d_par_sq
                                      + g.error_zz * t.d_perp_sq)
-    return _sample(z_A, contributions, PotentialMethod.NUMERIC, error)
+    return _sample(z_A, contributions, PotentialMethod.NUMERIC, error,
+                   evaluations=evaluations)
 
 
 def potential_nonretarded(atom: Atom, material: MaterialResponse, z_A: float,
@@ -181,10 +185,8 @@ def potential_auto(atom: Atom, geometry: Geometry, z_A: float,
             # One numeric point keeps the closed form honest.
             numeric = potential_numeric(atom, geometry, z_A, spec, units)
             error = max(closed.error_estimate, abs(numeric.value - closed.value))
-            return PotentialSample(z_A=closed.z_A, value=closed.value,
-                                   method=closed.method, error_estimate=error,
-                                   per_transition=closed.per_transition,
-                                   flags=closed.flags)
+            return replace(closed, error_estimate=error,
+                           evaluations=numeric.evaluations)
         if z_A * atom.omega_min * k > RETARDED_THRESHOLD:
             return potential_retarded(atom, geometry.material, z_A, units)
     return potential_numeric(atom, geometry, z_A, spec, units)

@@ -10,15 +10,19 @@ variable changes that remove the 1/beta endpoint singularity:
                q dq = kappa dkappa ->  dkappa integral with decay
                exp(-2 kappa z)
 
-Each panel is estimated with an embedded Gauss(7)/Kronrod(15) pair; the
-panel with the largest error is bisected until the global estimate meets
-the tolerance. Everything is deterministic: identical inputs give
-bit-identical results.
+Each panel is estimated with an embedded Gauss(7)/Kronrod(15) pair.
+Refinement is vectorised in the manner of Shampine's quadgk (J. Comput.
+Appl. Math. 211, 131 (2008)): all pending panels go to the integrand as
+one flat node array (in chunks of at most _CHUNK_PANELS panels), and
+each round bisects, in one batch, the fewest largest-error panels whose
+error exceeds the gap to the tolerance, until the global estimate meets
+it. The integrand may return shape (N,) or (m, N); every component must
+meet its own tolerance. Everything is deterministic: identical inputs
+give bit-identical results.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -72,55 +76,90 @@ class QuadratureSpec:
 
 DEFAULT_SPEC = QuadratureSpec()
 
+# Most panels one integrand call evaluates: bounds the node arrays, and so
+# the memory, of one evaluation.
+_CHUNK_PANELS = 256
+
 
 @dataclass(frozen=True)
 class IntegralResult:
-    value: complex
-    error_estimate: float
+    """value and error_estimate are scalars for an integrand returning
+    shape (N,), and arrays of shape (m,) for one returning (m, N)."""
+
+    value: complex | np.ndarray
+    error_estimate: float | np.ndarray
     evaluations: int
     converged: bool
 
 
-def _gk_panel(f, a: float, b: float):
-    """One Gauss-Kronrod 7/15 estimate of int_a^b f; f is vectorized."""
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _GK_NODES
-    y = np.asarray(f(x), dtype=complex)
-    i15 = half * np.sum(_GK_WK * y)
-    i7 = half * np.sum(_GK_WG * y)
-    return complex(i15), abs(i15 - i7)
+def _result(total, err_total, evals: int, converged: bool) -> IntegralResult:
+    if np.ndim(total) == 0:
+        total, err_total = complex(total), float(err_total)
+    return IntegralResult(total, err_total, evals, converged)
 
 
-def _adaptive(f, edges, spec: QuadratureSpec):
-    """Refine the panels given by consecutive edges until tolerance is met.
+def _evaluate(f, a: np.ndarray, b: np.ndarray):
+    """GK15 values and errors of the panels [a_j, b_j].
 
-    Returns (value, error, evaluations, converged).
+    Both come back with the integrand's component axes first and the panel
+    axis last: shape (P,) or (m, P). Panels go to f at most _CHUNK_PANELS
+    at a time, as one flat node array.
     """
-    heap = []
-    seq = 0
-    evals = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, err = _gk_panel(f, a, b)
-        evals += 15
-        heapq.heappush(heap, (-err, seq, a, b, val))
-        seq += 1
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    values, errors = [], []
+    for lo in range(0, len(a), _CHUNK_PANELS):
+        h = half[lo:lo + _CHUNK_PANELS]
+        x = mid[lo:lo + _CHUNK_PANELS, None] + h[:, None] * _GK_NODES
+        y = np.asarray(f(x.ravel()), dtype=complex)
+        y = y.reshape(y.shape[:-1] + x.shape)
+        # Sums over the contiguous node axis, not BLAS, keep the bits
+        # independent of alignment and thread count.
+        i15 = h * np.sum(y * _GK_WK, axis=-1)
+        i7 = h * np.sum(y * _GK_WG, axis=-1)
+        values.append(i15)
+        errors.append(np.abs(i15 - i7))
+    return np.concatenate(values, axis=-1), np.concatenate(errors, axis=-1)
 
-    splits = 0
+
+def _refine(f, a, b, val, err, evals: int, spec: QuadratureSpec,
+            sector: str) -> IntegralResult:
+    """Bisect panels until every component's summed error meets its
+    tolerance; raise NotConverged once max_subdivisions are spent.
+
+    a, b are the panel edges and val, err their GK15 values and errors as
+    returned by _evaluate. Each round sorts the panels by error relative
+    to the tolerance (largest first) and bisects the shortest prefix whose
+    error exceeds every component's excess over its tolerance.
+    """
+    bisections = 0
     while True:
-        total = sum(item[4] for item in heap)
-        err_total = sum(-item[0] for item in heap)
-        if err_total <= max(spec.rel_tol * abs(total), spec.abs_tol):
-            return total, err_total, evals, True
-        if splits >= spec.max_subdivisions:
-            return total, err_total, evals, False
-        _, _, a, b, _ = heapq.heappop(heap)
-        mid = 0.5 * (a + b)
-        for lo, hi in ((a, mid), (mid, b)):
-            val, err = _gk_panel(f, lo, hi)
-            evals += 15
-            heapq.heappush(heap, (-err, seq, lo, hi, val))
-            seq += 1
-        splits += 1
+        total = np.sum(val, axis=-1)
+        err_total = np.sum(err, axis=-1)
+        tol = np.maximum(spec.rel_tol * np.abs(total), spec.abs_tol)
+        if np.all(err_total <= tol):
+            return _result(total, err_total, evals, True)
+        budget = spec.max_subdivisions - bisections
+        if budget == 0:
+            raise NotConverged(
+                f"{sector} integral: error {np.max(err_total):.3e} above "
+                f"tolerance after {spec.max_subdivisions} subdivisions",
+                _result(total, err_total, evals, False))
+        scaled = np.reshape(err / tol[..., None], (-1, err.shape[-1]))
+        order = np.argsort(-scaled.max(axis=0), kind="stable")
+        excess = np.reshape(err_total / tol - 1.0, (-1, 1))
+        covered = np.all(np.cumsum(scaled[:, order], axis=-1) > excess, axis=0)
+        split = order[:min(int(np.argmax(covered)) + 1, budget)]
+        mid = 0.5 * (a[split] + b[split])
+        new_a = np.concatenate((a[split], mid))
+        new_b = np.concatenate((mid, b[split]))
+        new_val, new_err = _evaluate(f, new_a, new_b)
+        a = np.concatenate((np.delete(a, split), new_a))
+        b = np.concatenate((np.delete(b, split), new_b))
+        val = np.concatenate((np.delete(val, split, axis=-1), new_val), axis=-1)
+        err = np.concatenate((np.delete(err, split, axis=-1), new_err), axis=-1)
+        evals += 15 * len(new_a)
+        bisections += len(split)
 
 
 def _initial_edges(a: float, b: float, max_width: float | None) -> np.ndarray:
@@ -143,13 +182,9 @@ def integrate_propagating(integrand, beta_max: float,
     if beta_max <= 0.0:
         raise ValueError(f"beta_max must be positive, got {beta_max}")
     edges = _initial_edges(0.0, beta_max, max_panel_width)
-    value, err, evals, ok = _adaptive(integrand, edges, spec)
-    result = IntegralResult(value, err, evals, ok)
-    if not ok:
-        raise NotConverged(
-            f"propagating integral: error {err:.3e} above tolerance after "
-            f"{spec.max_subdivisions} subdivisions", result)
-    return result
+    a, b = edges[:-1], edges[1:]
+    val, err = _evaluate(integrand, a, b)
+    return _refine(integrand, a, b, val, err, 15 * len(a), spec, "propagating")
 
 
 def integrate_evanescent(integrand, z_decay: float,
@@ -163,7 +198,8 @@ def integrate_evanescent(integrand, z_decay: float,
     exponential reaches tail_cutoff and is pushed outward until the last
     appended panel is a negligible fraction of the running total (this
     covers integrands whose own growth delays the decay, e.g. amplified
-    evanescent waves of a weakly absorbing left-handed slab).
+    evanescent waves of a weakly absorbing left-handed slab). Refinement
+    starts from the values of the initial panels and tail probes.
 
     breakpoints are extra panel edges, used to pin near-singular features
     (surface-plasmon or guided-mode resonances of weakly lossy media)
@@ -179,42 +215,33 @@ def integrate_evanescent(integrand, z_decay: float,
     width = 1.0 / (2.0 * z_decay)
     if max_panel_width is not None:
         width = min(width, max_panel_width)
-    edges = list(_initial_edges(0.0, kappa0, width))
-    inner = sorted(b for b in breakpoints if 0.0 < b < kappa0)
+    edges = _initial_edges(0.0, kappa0, width)
+    inner = [b for b in breakpoints if 0.0 < b < kappa0]
     if inner:
-        edges = sorted(set(edges) | set(inner))
+        edges = np.unique(np.concatenate((edges, inner)))
+    a, b = edges[:-1], edges[1:]
+    val, err = _evaluate(f, a, b)
+    evals = 15 * len(a)
 
     # Tail extension: single-panel probes past kappa0 until negligible.
-    probe_vals = []
-    evals = 0
-    running = None
-    kappa_hi = edges[-1]
     step = max(kappa0 / 4.0, width)
     extensions = 0
     while True:
-        if running is None:
-            running = sum(_gk_panel(f, a, b)[0]
-                          for a, b in zip(edges[:-1], edges[1:]))
-            evals += 15 * (len(edges) - 1)
-        val, _ = _gk_panel(f, kappa_hi, kappa_hi + step)
+        lo, hi = b[-1:], b[-1:] + step
+        probe_val, probe_err = _evaluate(f, lo, hi)
         evals += 15
-        probe_vals.append(val)
-        running += val
-        edges.append(kappa_hi + step)
-        kappa_hi += step
-        if abs(val) <= spec.tail_cutoff * max(abs(running), spec.abs_tol):
+        a, b = np.concatenate((a, lo)), np.concatenate((b, hi))
+        val = np.concatenate((val, probe_val), axis=-1)
+        err = np.concatenate((err, probe_err), axis=-1)
+        running = np.sum(val, axis=-1)
+        if np.all(np.abs(probe_val[..., 0])
+                  <= spec.tail_cutoff * np.maximum(np.abs(running), spec.abs_tol)):
             break
         extensions += 1
         if extensions > spec.max_subdivisions:
             raise NotConverged(
                 "evanescent tail still contributing after "
-                f"{extensions} extensions (kappa ~ {kappa_hi:.3e})",
-                IntegralResult(running, float("inf"), evals, False))
+                f"{extensions} extensions (kappa ~ {hi[0]:.3e})",
+                _result(running, np.full(np.shape(running), np.inf), evals, False))
 
-    value, err, more_evals, ok = _adaptive(f, np.asarray(edges), spec)
-    result = IntegralResult(value, err, evals + more_evals, ok)
-    if not ok:
-        raise NotConverged(
-            f"evanescent integral: error {err:.3e} above tolerance after "
-            f"{spec.max_subdivisions} subdivisions", result)
-    return result
+    return _refine(f, a, b, val, err, evals, spec, "evanescent")

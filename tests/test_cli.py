@@ -77,6 +77,20 @@ class TestSweep:
         for line in out.read_text().splitlines()[3:]:
             assert line.split(",")[3] == "retarded"
 
+    def test_lossless_slab_fails_row_not_traceback(self, tmp_path, capsys):
+        # A real-axis guided mode of the lossless eps = mu = -1 slab makes
+        # the reflection denominator vanish at z = 1.5.
+        code, out = run(tmp_path, "sweep", "--geometry", "slab-mirror",
+                        "--eps-re", "-1", "--eps-im", "0", "--mu-re", "-1",
+                        "--mu-im", "0", "--thickness", "1", "--zmin", "1.5",
+                        "--zmax", "3", "--points", "3", "--workers", "1",
+                        "--method", "numeric")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert "1/3 points failed" in err
+        assert out.read_text().splitlines()[-3].endswith(",nan,inf,failed")
+
 
 class TestCompare:
     def test_halfspace_columns(self, tmp_path):

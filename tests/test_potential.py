@@ -7,7 +7,7 @@ import pytest
 
 from planarcp import (Atom, DomainError, HalfSpace, PerfectLens,
                       PotentialMethod, SlabWithMirror, Transition, VACUUM,
-                      potential_auto, potential_nonretarded, potential_numeric,
+                      green_components, potential_auto, potential_nonretarded, potential_numeric,
                       potential_perfect_lens, potential_retarded,
                       validate_material)
 from oracle import simpson_potential
@@ -35,6 +35,15 @@ class TestNumeric:
         u2 = potential_numeric(Atom([t2]), geo, 0.9)
         assert both.value == pytest.approx(u1.value + u2.value, rel=1e-12)
         assert both.per_transition == (u1.value, u2.value)
+
+    def test_carries_green_evaluations(self):
+        geo = HalfSpace(validate_material(2 + 0.3j, 1))
+        t1, t2 = Transition(1.0, 1.0, 0.0), Transition(0.5, 0.3, 0.7)
+        both = potential_numeric(Atom([t1, t2]), geo, 0.9)
+        assert both.evaluations == (green_components(0.9, 1.0, geo).evaluations
+                                    + green_components(0.9, 0.5, geo).evaluations)
+        assert potential_retarded(PAR, geo.material, 2e3).evaluations == 0
+        assert potential_perfect_lens(PAR, 0.5, 1.5).evaluations == 0
 
     def test_vacuum_is_zero(self):
         got = potential_numeric(PAR, HalfSpace(VACUUM), 1.1)
@@ -139,6 +148,7 @@ class TestAutoDispatch:
         # larger of the two error indicators.
         numeric = potential_numeric(PAR, geo, 1e-3)
         assert got.error_estimate >= abs(numeric.value - closed.value)
+        assert got.evaluations == numeric.evaluations > 0
 
     def test_far_field_uses_closed_form(self):
         geo = HalfSpace(validate_material(2 + 1e-3j, 1))

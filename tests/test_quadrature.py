@@ -62,9 +62,48 @@ class TestPropagating:
         assert isinstance(partial, IntegralResult)
         assert not partial.converged
         assert partial.error_estimate > 0.0
+        # One initial panel; each bisection adds two 15-node panels.
+        assert partial.evaluations <= 15 * (1 + 2 * spec.max_subdivisions)
+
+    def test_budget_caps_bisections_of_many_panels(self):
+        # Every one of 64 panels is above tolerance, so a batched round
+        # would bisect far more than the budget allows.
+        spec = QuadratureSpec(rel_tol=1e-15, max_subdivisions=5)
+        with pytest.raises(NotConverged) as exc_info:
+            integrate_propagating(lambda b: np.exp(200j * b) / (b + 1e-3), 1.0,
+                                  spec, max_panel_width=1.0 / 64)
+        partial = exc_info.value.result
+        assert not partial.converged
+        assert partial.evaluations == 15 * (64 + 2 * spec.max_subdivisions)
+
+
+class TestVectorIntegrand:
+    def test_components_match_scalar_integrals(self):
+        z = 2.3
+        parts = (lambda b: np.exp(2j * b * z), lambda b: b * b / (1.0 + b))
+        both = integrate_propagating(lambda b: np.stack([f(b) for f in parts]),
+                                     1.5, max_panel_width=0.2)
+        assert both.value.shape == both.error_estimate.shape == (2,)
+        for k, f in enumerate(parts):
+            single = integrate_propagating(f, 1.5, max_panel_width=0.2)
+            assert abs(both.value[k] - single.value) <= (both.error_estimate[k]
+                                                          + single.error_estimate)
+
+    def test_evanescent_components(self):
+        # int_0^inf (1, kappa) exp(-2 kappa z) dkappa = (1/(2z), 1/(4z^2)).
+        z = 0.8
+        res = integrate_evanescent(lambda k: np.stack((np.ones_like(k), k)), z)
+        assert res.value == pytest.approx([1 / (2 * z), 1 / (4 * z * z)], rel=1e-12)
+        assert np.all(res.error_estimate
+                      <= 1e-8 * np.abs(res.value))
 
 
 class TestEvanescent:
+    def test_initial_panels_evaluated_once(self):
+        # 37 unit panels up to kappa0 = 18.4/z, one tail probe, and no
+        # panel evaluated twice: 38 * 15 nodes.
+        assert integrate_evanescent(np.ones_like, 0.5).evaluations == 570
+
     def test_unit_prefactor(self):
         # int_0^inf exp(-2 kappa z) dkappa = 1/(2z).
         res = integrate_evanescent(lambda k: np.ones_like(k) + 0j, 2.0)
@@ -123,3 +162,14 @@ class TestDeterminism:
         e1 = integrate_evanescent(g, 0.8, breakpoints=(1.0, 2.5))
         e2 = integrate_evanescent(g, 0.8, breakpoints=(1.0, 2.5))
         assert e1.value == e2.value and e1.evaluations == e2.evaluations
+
+    def test_vector_repeats_bit_for_bit(self):
+        # Enough initial panels to span several evaluation chunks.
+        def f(b):
+            return np.stack((np.exp(2j * b * 40.0), np.cos(b) / (1.0 + b)))
+
+        r1 = integrate_propagating(f, 3.0, max_panel_width=1e-3)
+        r2 = integrate_propagating(f, 3.0, max_panel_width=1e-3)
+        assert r1.value.tobytes() == r2.value.tobytes()
+        assert r1.error_estimate.tobytes() == r2.error_estimate.tobytes()
+        assert r1.evaluations == r2.evaluations
