@@ -155,7 +155,10 @@ def _eval_compare(args):
         material = config.material()
         for name, fn in (("nonretarded", potential_nonretarded),
                          ("retarded", potential_retarded)):
-            u = fn(atom, material, z).value * U0_INV
+            try:
+                u = fn(atom, material, z).value * U0_INV
+            except DegenerateDenominator:
+                u = float("nan")
             row[f"U_{name}"] = u
             row[f"dev_{name}"] = _relative_deviation(num, u)
     else:

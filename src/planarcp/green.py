@@ -9,6 +9,7 @@ exp(2i beta z_A), evaluated here via the split quadrature engine.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,24 +39,25 @@ class GreenComponents:
     """Diagonal scattered Green components at coincident points.
 
     g_yy equals g_xx by the planar symmetry and is not stored separately;
-    off-diagonal components vanish identically.
+    off-diagonal components vanish identically. A component that was not
+    asked for is None, and so is its error.
     """
 
-    g_xx: complex
-    g_zz: complex
+    g_xx: complex | None
+    g_zz: complex | None
     omega: float
     z_A: float
-    error_xx: float
-    error_zz: float
+    error_xx: float | None
+    error_zz: float | None
     evaluations: int = 0
 
     @property
-    def g_yy(self) -> complex:
+    def g_yy(self) -> complex | None:
         return self.g_xx
 
     @property
     def error_estimate(self) -> float:
-        return max(self.error_xx, self.error_zz)
+        return max(e for e in (self.error_xx, self.error_zz) if e is not None)
 
 
 def _coefficients(geometry, omega: float, c: float):
@@ -185,7 +187,18 @@ def _slab_mode_kappas(material: MaterialResponse, thickness: float,
     return kappas
 
 
+# (geometry, omega, c) breakpoint sets kept in memory; a distance sweep
+# needs one per transition frequency of its atom.
+_BREAKPOINT_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_BREAKPOINT_CACHE_SIZE)
 def _evanescent_breakpoints(geometry, omega: float, c: float) -> tuple[float, ...]:
+    """Graded panel edges around the pinned evanescent resonances.
+
+    A pure function of frozen value objects, so it is memoised: the
+    guided-mode scan runs once per (geometry, omega, c), not per point.
+    """
     k0 = omega / c
     if isinstance(geometry, HalfSpace):
         centers = _halfspace_mode_kappas(geometry.material, k0)
@@ -222,12 +235,17 @@ def _check_domain(z_A: float, geometry):
 
 def green_components(z_A: float, omega: float, geometry: Geometry,
                      spec: QuadratureSpec = DEFAULT_SPEC,
-                     units: UnitSystem = NORMALIZED) -> GreenComponents:
-    """G_xx and G_zz at the atom, from one (xx, zz) integrand per sector.
+                     units: UnitSystem = NORMALIZED, *, xx: bool = True,
+                     zz: bool = True) -> GreenComponents:
+    """G_xx and G_zz at the atom, from one integrand per sector.
 
     G_xx combines r_s - (beta^2 c^2 / omega^2) r_p with the round-trip
-    phase; only r_p enters G_zz, weighted by 2 q^2 c^2 / omega^2.
+    phase; only r_p enters G_zz, weighted by 2 q^2 c^2 / omega^2. Passing
+    xx=False or zz=False leaves that component out of the integrand and
+    out of the convergence test; it is returned as None.
     """
+    if not (xx or zz):
+        raise ValueError("green_components needs at least one of xx, zz")
     _check_domain(z_A, geometry)
     c = units.c
     k0 = omega / c
@@ -236,8 +254,12 @@ def green_components(z_A: float, omega: float, geometry: Geometry,
     def prop(beta):
         q2 = np.maximum(k0 * k0 - beta * beta, 0.0)
         r_s, r_p = rs_rp(np.sqrt(q2))
-        return np.exp(2j * beta * z_A) * np.stack(
-            (r_s - (beta / k0) ** 2 * r_p, 2.0 * (q2 / (k0 * k0)) * r_p))
+        rows = []
+        if xx:
+            rows.append(r_s - (beta / k0) ** 2 * r_p)
+        if zz:
+            rows.append(2.0 * (q2 / (k0 * k0)) * r_p)
+        return np.exp(2j * beta * z_A) * np.stack(rows)
 
     def evan(kappa):
         q2 = kappa * kappa + k0 * k0
@@ -245,7 +267,12 @@ def green_components(z_A: float, omega: float, geometry: Geometry,
         # beta = i kappa, so -(beta/k0)^2 = +(kappa/k0)^2; the decay
         # exp(-2 kappa (z_A - z_offset)) is applied by the engine, with
         # the image offset already pulled out of the coefficients.
-        return np.stack((r_s + (kappa / k0) ** 2 * r_p, 2.0 * (q2 / (k0 * k0)) * r_p))
+        rows = []
+        if xx:
+            rows.append(r_s + (kappa / k0) ** 2 * r_p)
+        if zz:
+            rows.append(2.0 * (q2 / (k0 * k0)) * r_p)
+        return np.stack(rows)
 
     res_p = integrate_propagating(prop, k0, spec,
                                   max_panel_width=_osc_panel_width(z_A, geometry))
@@ -253,7 +280,9 @@ def green_components(z_A: float, omega: float, geometry: Geometry,
                                  breakpoints=_evanescent_breakpoints(geometry, omega, c))
     value = (1j / (8.0 * math.pi)) * res_p.value + (1.0 / (8.0 * math.pi)) * res_e.value
     error = (res_p.error_estimate + res_e.error_estimate) / (8.0 * math.pi)
-    return GreenComponents(g_xx=complex(value[0]), g_zz=complex(value[1]),
-                           omega=omega, z_A=z_A, error_xx=float(error[0]),
-                           error_zz=float(error[1]),
+    parts = [(complex(v), float(e)) for v, e in zip(value, error)]
+    g_xx, error_xx = parts.pop(0) if xx else (None, None)
+    g_zz, error_zz = parts.pop(0) if zz else (None, None)
+    return GreenComponents(g_xx=g_xx, g_zz=g_zz, omega=omega, z_A=z_A,
+                           error_xx=error_xx, error_zz=error_zz,
                            evaluations=res_p.evaluations + res_e.evaluations)

@@ -38,7 +38,6 @@ class PotentialMethod(enum.Enum):
     NONRETARDED = "nonretarded"
     RETARDED = "retarded"
     PERFECT_LENS = "closed-form"
-    AUTO = "auto"
 
 
 @dataclass(frozen=True)
@@ -70,13 +69,16 @@ def potential_numeric(atom: Atom, geometry: Geometry, z_A: float,
     error = 0.0
     evaluations = 0
     for t in atom.transitions:
-        g = green_components(z_A, t.omega, geometry, spec, units)
+        # Only the components the dipole weighs are integrated; a skipped
+        # one (weight 0) enters the sums below as 0.
+        g = green_components(z_A, t.omega, geometry, spec, units,
+                             xx=t.d_par_sq > 0.0, zz=t.d_perp_sq > 0.0)
         evaluations += g.evaluations
+        g_xx, err_xx = (g.g_xx.real, g.error_xx) if g.g_xx is not None else (0.0, 0.0)
+        g_zz, err_zz = (g.g_zz.real, g.error_zz) if g.g_zz is not None else (0.0, 0.0)
         contributions.append(
-            -mu0 * t.omega**2 * (g.g_xx.real * t.d_par_sq
-                                 + g.g_zz.real * t.d_perp_sq))
-        error += mu0 * t.omega**2 * (g.error_xx * t.d_par_sq
-                                     + g.error_zz * t.d_perp_sq)
+            -mu0 * t.omega**2 * (g_xx * t.d_par_sq + g_zz * t.d_perp_sq))
+        error += mu0 * t.omega**2 * (err_xx * t.d_par_sq + err_zz * t.d_perp_sq)
     return _sample(z_A, contributions, PotentialMethod.NUMERIC, error,
                    evaluations=evaluations)
 
@@ -95,7 +97,9 @@ def potential_nonretarded(atom: Atom, material: MaterialResponse, z_A: float,
                            + |d_perp|^2 Re((mu-1)/2)] / (16 pi z_A)
 
     where (mu-1)/(mu+1) comes from r_s and the (mu-1)/4 and (mu-1)/2
-    terms from r_p -> k0^2 (mu-1)/(4 q^2) at large q.
+    terms from r_p -> k0^2 (mu-1)/(4 q^2) at large q. The lossless
+    surface-mode poles (eps = -1, or mu = -1 when eps = 1) raise
+    DegenerateDenominator.
     """
     if z_A <= 0.0:
         raise DomainError(f"z_A must be positive, got {z_A}")
@@ -104,6 +108,7 @@ def potential_nonretarded(atom: Atom, material: MaterialResponse, z_A: float,
     contributions = []
     rel_trunc = 0.0
     if eps == 1.0:
+        _require_nonzero("mu + 1", mu + 1.0)
         par = ((mu - 1.0) / (mu + 1.0) + (mu - 1.0) / 4.0).real
         perp = ((mu - 1.0) / 2.0).real
         for t in atom.transitions:
@@ -114,6 +119,7 @@ def potential_nonretarded(atom: Atom, material: MaterialResponse, z_A: float,
     else:
         if abs(eps - 1.0) < NEAR_MAGNETIC_EPS:
             flags.append("near-magnetic-crossover")
+        _require_nonzero("eps + 1", eps + 1.0)
         factor = (abs(eps)**2 - 1.0) / abs(eps + 1.0)**2
         for t in atom.transitions:
             contributions.append(
@@ -136,9 +142,7 @@ def potential_retarded(atom: Atom, material: MaterialResponse, z_A: float,
     sqrt_eps = _passive_scalar_sqrt(material.epsilon)
     sqrt_mu = _passive_scalar_sqrt(material.mu)
     den = sqrt_eps + sqrt_mu
-    if abs(den) < 1e-12:
-        raise DegenerateDenominator(
-            f"sqrt(eps) + sqrt(mu) = {den} too close to zero")
+    _require_nonzero("sqrt(eps) + sqrt(mu)", den)
     contrast = (sqrt_eps - sqrt_mu) / den
     contributions = []
     rel_trunc = 0.0
@@ -150,6 +154,13 @@ def potential_retarded(atom: Atom, material: MaterialResponse, z_A: float,
         rel_trunc = max(rel_trunc, units.c / (z_A * t.omega))
     error = rel_trunc * abs(sum(contributions))
     return _sample(z_A, contributions, PotentialMethod.RETARDED, error)
+
+
+def _require_nonzero(name: str, den: complex) -> None:
+    """Raise DegenerateDenominator if a closed form's denominator vanishes
+    (the lossless pole of a surface mode)."""
+    if abs(den) < 1e-12:
+        raise DegenerateDenominator(f"{name} = {den} too close to zero")
 
 
 def _passive_scalar_sqrt(w: complex) -> complex:

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from planarcp.cli import main
+from planarcp.green import _evanescent_breakpoints
 
 
 def run(tmp_path, *args, name="out.csv"):
@@ -70,6 +71,18 @@ class TestSweep:
         _, serial = run(tmp_path, *args, "--workers", "1", name="serial.csv")
         _, parallel = run(tmp_path, *args, "--workers", "4", name="par.csv")
         assert serial.read_bytes() == parallel.read_bytes()
+        # The slab's guided-mode breakpoints are memoised per process: the
+        # pool starts with an empty cache, the later serial runs fill and
+        # then reuse this process's one.
+        lens = ["sweep", "--geometry", "slab-mirror", "--eps-re", "-1",
+                "--eps-im", "1e-4", "--mu-re", "-1", "--mu-im", "1e-4",
+                "--thickness", "5", "--zmin", "5.2", "--zmax", "8",
+                "--points", "8", "--dipole", "par", "--reproducible"]
+        _evanescent_breakpoints.cache_clear()
+        _, cold = run(tmp_path, *lens, "--workers", "2", name="cold.csv")
+        _, filling = run(tmp_path, *lens, "--workers", "1", name="fill.csv")
+        _, warm = run(tmp_path, *lens, "--workers", "1", name="warm.csv")
+        assert cold.read_bytes() == filling.read_bytes() == warm.read_bytes()
 
     def test_forced_method_column(self, tmp_path):
         code, out = run(tmp_path, *BASE, "--method", "retarded")
@@ -90,6 +103,19 @@ class TestSweep:
         assert "Traceback" not in err
         assert "1/3 points failed" in err
         assert out.read_text().splitlines()[-3].endswith(",nan,inf,failed")
+
+
+    def test_lossless_nonretarded_pole_fails_row(self, tmp_path, capsys):
+        code, out = run(tmp_path, "sweep", "--geometry", "halfspace",
+                        "--eps-re", "-1", "--eps-im", "0", "--zmin", "0.01",
+                        "--zmax", "0.1", "--points", "3", "--workers", "1",
+                        "--method", "nonretarded")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert "3/3 points failed" in err
+        assert all(line.endswith(",nan,inf,failed")
+                   for line in out.read_text().splitlines()[-3:])
 
 
 class TestCompare:
@@ -118,6 +144,23 @@ class TestCompare:
                                        "dev_closed_form"]
         for line in lines[3:]:
             assert float(line.split(",")[3]) < 1e-9
+
+
+    def test_closed_form_pole_gives_nan_column(self, tmp_path, capsys):
+        # eps = 1, mu = -1: the short-distance form's (mu - 1)/(mu + 1)
+        # has no finite value; the other columns are still computed.
+        code, out = run(tmp_path, "compare", "--eps-re", "1", "--mu-re", "-1",
+                        "--zmin", "0.01", "--zmax", "1", "--points", "3",
+                        "--workers", "1", "--reproducible")
+        assert "Traceback" not in capsys.readouterr().err
+        assert code == 0
+        lines = out.read_text().splitlines()
+        header = lines[2].split(",")
+        for line in lines[3:]:
+            row = dict(zip(header, line.split(",")))
+            assert row["U_nonretarded"] == "nan"
+            assert math.isfinite(float(row["U_numeric"]))
+            assert math.isfinite(float(row["U_retarded"]))
 
 
 class TestConfigHandling:

@@ -9,7 +9,10 @@ import pytest
 from planarcp import (DomainError, FixedReflection, HalfSpace, PerfectLens,
                       QuadratureSpec, SlabWithMirror, VACUUM,
                       green_components, validate_material)
+from planarcp.green import _evanescent_breakpoints
 from oracle import simpson_green
+
+LENS_SLAB = SlabWithMirror(validate_material(-1 + 1e-4j, -1 + 1e-4j), 5.0)
 
 
 class TestVacuum:
@@ -44,6 +47,46 @@ class TestStructure:
             green_components(0.3, 1.0, PerfectLens(0.5))
         # Just beyond is fine.
         green_components(0.6, 1.0, PerfectLens(0.5))
+
+
+class TestComponentSelection:
+    def test_default_computes_both(self):
+        g = green_components(6.0, 1.0, LENS_SLAB)
+        both = green_components(6.0, 1.0, LENS_SLAB, xx=True, zz=True)
+        assert g.g_xx is not None and g.g_zz is not None
+        assert repr(g) == repr(both)
+
+    def test_skipped_component_is_none(self):
+        only_xx = green_components(6.0, 1.0, LENS_SLAB, zz=False)
+        only_zz = green_components(6.0, 1.0, LENS_SLAB, xx=False)
+        assert only_xx.g_zz is None and only_xx.error_zz is None
+        assert only_zz.g_xx is None and only_zz.g_yy is None
+        assert only_zz.error_xx is None
+        assert only_xx.error_estimate == only_xx.error_xx
+        assert only_zz.error_estimate == only_zz.error_zz
+
+    @pytest.mark.parametrize("geometry,z", [
+        (LENS_SLAB, 6.0),
+        (HalfSpace(validate_material(-3 + 1e-3j, 1)), 0.5),
+    ])
+    def test_single_component_agrees_with_both(self, geometry, z):
+        both = green_components(z, 1.0, geometry)
+        only_xx = green_components(z, 1.0, geometry, zz=False)
+        only_zz = green_components(z, 1.0, geometry, xx=False)
+        assert abs(only_xx.g_xx - both.g_xx) <= only_xx.error_xx + both.error_xx
+        assert abs(only_zz.g_zz - both.g_zz) <= only_zz.error_zz + both.error_zz
+
+    def test_needs_a_component(self):
+        with pytest.raises(ValueError):
+            green_components(6.0, 1.0, LENS_SLAB, xx=False, zz=False)
+
+    def test_cold_and_warm_breakpoints_bit_identical(self):
+        _evanescent_breakpoints.cache_clear()
+        cold = green_components(6.0, 1.0, LENS_SLAB)
+        warm = green_components(6.0, 1.0, LENS_SLAB)
+        info = _evanescent_breakpoints.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert repr(cold) == repr(warm)
 
 
 class TestLimits:

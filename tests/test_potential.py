@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from planarcp import (Atom, DomainError, HalfSpace, PerfectLens,
+from planarcp import (Atom, DegenerateDenominator, DomainError, HalfSpace,
+                      PerfectLens,
                       PotentialMethod, SlabWithMirror, Transition, VACUUM,
                       green_components, potential_auto, potential_nonretarded, potential_numeric,
                       potential_perfect_lens, potential_retarded,
@@ -14,6 +15,8 @@ from oracle import simpson_potential
 
 PAR = Atom([Transition(1.0, 1.0, 0.0)])
 PERP = Atom([Transition(1.0, 0.0, 1.0)])
+MIXED = Atom([Transition(1.0, 0.6, 0.4)])
+LENS_SLAB = SlabWithMirror(validate_material(-1 + 1e-4j, -1 + 1e-4j), 5.0)
 
 
 class TestNumeric:
@@ -48,6 +51,25 @@ class TestNumeric:
     def test_vacuum_is_zero(self):
         got = potential_numeric(PAR, HalfSpace(VACUUM), 1.1)
         assert got.value == 0.0
+
+    @pytest.mark.parametrize("geometry,z", [
+        (LENS_SLAB, 6.0),
+        (HalfSpace(validate_material(-3 + 1e-3j, 1)), 0.5),
+    ])
+    @pytest.mark.parametrize("atom", [PAR, PERP, MIXED])
+    def test_needed_components_agree_with_both(self, geometry, z, atom):
+        # Only the components the dipole weighs are integrated; the value
+        # matches the one built from a call that computes both.
+        got = potential_numeric(atom, geometry, z)
+        (t,) = atom.transitions
+        g = green_components(z, t.omega, geometry)
+        want = -(g.g_xx.real * t.d_par_sq + g.g_zz.real * t.d_perp_sq)
+        want_err = g.error_xx * t.d_par_sq + g.error_zz * t.d_perp_sq
+        assert abs(got.value - want) <= got.error_estimate + want_err
+
+    def test_parallel_dipole_skips_zz(self):
+        got = potential_numeric(PAR, LENS_SLAB, 6.0)
+        assert got.evaluations < green_components(6.0, 1.0, LENS_SLAB).evaluations
 
 
 class TestNonretarded:
@@ -94,6 +116,13 @@ class TestNonretarded:
     def test_domain(self):
         with pytest.raises(DomainError):
             potential_nonretarded(PAR, validate_material(2, 1), 0.0)
+
+    @pytest.mark.parametrize("eps,mu", [(-1, 1), (-1, 2), (1, -1)])
+    def test_lossless_pole_is_typed(self, eps, mu):
+        # |eps + 1|^2 (or mu + 1 when eps = 1) vanishes at the lossless
+        # surface-mode pole.
+        with pytest.raises(DegenerateDenominator):
+            potential_nonretarded(PAR, validate_material(eps, mu), 1e-2)
 
 
 class TestRetarded:
