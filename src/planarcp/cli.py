@@ -194,13 +194,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _json_value(x):
+    """x, with a non-finite float as None: JSON (RFC 8259) has no NaN or
+    Infinity, so failed rows and nan columns are written as null."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
 def _emit(config: SweepConfig, columns, rows, command: str) -> None:
     # output path and worker count do not influence the numbers; keeping
     # them out of the metadata makes reproducible runs byte-comparable
     # across destinations.
     recorded = {k: v for k, v in asdict(config).items()
                 if k not in ("output", "workers")}
-    meta = {"command": command, "config": recorded}
     if config.format == "csv":
         lines = [f"# planarcp {command}"]
         if not config.reproducible:
@@ -211,10 +218,13 @@ def _emit(config: SweepConfig, columns, rows, command: str) -> None:
             lines.append(",".join(_fmt(row[c]) for c in columns))
         text = "\n".join(lines) + "\n"
     else:
+        meta = {"command": command,
+                "config": {k: _json_value(v) for k, v in recorded.items()}}
         if not config.reproducible:
             meta["generated"] = datetime.datetime.now().isoformat()
-        meta["rows"] = rows
-        text = json.dumps(meta, indent=2, allow_nan=True) + "\n"
+        meta["rows"] = [{k: _json_value(v) for k, v in row.items()}
+                        for row in rows]
+        text = json.dumps(meta, indent=2, allow_nan=False) + "\n"
     if config.output in ("-", ""):
         sys.stdout.write(text)
     else:
@@ -274,6 +284,20 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int)
 
 
+def _typed(key: str, val):
+    """val as the type of SweepConfig's default for key; ConfigError if
+    it has another type (an int is a valid float, an integral float a
+    valid int, a bool neither)."""
+    kind = type(SweepConfig.__dataclass_fields__[key].default)
+    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
+        return float(val)
+    if kind is int and isinstance(val, float) and val.is_integer():
+        return int(val)
+    if isinstance(val, kind) and (kind is bool or not isinstance(val, bool)):
+        return val
+    raise ConfigError(f"{key}: expected {kind.__name__}, got {val!r}")
+
+
 def _build_config(args: argparse.Namespace) -> SweepConfig:
     values = {}
     if args.config:
@@ -292,10 +316,7 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    try:
-        return SweepConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    return SweepConfig(**{k: _typed(k, v) for k, v in values.items()})
 
 
 def main(argv=None) -> int:

@@ -109,27 +109,23 @@ def wave_numbers(q: float, omega: float, material: MaterialResponse,
     )
 
 
-def _check_denominator(num, den, what: str):
-    num = np.asarray(num)
-    den = np.asarray(den)
-    scale = np.maximum(np.abs(num), np.abs(den))
-    bad = (np.abs(den) <= DEGENERATE_REL_TOL * scale) & (scale > 0.0)
-    if np.any(bad):
+def _ratio(num, den, what: str):
+    """num / den, raising DegenerateDenominator where |den| is below
+    DEGENERATE_REL_TOL of |num| (0/0 stays nan and is not flagged)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.divide(num, den)
+    if np.any(np.abs(r) >= 1.0 / DEGENERATE_REL_TOL):
         raise DegenerateDenominator(
             f"{what} denominator within {DEGENERATE_REL_TOL} of zero "
             "(real-axis surface or guided mode; lossless input)")
+    return r
 
 
 def halfspace_rs_rp(beta, beta1, material: MaterialResponse):
     """Half-space Fresnel coefficients (r_s, r_p) from the wavenumbers."""
     eps, mu = material.epsilon, material.mu
-    num_s = mu * beta - beta1
-    den_s = mu * beta + beta1
-    num_p = eps * beta - beta1
-    den_p = eps * beta + beta1
-    _check_denominator(num_s, den_s, "r_s")
-    _check_denominator(num_p, den_p, "r_p")
-    return num_s / den_s, num_p / den_p
+    return (_ratio(mu * beta - beta1, mu * beta + beta1, "r_s"),
+            _ratio(eps * beta - beta1, eps * beta + beta1, "r_p"))
 
 
 def slab_mirror_rs_rp(beta, beta1, material: MaterialResponse, thickness: float):
@@ -144,9 +140,7 @@ def slab_mirror_rs_rp(beta, beta1, material: MaterialResponse, thickness: float)
     den_s = mu * beta + beta1 - (mu * beta - beta1) * phase
     num_p = eps * beta - beta1 + (eps * beta + beta1) * phase
     den_p = eps * beta + beta1 + (eps * beta - beta1) * phase
-    _check_denominator(num_s, den_s, "slab r_s")
-    _check_denominator(num_p, den_p, "slab r_p")
-    return num_s / den_s, num_p / den_p
+    return _ratio(num_s, den_s, "slab r_s"), _ratio(num_p, den_p, "slab r_p")
 
 
 def perfect_lens_rs_rp(beta, thickness: float):

@@ -216,6 +216,22 @@ def _evanescent_breakpoints(geometry, omega: float, c: float) -> tuple[float, ..
     return tuple(sorted(e for e in edges if e > 0.0))
 
 
+def _small_kappa_ladder(k0: float, z_decay: float) -> tuple[float, ...]:
+    """Panel edges k0/8, k0/4, k0/2, ... below the first uniform edge.
+
+    The uniform evanescent panels are 1/(2 z_decay) wide, which at small
+    z_decay puts all of the coefficients' structure at kappa ~ k0 into
+    the first panel; halving it toward 0 would take one refinement round
+    per octave. Depends on z, so it stays outside the breakpoint cache.
+    """
+    edges = []
+    kappa = k0 / 8.0
+    while kappa < 0.5 / z_decay:
+        edges.append(kappa)
+        kappa *= 2.0
+    return tuple(edges)
+
+
 def _osc_panel_width(z_A: float, geometry) -> float:
     """Quarter period in beta of the fastest phase factor in the integrand."""
     scale = z_A
@@ -276,8 +292,10 @@ def green_components(z_A: float, omega: float, geometry: Geometry,
 
     res_p = integrate_propagating(prop, k0, spec,
                                   max_panel_width=_osc_panel_width(z_A, geometry))
-    res_e = integrate_evanescent(evan, z_A - z_offset, spec,
-                                 breakpoints=_evanescent_breakpoints(geometry, omega, c))
+    z_decay = z_A - z_offset
+    res_e = integrate_evanescent(evan, z_decay, spec,
+                                 breakpoints=_evanescent_breakpoints(geometry, omega, c)
+                                 + _small_kappa_ladder(k0, z_decay))
     value = (1j / (8.0 * math.pi)) * res_p.value + (1.0 / (8.0 * math.pi)) * res_e.value
     error = (res_p.error_estimate + res_e.error_estimate) / (8.0 * math.pi)
     parts = [(complex(v), float(e)) for v, e in zip(value, error)]

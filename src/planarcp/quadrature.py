@@ -19,6 +19,13 @@ error exceeds the gap to the tolerance, until the global estimate meets
 it. The integrand may return shape (N,) or (m, N); every component must
 meet its own tolerance. Everything is deterministic: identical inputs
 give bit-identical results.
+
+Since each round is one integrand call, cost follows the number of
+rounds. The evanescent sector's first call therefore holds, besides the
+uniform initial panels and the caller's breakpoints (the Green module
+passes a ladder k0/8, k0/4, ... that resolves the small-kappa scale at
+short distances), the first _TAIL_PANELS tail panels; further tail
+panels are probed one per call only while the last is not negligible.
 """
 
 from __future__ import annotations
@@ -79,6 +86,10 @@ DEFAULT_SPEC = QuadratureSpec()
 # Most panels one integrand call evaluates: bounds the node arrays, and so
 # the memory, of one evaluation.
 _CHUNK_PANELS = 256
+
+# Tail panels past kappa0 evaluated with the initial panels of an
+# evanescent integral, before any single-panel probe.
+_TAIL_PANELS = 2
 
 
 @dataclass(frozen=True)
@@ -198,8 +209,11 @@ def integrate_evanescent(integrand, z_decay: float,
     exponential reaches tail_cutoff and is pushed outward until the last
     appended panel is a negligible fraction of the running total (this
     covers integrands whose own growth delays the decay, e.g. amplified
-    evanescent waves of a weakly absorbing left-handed slab). Refinement
-    starts from the values of the initial panels and tail probes.
+    evanescent waves of a weakly absorbing left-handed slab). The first
+    _TAIL_PANELS panels past that point are evaluated with the initial
+    ones, since a prefactor growing like kappa^2 keeps the first of them
+    above tail_cutoff; refinement starts from the values of all of them
+    and of any further tail probes.
 
     breakpoints are extra panel edges, used to pin near-singular features
     (surface-plasmon or guided-mode resonances of weakly lossy media)
@@ -215,7 +229,9 @@ def integrate_evanescent(integrand, z_decay: float,
     width = 1.0 / (2.0 * z_decay)
     if max_panel_width is not None:
         width = min(width, max_panel_width)
-    edges = _initial_edges(0.0, kappa0, width)
+    step = max(kappa0 / 4.0, width)
+    edges = np.concatenate((_initial_edges(0.0, kappa0, width),
+                            kappa0 + step * np.arange(1, _TAIL_PANELS + 1)))
     inner = [b for b in breakpoints if 0.0 < b < kappa0]
     if inner:
         edges = np.unique(np.concatenate((edges, inner)))
@@ -223,25 +239,25 @@ def integrate_evanescent(integrand, z_decay: float,
     val, err = _evaluate(f, a, b)
     evals = 15 * len(a)
 
-    # Tail extension: single-panel probes past kappa0 until negligible.
-    step = max(kappa0 / 4.0, width)
+    # Tail extension: single-panel probes until the last panel is a
+    # negligible fraction of the running total.
     extensions = 0
     while True:
+        running = np.sum(val, axis=-1)
+        if np.all(np.abs(val[..., -1])
+                  <= spec.tail_cutoff * np.maximum(np.abs(running), spec.abs_tol)):
+            break
+        if extensions == spec.max_subdivisions:
+            raise NotConverged(
+                "evanescent tail still contributing after "
+                f"{extensions} extensions (kappa ~ {b[-1]:.3e})",
+                _result(running, np.full(np.shape(running), np.inf), evals, False))
         lo, hi = b[-1:], b[-1:] + step
         probe_val, probe_err = _evaluate(f, lo, hi)
-        evals += 15
         a, b = np.concatenate((a, lo)), np.concatenate((b, hi))
         val = np.concatenate((val, probe_val), axis=-1)
         err = np.concatenate((err, probe_err), axis=-1)
-        running = np.sum(val, axis=-1)
-        if np.all(np.abs(probe_val[..., 0])
-                  <= spec.tail_cutoff * np.maximum(np.abs(running), spec.abs_tol)):
-            break
+        evals += 15
         extensions += 1
-        if extensions > spec.max_subdivisions:
-            raise NotConverged(
-                "evanescent tail still contributing after "
-                f"{extensions} extensions (kappa ~ {hi[0]:.3e})",
-                _result(running, np.full(np.shape(running), np.inf), evals, False))
 
     return _refine(f, a, b, val, err, evals, spec, "evanescent")

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
+from scipy.integrate import quad_vec, simpson
 
 from planarcp.core import HalfSpace, PerfectLens, SlabWithMirror
 from planarcp.dispersion import (halfspace_rs_rp, medium_beta1,
@@ -125,6 +125,40 @@ def simpson_green_with_error(z_A: float, omega: float, geometry,
                       kappa_max_factor=spec.kappa_max_factor)
     h_xx, h_zz = simpson_green(z_A, omega, geometry, half)
     return g_xx, g_zz, abs(g_xx - h_xx), abs(g_zz - h_zz)
+
+
+def quad_vec_green(z_A: float, omega: float, geometry, rel_tol: float = 1e-12):
+    """(g_xx, g_zz, error) from scipy's adaptive quad_vec (c = 1).
+
+    An adaptive reference that shares no panel layout with the engine:
+    GK21 panels chosen by QUADPACK's own rules, the evanescent sector on
+    (0, inf) through scipy's change of variables, and the propagating one
+    in the same beta = k0 sin(theta) variable as simpson_green. Half
+    spaces and mirror-backed slabs only. error bounds both components.
+    """
+    k0 = omega
+
+    def parts(v):
+        return np.concatenate((v.real, v.imag))
+
+    def prop(theta):
+        beta, q = k0 * math.sin(theta), k0 * math.cos(theta)
+        r_s, r_p = _reflections(geometry, q, omega)
+        return parts(q * np.exp(2j * beta * z_A)
+                     * np.array([r_s - (beta / k0) ** 2 * r_p,
+                                 2.0 * (q / k0) ** 2 * r_p]))
+
+    def evan(kappa):
+        q = math.sqrt(kappa * kappa + k0 * k0)
+        r_s, r_p = _reflections(geometry, q, omega)
+        return parts(math.exp(-2.0 * kappa * z_A)
+                     * np.array([r_s + (kappa / k0) ** 2 * r_p,
+                                 2.0 * (q / k0) ** 2 * r_p]))
+
+    ip, err_p = quad_vec(prop, 0.0, 0.5 * math.pi, epsrel=rel_tol, norm="max")
+    ie, err_e = quad_vec(evan, 0.0, math.inf, epsrel=rel_tol, norm="max")
+    g_xx, g_zz = (1j * (ip[:2] + 1j * ip[2:]) + ie[:2] + 1j * ie[2:]) / (8.0 * math.pi)
+    return complex(g_xx), complex(g_zz), (err_p + err_e) / (8.0 * math.pi)
 
 
 def simpson_potential(z_A: float, omega: float, geometry, d_par_sq: float,

@@ -118,6 +118,39 @@ class TestSweep:
                    for line in out.read_text().splitlines()[-3:])
 
 
+def _strict_json(text):
+    """Parse as RFC 8259 JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestJsonNonFinite:
+    def test_failed_row_is_null(self, tmp_path):
+        code, out = run(tmp_path, "sweep", "--geometry", "slab-mirror",
+                        "--eps-re", "-1", "--eps-im", "0", "--mu-re", "-1",
+                        "--mu-im", "0", "--thickness", "1", "--zmin", "1.5",
+                        "--zmax", "3", "--points", "3", "--workers", "1",
+                        "--method", "numeric", "--format", "json",
+                        "--reproducible", name="out.json")
+        assert code == 2
+        rows = _strict_json(out.read_text())["rows"]
+        failed = [r for r in rows if r["method"] == "failed"]
+        assert len(failed) == 1
+        assert failed[0]["U_norm"] is None and failed[0]["U_err"] is None
+
+    def test_nan_compare_column_is_null(self, tmp_path):
+        code, out = run(tmp_path, "compare", "--eps-re", "1", "--mu-re", "-1",
+                        "--zmin", "0.01", "--zmax", "1", "--points", "3",
+                        "--workers", "1", "--format", "json", "--reproducible",
+                        name="out.json")
+        assert code == 0
+        for row in _strict_json(out.read_text())["rows"]:
+            assert row["U_nonretarded"] is None
+            assert row["dev_nonretarded"] is None
+            assert math.isfinite(row["U_numeric"])
+
+
 class TestCompare:
     def test_halfspace_columns(self, tmp_path):
         code, out = run(tmp_path, "compare", "--eps-re", "2", "--eps-im",
@@ -193,6 +226,33 @@ class TestConfigHandling:
     def test_config_errors_exit_1(self, tmp_path, args):
         code, _ = run(tmp_path, *args)
         assert code == 1
+
+    @pytest.mark.parametrize("values", [
+        {"points": "ten"},
+        {"zmin": None},
+        {"points": 5.5},
+        {"eps_re": True},
+        {"reproducible": "yes"},
+    ])
+    def test_wrongly_typed_config_value_exit_1(self, tmp_path, capsys, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        code, _ = run(tmp_path, "sweep", "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("planarcp: error: ")
+        assert "Traceback" not in err
+
+    def test_config_numbers_coerced_to_field_type(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps_re": 2, "points": 3.0, "zmin": 1,
+                                   "zmax": 2, "workers": 1,
+                                   "reproducible": True}))
+        code, out = run(tmp_path, "sweep", "--config", str(cfg))
+        assert code == 0
+        meta = json.loads(out.read_text().splitlines()[1][len("# config: "):])
+        assert meta["points"] == 3 and isinstance(meta["points"], int)
+        assert meta["eps_re"] == 2.0 and isinstance(meta["eps_re"], float)
 
     def test_unknown_config_key_exit_1(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -9,8 +9,9 @@ import pytest
 from planarcp import (DomainError, FixedReflection, HalfSpace, PerfectLens,
                       QuadratureSpec, SlabWithMirror, VACUUM,
                       green_components, validate_material)
+import planarcp.green
 from planarcp.green import _evanescent_breakpoints
-from oracle import simpson_green
+from oracle import quad_vec_green, simpson_green
 
 LENS_SLAB = SlabWithMirror(validate_material(-1 + 1e-4j, -1 + 1e-4j), 5.0)
 
@@ -176,3 +177,34 @@ class TestAgainstReference:
                                                      1e-30)
             honest += ok_xx and ok_zz
         assert honest >= 0.95 * len(oracle_suite.cases)
+
+
+class TestSmallDistance:
+    """The evanescent sector's first engine call covers the small-kappa
+    scale k0 and the first tail panels, so short distances take few
+    rounds and stay within their stated error."""
+
+    def test_few_rounds_at_short_distance(self, monkeypatch):
+        calls = []
+        real = planarcp.green.medium_beta1
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(planarcp.green, "medium_beta1", counted)
+        green_components(1e-2, 1.0, HalfSpace(validate_material(2 + 0.1j, 1)))
+        # One call per engine round of either sector.
+        assert len(calls) <= 4
+
+    @pytest.mark.parametrize("z", [1e-3, 1e-2, 0.1, 1.0, 5.0])
+    @pytest.mark.parametrize("geometry", [
+        HalfSpace(validate_material(2 + 0.1j, 1)),
+        HalfSpace(validate_material(-3 + 0.1j, 1.5 + 0.2j)),
+        SlabWithMirror(validate_material(2.5 + 0.2j, 1.2 + 0.05j), 0.7),
+    ], ids=["dielectric", "negative-eps", "slab"])
+    def test_within_stated_error(self, geometry, z):
+        g = green_components(z, 1.0, geometry)
+        ref_xx, ref_zz, ref_err = quad_vec_green(z, 1.0, geometry)
+        assert abs(g.g_xx - ref_xx) <= g.error_xx + ref_err
+        assert abs(g.g_zz - ref_zz) <= g.error_zz + ref_err

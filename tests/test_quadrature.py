@@ -100,9 +100,23 @@ class TestVectorIntegrand:
 
 class TestEvanescent:
     def test_initial_panels_evaluated_once(self):
-        # 37 unit panels up to kappa0 = 18.4/z, one tail probe, and no
-        # panel evaluated twice: 38 * 15 nodes.
-        assert integrate_evanescent(np.ones_like, 0.5).evaluations == 570
+        # 37 unit panels up to kappa0 = 18.4/z, the two tail panels
+        # evaluated with them, and no panel evaluated twice: 39 * 15 nodes.
+        assert integrate_evanescent(np.ones_like, 0.5).evaluations == 585
+
+    def test_tail_panels_in_first_call(self):
+        # A kappa^2 prefactor keeps the first tail panel above tail_cutoff;
+        # the two up-front tail panels make it one integrand call in all.
+        # int_0^inf (kappa^2 + 1) exp(-2 kappa z) dkappa = 2/(2z)^3 + 1/(2z).
+        calls = []
+
+        def f(k):
+            calls.append(len(k))
+            return k * k + 1.0 + 0j
+
+        res = integrate_evanescent(f, 0.5)
+        assert len(calls) == 1
+        assert res.value == pytest.approx(3.0, rel=1e-12)
 
     def test_unit_prefactor(self):
         # int_0^inf exp(-2 kappa z) dkappa = 1/(2z).
