@@ -68,12 +68,13 @@ class SweepConfig:
             raise ConfigError(f"dipole: must be par|perp|mixed, got {self.dipole!r}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format: must be csv|json, got {self.format!r}")
-        if not self.zmin > 0.0:
-            raise ConfigError(f"zmin: must be > 0, got {self.zmin}")
-        if not self.zmin < self.zmax:
-            raise ConfigError(f"zmin/zmax: need zmin < zmax, got {self.zmin} >= {self.zmax}")
+        if not 0.0 < self.zmin < self.zmax < math.inf:
+            raise ConfigError("zmin/zmax: need 0 < zmin < zmax < inf, got "
+                              f"{self.zmin} and {self.zmax}")
         if self.points < 2:
             raise ConfigError(f"points: need >= 2, got {self.points}")
+        if self.workers < 0:
+            raise ConfigError(f"workers: need >= 0 (0: one per CPU), got {self.workers}")
         if self.rel_tol <= 0.0:
             raise ConfigError(f"rel_tol: must be > 0, got {self.rel_tol}")
         if self.geometry in ("slab-mirror", "perfect-lens") and self.thickness <= 0.0:
@@ -178,8 +179,9 @@ def _relative_deviation(num: float, ref: float) -> float:
 
 
 def _run_parallel(fn, config, distances):
-    workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
     jobs = [(config, float(z)) for z in distances]
+    # The pool starts all its workers at once, so never more than points.
+    workers = min(config.workers or os.cpu_count() or 1, len(jobs))
     if workers == 1 or len(jobs) < 4:
         return [fn(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:

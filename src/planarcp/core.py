@@ -125,10 +125,6 @@ class Atom:
         object.__setattr__(self, "transitions", transitions)
 
     @property
-    def omega_max(self) -> float:
-        return max(t.omega for t in self.transitions)
-
-    @property
     def omega_min(self) -> float:
         return min(t.omega for t in self.transitions)
 

@@ -1,45 +1,17 @@
 # src/planarcp/dispersion.py
 """Longitudinal wavenumbers and reflection coefficients for planar media.
 
-All low-level helpers accept scalars or numpy arrays of the transverse
-wavenumber q; the typed wrappers (wave_numbers, reflect_*) operate on
-scalars and return frozen value objects.
+Every function accepts scalars or numpy arrays of the transverse
+wavenumber q (or of the wavenumbers computed from it).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .core import DegenerateDenominator, MaterialResponse
 
 DEGENERATE_REL_TOL = 1e-30
-
-Regime = Literal["propagating", "evanescent", "grazing"]
-
-
-@dataclass(frozen=True)
-class WaveNumbers:
-    """Longitudinal wavenumbers at fixed transverse wavenumber q.
-
-    beta is the vacuum value, beta1 the in-medium value, both on the
-    passive branch (Im beta1 > 0, fixed by the i0+ limit for lossless
-    media).
-    """
-
-    q: float
-    omega: float
-    beta: complex
-    beta1: complex
-    regime: Regime
-
-
-@dataclass(frozen=True)
-class ReflectionPair:
-    r_s: complex
-    r_p: complex
 
 
 def _i0_sign(material: MaterialResponse) -> float:
@@ -86,29 +58,6 @@ def medium_beta1(q, omega, material: MaterialResponse, c=1.0):
     return _passive_sqrt(w, _i0_sign(material))
 
 
-def wave_numbers(q: float, omega: float, material: MaterialResponse,
-                 c: float = 1.0) -> WaveNumbers:
-    """Both longitudinal wavenumbers with their branch certificate."""
-    if q < 0.0:
-        raise ValueError(f"q must be non-negative, got {q}")
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    k0 = omega / c
-    if q < k0:
-        regime: Regime = "propagating"
-    elif q > k0:
-        regime = "evanescent"
-    else:
-        regime = "grazing"
-    return WaveNumbers(
-        q=float(q),
-        omega=float(omega),
-        beta=complex(vacuum_beta(q, omega, c)),
-        beta1=complex(medium_beta1(q, omega, material, c)),
-        regime=regime,
-    )
-
-
 def _ratio(num, den, what: str):
     """num / den, raising DegenerateDenominator where |den| is below
     DEGENERATE_REL_TOL of |num| (0/0 stays nan and is not flagged)."""
@@ -152,23 +101,3 @@ def perfect_lens_rs_rp(beta, thickness: float):
     """
     phase = np.exp(-2j * np.asarray(beta, dtype=complex) * thickness)
     return -phase, phase
-
-
-def reflect_halfspace(wn: WaveNumbers, material: MaterialResponse) -> ReflectionPair:
-    r_s, r_p = halfspace_rs_rp(wn.beta, wn.beta1, material)
-    return ReflectionPair(r_s=complex(r_s), r_p=complex(r_p))
-
-
-def reflect_slab_mirror(wn: WaveNumbers, material: MaterialResponse,
-                        thickness: float) -> ReflectionPair:
-    if thickness <= 0.0:
-        raise ValueError(f"thickness must be positive, got {thickness}")
-    r_s, r_p = slab_mirror_rs_rp(wn.beta, wn.beta1, material, thickness)
-    return ReflectionPair(r_s=complex(r_s), r_p=complex(r_p))
-
-
-def reflect_perfect_lens(wn: WaveNumbers, thickness: float) -> ReflectionPair:
-    if thickness <= 0.0:
-        raise ValueError(f"thickness must be positive, got {thickness}")
-    r_s, r_p = perfect_lens_rs_rp(wn.beta, thickness)
-    return ReflectionPair(r_s=complex(r_s), r_p=complex(r_p))

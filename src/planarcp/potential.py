@@ -13,24 +13,17 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (Atom, DegenerateDenominator, DomainError, Geometry,
                    HalfSpace, MaterialResponse, NORMALIZED, PerfectLens,
-                   SlabWithMirror, UnitSystem)
+                   UnitSystem)
 from .green import green_components
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
-# Auto-dispatch thresholds in z_A * omega / c; "much less/greater than 1"
-# made concrete and validated by the asymptotic-agreement tests.
-NONRETARDED_THRESHOLD = 1e-2
+# Auto-dispatch threshold in z_A * omega / c: "much greater than 1" made
+# concrete and validated by the asymptotic-agreement tests.
 RETARDED_THRESHOLD = 1e3
-
-# The eps != 1 short-distance formula keeps only its 1/z^3 term and drops
-# the 1/z term that the eps = 1 formula is made of (parallel coefficient
-# Re[(mu-1)/(mu+1) + (mu-1)/4], perpendicular Re[(mu-1)/2]). Within this
-# distance of eps = 1 the two terms compete and the result is flagged.
-NEAR_MAGNETIC_EPS = 1e-6
 
 
 class PotentialMethod(enum.Enum):
@@ -49,15 +42,14 @@ class PotentialSample:
     method: PotentialMethod
     error_estimate: float
     per_transition: tuple[float, ...]
-    flags: tuple[str, ...] = ()
     evaluations: int = 0  # Green integrand evaluations; 0 for closed forms
 
 
-def _sample(z_A, contributions, method, error, flags=(), evaluations=0):
+def _sample(z_A, contributions, method, error, evaluations=0):
     return PotentialSample(z_A=float(z_A), value=float(sum(contributions)),
                            method=method, error_estimate=float(error),
                            per_transition=tuple(float(u) for u in contributions),
-                           flags=tuple(flags), evaluations=evaluations)
+                           evaluations=evaluations)
 
 
 def potential_numeric(atom: Atom, geometry: Geometry, z_A: float,
@@ -87,47 +79,42 @@ def potential_nonretarded(atom: Atom, material: MaterialResponse, z_A: float,
                           units: UnitSystem = NORMALIZED) -> PotentialSample:
     """Short-distance (z_A omega / c << 1) closed form.
 
-    Electric or magneto-electric media give the 1/z^3 image formula with
-    the (|eps|^2 - 1)/|eps + 1|^2 factor; its 1/z correction is dropped,
-    so inputs within NEAR_MAGNETIC_EPS of eps = 1 are flagged
-    "near-magnetic-crossover". A purely magnetic half space (eps = 1
-    exactly) instead gives the weaker 1/z law built from mu:
+    With R_p = (eps-1)/(eps+1), R_s = (mu-1)/(mu+1) and
+    X = eps (eps mu - 1)/(eps+1)^2, the k0^2/q^2 term of r_p at large q,
 
-        U = -mu_0 omega^2 [|d_par|^2 Re((mu-1)/(mu+1) + (mu-1)/4)
-                           + |d_perp|^2 Re((mu-1)/2)] / (16 pi z_A)
+        U = -sum_k [(|d_par|^2 + 2|d_perp|^2) Re R_p / (32 pi eps_0 z_A^3)
+                    + mu_0 omega_k^2 (|d_par|^2 Re(R_s + X)
+                                      + 2 |d_perp|^2 Re(R_p + X)) / (16 pi z_A)]
 
-    where (mu-1)/(mu+1) comes from r_s and the (mu-1)/4 and (mu-1)/2
-    terms from r_p -> k0^2 (mu-1)/(4 q^2) at large q. The lossless
-    surface-mode poles (eps = -1, or mu = -1 when eps = 1) raise
-    DegenerateDenominator.
+    The 1/z^3 image term vanishes for eps = 1, which leaves the 1/z law
+    of a purely magnetic half space. The lossless surface-mode poles
+    (eps = -1 or mu = -1) raise DegenerateDenominator, and a distance so
+    small that the value overflows raises DomainError.
     """
     if z_A <= 0.0:
         raise DomainError(f"z_A must be positive, got {z_A}")
     eps, mu = material.epsilon, material.mu
-    flags = []
+    _require_nonzero("eps + 1", eps + 1.0)
+    _require_nonzero("mu + 1", mu + 1.0)
+    r_p = (eps - 1.0) / (eps + 1.0)
+    r_s = (mu - 1.0) / (mu + 1.0)
+    x = eps * (eps * mu - 1.0) / (eps + 1.0) ** 2
+    # Three divisions overflow to inf, where z_A**3 would underflow to 0.
+    image = r_p.real / (32.0 * math.pi * units.eps0) / z_A / z_A / z_A
     contributions = []
     rel_trunc = 0.0
-    if eps == 1.0:
-        _require_nonzero("mu + 1", mu + 1.0)
-        par = ((mu - 1.0) / (mu + 1.0) + (mu - 1.0) / 4.0).real
-        perp = ((mu - 1.0) / 2.0).real
-        for t in atom.transitions:
-            contributions.append(
-                -units.mu0 * t.omega**2 * (t.d_par_sq * par + t.d_perp_sq * perp)
-                / (16.0 * math.pi * z_A))
-            rel_trunc = max(rel_trunc, z_A * t.omega / units.c)
-    else:
-        if abs(eps - 1.0) < NEAR_MAGNETIC_EPS:
-            flags.append("near-magnetic-crossover")
-        _require_nonzero("eps + 1", eps + 1.0)
-        factor = (abs(eps)**2 - 1.0) / abs(eps + 1.0)**2
-        for t in atom.transitions:
-            contributions.append(
-                -(t.d_par_sq + 2.0 * t.d_perp_sq) * factor
-                / (32.0 * math.pi * units.eps0 * z_A**3))
-            rel_trunc = max(rel_trunc, z_A * t.omega / units.c)
-    error = rel_trunc * abs(sum(contributions))
-    return _sample(z_A, contributions, PotentialMethod.NONRETARDED, error, flags)
+    for t in atom.transitions:
+        contributions.append(
+            -(t.d_par_sq + 2.0 * t.d_perp_sq) * image
+            - units.mu0 * t.omega**2 * (t.d_par_sq * (r_s + x).real
+                                       + 2.0 * t.d_perp_sq * (r_p + x).real)
+            / (16.0 * math.pi * z_A))
+        rel_trunc = max(rel_trunc, z_A * t.omega / units.c)
+    value = sum(contributions)
+    if not math.isfinite(value):
+        raise DomainError(f"short-distance potential not finite at z_A = {z_A}")
+    return _sample(z_A, contributions, PotentialMethod.NONRETARDED,
+                   rel_trunc * abs(value))
 
 
 def potential_retarded(atom: Atom, material: MaterialResponse, z_A: float,
@@ -197,18 +184,12 @@ def potential_perfect_lens(atom: Atom, thickness: float, z_A: float,
 def potential_auto(atom: Atom, geometry: Geometry, z_A: float,
                    spec: QuadratureSpec = DEFAULT_SPEC,
                    units: UnitSystem = NORMALIZED) -> PotentialSample:
-    """Dispatch to the cheapest adequate method and record the choice."""
+    """The perfect-lens closed form, the retarded closed form for a half
+    space beyond RETARDED_THRESHOLD, quadrature everywhere else; the
+    sample's method records the choice."""
     if isinstance(geometry, PerfectLens):
         return potential_perfect_lens(atom, geometry.thickness, z_A, units)
-    k = 1.0 / units.c
-    if isinstance(geometry, HalfSpace):
-        if z_A * atom.omega_max * k < NONRETARDED_THRESHOLD:
-            closed = potential_nonretarded(atom, geometry.material, z_A, units)
-            # One numeric point keeps the closed form honest.
-            numeric = potential_numeric(atom, geometry, z_A, spec, units)
-            error = max(closed.error_estimate, abs(numeric.value - closed.value))
-            return replace(closed, error_estimate=error,
-                           evaluations=numeric.evaluations)
-        if z_A * atom.omega_min * k > RETARDED_THRESHOLD:
-            return potential_retarded(atom, geometry.material, z_A, units)
+    if (isinstance(geometry, HalfSpace)
+            and z_A * atom.omega_min / units.c > RETARDED_THRESHOLD):
+        return potential_retarded(atom, geometry.material, z_A, units)
     return potential_numeric(atom, geometry, z_A, spec, units)

@@ -200,7 +200,6 @@ def integrate_propagating(integrand, beta_max: float,
 
 def integrate_evanescent(integrand, z_decay: float,
                          spec: QuadratureSpec = DEFAULT_SPEC,
-                         max_panel_width: float | None = None,
                          breakpoints=()) -> IntegralResult:
     """Integrate integrand(kappa) * exp(-2 kappa z_decay) over kappa > 0.
 
@@ -227,8 +226,6 @@ def integrate_evanescent(integrand, z_decay: float,
 
     kappa0 = -math.log(spec.tail_cutoff) / (2.0 * z_decay)
     width = 1.0 / (2.0 * z_decay)
-    if max_panel_width is not None:
-        width = min(width, max_panel_width)
     step = max(kappa0 / 4.0, width)
     edges = np.concatenate((_initial_edges(0.0, kappa0, width),
                             kappa0 + step * np.arange(1, _TAIL_PANELS + 1)))

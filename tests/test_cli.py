@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import planarcp.cli
 from planarcp.cli import main
 from planarcp.green import _evanescent_breakpoints
 
@@ -104,6 +105,40 @@ class TestSweep:
         assert "1/3 points failed" in err
         assert out.read_text().splitlines()[-3].endswith(",nan,inf,failed")
 
+
+    def test_pool_never_larger_than_points(self, tmp_path, monkeypatch):
+        # A fake pool that records its size and runs the jobs in this
+        # process, so no worker is started.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(planarcp.cli, "ProcessPoolExecutor", RecordingPool)
+        args = [a for a in BASE if a not in ("--workers", "1")]
+        code, _ = run(tmp_path, *args, "--points", "4", "--workers", "64")
+        assert code == 0
+        assert sizes == [4]
+
+    def test_overflowing_distance_exits_1(self, tmp_path, capsys):
+        # The 1/z^3 term of the short-distance form overflows at 1e-300.
+        code, _ = run(tmp_path, "sweep", "--eps-re", "2", "--method",
+                      "nonretarded", "--zmin", "1e-300", "--zmax", "1e-299",
+                      "--points", "2", "--workers", "1")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("planarcp: error:")
+        assert "Traceback" not in err
 
     def test_lossless_nonretarded_pole_fails_row(self, tmp_path, capsys):
         code, out = run(tmp_path, "sweep", "--geometry", "halfspace",
@@ -222,6 +257,8 @@ class TestConfigHandling:
          "--method", "nonretarded"],
         ["compare", "--method", "numeric"],
         ["sweep", "--eps-im", "-0.5"],  # gain medium
+        ["sweep", "--zmin", "1", "--zmax", "inf"],
+        ["sweep", "--workers", "-1"],
     ])
     def test_config_errors_exit_1(self, tmp_path, args):
         code, _ = run(tmp_path, *args)

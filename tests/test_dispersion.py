@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from planarcp import (DegenerateDenominator, reflect_halfspace,
-                      reflect_perfect_lens, reflect_slab_mirror, VACUUM,
-                      validate_material, wave_numbers)
-from planarcp.dispersion import medium_beta1, vacuum_beta
+from planarcp import DegenerateDenominator, VACUUM, validate_material
+from planarcp.dispersion import (halfspace_rs_rp, medium_beta1,
+                                 perfect_lens_rs_rp, slab_mirror_rs_rp,
+                                 vacuum_beta)
 
 
 def upper_sqrt(w):
@@ -19,32 +19,48 @@ def upper_sqrt(w):
     return -r if r.imag < 0 else r
 
 
+def betas(q, m):
+    """(beta, beta1) at transverse wavenumber q for omega = c = 1."""
+    return vacuum_beta(q, 1.0), medium_beta1(q, 1.0, m)
+
+
+def halfspace(q, m):
+    return halfspace_rs_rp(*betas(q, m), m)
+
+
+def slab(q, m, d):
+    return slab_mirror_rs_rp(*betas(q, m), m, d)
+
+
+def lens(q, d):
+    return perfect_lens_rs_rp(vacuum_beta(q, 1.0), d)
+
+
 class TestWaveNumbers:
     def test_vacuum_normal_incidence(self):
-        wn = wave_numbers(0.0, 1.0, VACUUM)
-        assert wn.beta == pytest.approx(1.0)
-        assert wn.regime == "propagating"
+        beta = vacuum_beta(0.0, 1.0)
+        assert beta == pytest.approx(1.0)
+        assert beta.imag == 0.0  # propagating
 
     def test_vacuum_evanescent(self):
-        wn = wave_numbers(2.0, 1.0, VACUUM)
-        assert wn.beta == pytest.approx(1j * math.sqrt(3.0))
-        assert wn.regime == "evanescent"
+        beta = vacuum_beta(2.0, 1.0)
+        assert beta == pytest.approx(1j * math.sqrt(3.0))
+        assert beta.real == 0.0  # evanescent
 
     def test_grazing_label(self):
-        assert wave_numbers(1.0, 1.0, VACUUM).regime == "grazing"
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            wave_numbers(-0.1, 1.0, VACUUM)
-        with pytest.raises(ValueError):
-            wave_numbers(0.5, 0.0, VACUUM)
+        # The light line q = omega/c separates the two sectors: beta is
+        # real just below it, zero on it and imaginary just above it.
+        below, on, above = vacuum_beta(np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9]), 1.0)
+        assert below.real > 0.0 and below.imag == 0.0
+        assert on == 0.0
+        assert above.real == 0.0 and above.imag > 0.0
 
     def test_lossy_branch_upper_half_plane(self):
         m = validate_material(-1 + 1e-3j, -1 + 1e-3j)
         for q in (0.0, 0.5, 0.99, 1.01, 3.0):
-            wn = wave_numbers(q, 1.0, m)
-            assert wn.beta.imag >= 0.0
-            assert wn.beta1.imag > 0.0
+            beta, beta1 = betas(q, m)
+            assert beta.imag >= 0.0
+            assert beta1.imag > 0.0
 
     def test_lossless_left_handed_negates_beta1(self):
         # For eps = mu = -1 exactly the in-medium radicand equals the
@@ -52,8 +68,8 @@ class TestWaveNumbers:
         # (negative-refraction) sign of the real root.
         m = validate_material(-1, -1)
         for q in (0.0, 0.3, 0.9):
-            wn = wave_numbers(q, 1.0, m)
-            assert wn.beta1 == pytest.approx(-wn.beta, rel=1e-14)
+            beta, beta1 = betas(q, m)
+            assert beta1 == pytest.approx(-beta, rel=1e-14)
 
     def test_branch_certificate_sampled(self):
         # Im beta >= 0 and Im beta1 >= 0 across regimes and materials.
@@ -61,10 +77,9 @@ class TestWaveNumbers:
                 validate_material(-3 + 1e-3j, 2 + 0.5j),
                 validate_material(0.5, 3), validate_material(-1, -1)]
         for m in mats:
-            for q in np.linspace(0.0, 10.0, 41):
-                wn = wave_numbers(float(q), 1.0, m)
-                assert wn.beta.imag >= 0.0
-                assert wn.beta1.imag >= -1e-15
+            beta, beta1 = betas(np.linspace(0.0, 10.0, 41), m)
+            assert np.all(beta.imag >= 0.0)
+            assert np.all(beta1.imag >= -1e-15)
 
     def test_array_broadcasting(self):
         q = np.array([0.0, 0.5, 2.0])
@@ -79,60 +94,56 @@ class TestHalfSpaceReflection:
     def test_normal_incidence_dielectric(self):
         # eps = 2: r_p = (2 - sqrt(2))/(2 + sqrt(2)) at q = 0.
         m = validate_material(2, 1)
-        r = reflect_halfspace(wave_numbers(0.0, 1.0, m), m)
+        r_s, r_p = halfspace(0.0, m)
         expected = (2 - math.sqrt(2)) / (2 + math.sqrt(2))
-        assert r.r_p == pytest.approx(expected, rel=1e-12)
-        assert r.r_s == pytest.approx(-expected, rel=1e-12)
+        assert r_p == pytest.approx(expected, rel=1e-12)
+        assert r_s == pytest.approx(-expected, rel=1e-12)
 
     @given(st.floats(0.2, 5.0), st.floats(1e-4, 1.0),
            st.floats(0.2, 5.0), st.floats(1e-4, 1.0))
     def test_normal_incidence_identity(self, er, ei, mr, mi):
         # r_s = -r_p = (sqrt(mu) - sqrt(eps))/(sqrt(mu) + sqrt(eps)) at q = 0.
         m = validate_material(complex(er, ei), complex(mr, mi))
-        r = reflect_halfspace(wave_numbers(0.0, 1.0, m), m)
+        r_s, r_p = halfspace(0.0, m)
         se, sm = upper_sqrt(m.epsilon), upper_sqrt(m.mu)
         expected = (sm - se) / (sm + se)
-        assert r.r_s == pytest.approx(expected, rel=1e-12)
-        assert r.r_p == pytest.approx(-expected, rel=1e-12)
+        assert r_s == pytest.approx(expected, rel=1e-12)
+        assert r_p == pytest.approx(-expected, rel=1e-12)
 
     def test_mirror_limit(self):
         m = validate_material(1e8 + 1e5j, 1)
-        for q in (0.0, 0.7, 2.0):
-            r = reflect_halfspace(wave_numbers(q, 1.0, m), m)
-            assert abs(r.r_s + 1.0) < 1e-3
-            assert abs(r.r_p - 1.0) < 1e-3
+        r_s, r_p = halfspace(np.array([0.0, 0.7, 2.0]), m)
+        assert np.all(abs(r_s + 1.0) < 1e-3)
+        assert np.all(abs(r_p - 1.0) < 1e-3)
 
     def test_vacuum_reflects_nothing(self):
-        for q in (0.0, 0.5, 3.0):
-            r = reflect_halfspace(wave_numbers(q, 1.0, VACUUM), VACUUM)
-            assert r.r_s == 0.0 and r.r_p == 0.0
+        r_s, r_p = halfspace(np.array([0.0, 0.5, 3.0]), VACUUM)
+        assert np.all(r_s == 0.0) and np.all(r_p == 0.0)
 
     def test_propagating_passivity_bound(self):
         # Below the light line a passive half space cannot over-reflect.
         for m in (validate_material(2 + 0.1j, 1.5 + 0.2j),
                   validate_material(-3 + 1e-3j, 1),
                   validate_material(0.5 + 1e-4j, 3 + 0.01j)):
-            for q in np.linspace(0.0, 0.999, 25):
-                r = reflect_halfspace(wave_numbers(float(q), 1.0, m), m)
-                assert abs(r.r_s) <= 1.0 + 1e-9
-                assert abs(r.r_p) <= 1.0 + 1e-9
+            r_s, r_p = halfspace(np.linspace(0.0, 0.999, 25), m)
+            assert np.all(abs(r_s) <= 1.0 + 1e-9)
+            assert np.all(abs(r_p) <= 1.0 + 1e-9)
 
     def test_continuity_across_light_line(self):
         # beta has a square-root kink at q = omega/c, so the coefficients
         # move by O(sqrt(dq)) there; the test guards against an O(1)
         # branch jump, not against the kink itself.
         m = validate_material(2 + 0.1j, 1.5 + 0.3j)
-        lo = reflect_halfspace(wave_numbers(1.0 - 1e-8, 1.0, m), m)
-        hi = reflect_halfspace(wave_numbers(1.0 + 1e-8, 1.0, m), m)
-        assert abs(lo.r_s - hi.r_s) < 1e-3
-        assert abs(lo.r_p - hi.r_p) < 1e-3
+        lo = halfspace(1.0 - 1e-8, m)
+        hi = halfspace(1.0 + 1e-8, m)
+        assert abs(lo[0] - hi[0]) < 1e-3
+        assert abs(lo[1] - hi[1]) < 1e-3
 
     def test_degenerate_denominator_guard(self):
         # eps = -2 with beta = i, beta1 = 2i sits exactly on the
         # lossless p surface mode (eps beta + beta1 = 0); floating-point
         # q never lands on the pole, so the guard is fed the exact
         # wavenumbers directly.
-        from planarcp.dispersion import halfspace_rs_rp
         m = validate_material(-2, 1)
         with pytest.raises(DegenerateDenominator):
             halfspace_rs_rp(1j, 2j, m)
@@ -142,35 +153,30 @@ class TestSlabMirrorReflection:
     def test_thick_slab_reduces_to_halfspace(self):
         # Im(beta1) * d = O(50): the mirror behind the slab is invisible.
         m = validate_material(2 + 0.5j, 1.5 + 0.2j)
-        for q in (0.0, 0.8, 1.5, 3.0):
-            wn = wave_numbers(q, 1.0, m)
-            half = reflect_halfspace(wn, m)
-            slab = reflect_slab_mirror(wn, m, 200.0)
-            assert abs(slab.r_s - half.r_s) < 1e-12
-            assert abs(slab.r_p - half.r_p) < 1e-12
+        q = np.array([0.0, 0.8, 1.5, 3.0])
+        for r_slab, r_half in zip(slab(q, m, 200.0), halfspace(q, m)):
+            assert np.all(abs(r_slab - r_half) < 1e-12)
 
     def test_transparent_slab_is_displaced_mirror(self):
         # eps = mu = 1: only the mirror remains, seen through a phase
         # delay 2 beta d: r_s = -exp(2 i beta d), r_p = +exp(2 i beta d).
         d = 0.7
         for q in (0.0, 0.5, 2.0):
-            wn = wave_numbers(q, 1.0, VACUUM)
-            r = reflect_slab_mirror(wn, VACUUM, d)
-            phase = cmath.exp(2j * wn.beta * d)
-            assert r.r_s == pytest.approx(-phase, rel=1e-12)
-            assert r.r_p == pytest.approx(phase, rel=1e-12)
+            r_s, r_p = slab(q, VACUUM, d)
+            phase = cmath.exp(2j * vacuum_beta(q, 1.0) * d)
+            assert r_s == pytest.approx(-phase, rel=1e-12)
+            assert r_p == pytest.approx(phase, rel=1e-12)
 
     def test_left_handed_slab_approaches_lens(self):
         # eps = mu = -1 + i delta converges to the closed lens
         # coefficients as delta -> 0 (propagating sector).
         d = 0.4
-        wn_exact = wave_numbers(0.6, 1.0, validate_material(-1, -1))
-        lens = reflect_perfect_lens(wn_exact, d)
+        lens_s, lens_p = lens(0.6, d)
         prev = None
         for delta in (1e-3, 1e-6, 1e-9):
             m = validate_material(complex(-1, delta), complex(-1, delta))
-            r = reflect_slab_mirror(wave_numbers(0.6, 1.0, m), m, d)
-            dev = abs(r.r_s - lens.r_s) + abs(r.r_p - lens.r_p)
+            r_s, r_p = slab(0.6, m, d)
+            dev = abs(r_s - lens_s) + abs(r_p - lens_p)
             if prev is not None:
                 assert dev < prev
             prev = dev
@@ -182,33 +188,23 @@ class TestSlabMirrorReflection:
         d = 0.4
         m = validate_material(-1, -1)
         for q in (0.0, 0.3, 0.9):
-            wn = wave_numbers(q, 1.0, m)
-            r = reflect_slab_mirror(wn, m, d)
-            lens = reflect_perfect_lens(wn, d)
-            assert r.r_s == pytest.approx(lens.r_s, rel=1e-12)
-            assert r.r_p == pytest.approx(lens.r_p, rel=1e-12)
-
-    def test_thickness_validation(self):
-        wn = wave_numbers(0.5, 1.0, VACUUM)
-        with pytest.raises(ValueError):
-            reflect_slab_mirror(wn, VACUUM, 0.0)
-        with pytest.raises(ValueError):
-            reflect_perfect_lens(wn, -1.0)
+            r_s, r_p = slab(q, m, d)
+            lens_s, lens_p = lens(q, d)
+            assert r_s == pytest.approx(lens_s, rel=1e-12)
+            assert r_p == pytest.approx(lens_p, rel=1e-12)
 
 
 class TestPerfectLensReflection:
     def test_propagating_phase(self):
-        wn = wave_numbers(0.6, 1.0, VACUUM)
-        r = reflect_perfect_lens(wn, 0.5)
-        phase = cmath.exp(-2j * wn.beta * 0.5)
-        assert r.r_s == pytest.approx(-phase, rel=1e-14)
-        assert r.r_p == pytest.approx(phase, rel=1e-14)
-        assert abs(r.r_s) == pytest.approx(1.0, rel=1e-14)
+        r_s, r_p = lens(0.6, 0.5)
+        phase = cmath.exp(-2j * vacuum_beta(0.6, 1.0) * 0.5)
+        assert r_s == pytest.approx(-phase, rel=1e-14)
+        assert r_p == pytest.approx(phase, rel=1e-14)
+        assert abs(r_s) == pytest.approx(1.0, rel=1e-14)
 
     def test_evanescent_amplification(self):
         # beta = i kappa: |r| = exp(2 kappa d) > 1 (amplified waves).
-        wn = wave_numbers(2.0, 1.0, VACUUM)
         kappa = math.sqrt(3.0)
-        r = reflect_perfect_lens(wn, 0.5)
-        assert abs(r.r_p) == pytest.approx(math.exp(2.0 * kappa * 0.5), rel=1e-12)
-        assert r.r_s == pytest.approx(-r.r_p, rel=1e-14)
+        r_s, r_p = lens(2.0, 0.5)
+        assert abs(r_p) == pytest.approx(math.exp(2.0 * kappa * 0.5), rel=1e-12)
+        assert r_s == pytest.approx(-r_p, rel=1e-14)

@@ -74,12 +74,16 @@ class TestNumeric:
 
 class TestNonretarded:
     def test_electric_image_factor(self):
-        # eps = 2 (lossless): (|eps|^2 - 1)/|eps + 1|^2 = 1/3.
+        # eps = 2 (lossless): the image factor R_p = (eps-1)/(eps+1) = 1/3
+        # of the 1/z^3 term; R_s = 0 and X = eps (eps - 1)/(eps + 1)^2 = 2/9
+        # give the 1/z coefficients 2/9 (parallel) and 2 (1/3 + 2/9) = 10/9
+        # (perpendicular).
         m = validate_material(2, 1)
         z = 1e-3
         atom = Atom([Transition(1.0, 0.5, 0.5)])
         got = potential_nonretarded(atom, m, z)
-        expected = -(0.5 + 2.0 * 0.5) / (32.0 * math.pi * z**3) / 3.0
+        expected = (-(0.5 + 2.0 * 0.5) / (32.0 * math.pi * z**3) / 3.0
+                    - (0.5 * 2.0 / 9.0 + 0.5 * 10.0 / 9.0) / (16.0 * math.pi * z))
         assert got.value == pytest.approx(expected, rel=1e-12)
         assert got.method is PotentialMethod.NONRETARDED
 
@@ -108,19 +112,30 @@ class TestNonretarded:
         closed = potential_nonretarded(PERP, m, 1e-4).value
         assert closed == pytest.approx(-g.g_zz.real, rel=1e-5)
 
-    def test_near_magnetic_flag(self):
-        m = validate_material(1 + 1e-8, 2 + 1e-3j)
-        got = potential_nonretarded(PAR, m, 1e-3)
-        assert "near-magnetic-crossover" in got.flags
+    @pytest.mark.parametrize("eps,mu", [
+        pytest.param(1 + 1e-7, 2 + 1e-3j, id="near-magnetic"),
+        pytest.param(2 + 0.1j, 1, id="dielectric"),
+        pytest.param(-3 + 1e-3j, 1, id="plasmonic"),
+        pytest.param(2 + 0.1j, 3 + 0.2j, id="magneto-electric"),
+    ])
+    def test_matches_green_components(self, eps, mu):
+        # Both terms together are the short-distance limit of the
+        # integral, for each component: U = -mu_0 omega^2 Re G at omega = 1.
+        m = validate_material(eps, mu)
+        g = green_components(1e-3, 1.0, HalfSpace(m))
+        par = potential_nonretarded(PAR, m, 1e-3).value
+        perp = potential_nonretarded(PERP, m, 1e-3).value
+        assert par == pytest.approx(-g.g_xx.real, rel=1e-4)
+        assert perp == pytest.approx(-g.g_zz.real, rel=1e-4)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             potential_nonretarded(PAR, validate_material(2, 1), 0.0)
 
-    @pytest.mark.parametrize("eps,mu", [(-1, 1), (-1, 2), (1, -1)])
+    @pytest.mark.parametrize("eps,mu", [(-1, 1), (-1, 2), (1, -1), (2, -1)])
     def test_lossless_pole_is_typed(self, eps, mu):
-        # |eps + 1|^2 (or mu + 1 when eps = 1) vanishes at the lossless
-        # surface-mode pole.
+        # eps + 1 (in R_p and X) or mu + 1 (in R_s) vanishes at the
+        # lossless surface-mode pole.
         with pytest.raises(DegenerateDenominator):
             potential_nonretarded(PAR, validate_material(eps, mu), 1e-2)
 
@@ -179,17 +194,11 @@ class TestPerfectLensClosedForm:
 
 
 class TestAutoDispatch:
-    def test_near_field_uses_closed_form(self):
+    def test_near_field_uses_quadrature(self):
         geo = HalfSpace(validate_material(2 + 1e-3j, 1))
         got = potential_auto(PAR, geo, 1e-3)
-        assert got.method is PotentialMethod.NONRETARDED
-        closed = potential_nonretarded(PAR, geo.material, 1e-3)
-        assert got.value == closed.value
-        # The dispatcher cross-checks one numeric point and keeps the
-        # larger of the two error indicators.
-        numeric = potential_numeric(PAR, geo, 1e-3)
-        assert got.error_estimate >= abs(numeric.value - closed.value)
-        assert got.evaluations == numeric.evaluations > 0
+        assert got.method is PotentialMethod.NUMERIC
+        assert got == potential_numeric(PAR, geo, 1e-3)
 
     def test_far_field_uses_closed_form(self):
         geo = HalfSpace(validate_material(2 + 1e-3j, 1))
@@ -210,8 +219,8 @@ class TestAutoDispatch:
         assert got.value == potential_perfect_lens(PAR, 0.5, 1.5).value
 
     def test_multi_transition_window_respects_both_ends(self):
-        # omega_max controls the near-field switch, omega_min the
-        # far-field one; a wide-band atom stays numeric in between.
+        # omega_min controls the far-field switch; a wide-band atom
+        # stays numeric below it.
         atom = Atom([Transition(0.1, 1, 0), Transition(10.0, 1, 0)])
         geo = HalfSpace(validate_material(2 + 1e-3j, 1))
         assert potential_auto(atom, geo, 0.05).method is PotentialMethod.NUMERIC
