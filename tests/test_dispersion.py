@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from planarcp import DegenerateDenominator, VACUUM, validate_material
+from planarcp import (DegenerateDenominator, PerfectLens, SlabWithMirror,
+                      Transition, VACUUM, validate_material)
 from planarcp.dispersion import (halfspace_rs_rp, medium_beta1,
                                  perfect_lens_rs_rp, slab_mirror_rs_rp,
                                  vacuum_beta)
@@ -54,6 +55,18 @@ class TestWaveNumbers:
         assert below.real > 0.0 and below.imag == 0.0
         assert on == 0.0
         assert above.real == 0.0 and above.imag > 0.0
+
+    def test_input_validation(self):
+        # The array functions check no arguments: the frequency reaches
+        # them from a Transition, which rejects omega <= 0 and non-finite
+        # values, and q enters only through q^2, so a negative q gives
+        # the same roots as |q| rather than a wrong branch.
+        for omega in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                Transition(omega, 1.0, 0.0)
+        m = validate_material(2 + 0.1j, 1.5)
+        assert vacuum_beta(-0.1, 1.0) == vacuum_beta(0.1, 1.0)
+        assert medium_beta1(-0.1, 1.0, m) == medium_beta1(0.1, 1.0, m)
 
     def test_lossy_branch_upper_half_plane(self):
         m = validate_material(-1 + 1e-3j, -1 + 1e-3j)
@@ -192,6 +205,17 @@ class TestSlabMirrorReflection:
             lens_s, lens_p = lens(q, d)
             assert r_s == pytest.approx(lens_s, rel=1e-12)
             assert r_p == pytest.approx(lens_p, rel=1e-12)
+
+
+    def test_thickness_validation(self):
+        # slab_mirror_rs_rp and perfect_lens_rs_rp take their thickness
+        # from the geometries, which reject zero, negative and
+        # non-finite values before exp(2i beta1 d) is formed.
+        for d in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                SlabWithMirror(VACUUM, d)
+            with pytest.raises(ValueError):
+                PerfectLens(d)
 
 
 class TestPerfectLensReflection:
