@@ -5,7 +5,7 @@ from .core import (Atom, DegenerateDenominator, DomainError, Geometry,
                    NORMALIZED, NotConverged, PassivityViolation, PerfectLens,
                    SI, SlabWithMirror, Transition, UnitSystem, VACUUM,
                    validate_material)
-from .green import FixedReflection, GreenComponents, green_components
+from .green import GreenComponents, green_components
 from .potential import (PotentialMethod, PotentialSample, potential_auto,
                         potential_nonretarded, potential_numeric,
                         potential_perfect_lens, potential_retarded)

@@ -91,13 +91,3 @@ def slab_mirror_rs_rp(beta, beta1, material: MaterialResponse, thickness: float)
     den_p = eps * beta + beta1 + (eps * beta - beta1) * phase
     return _ratio(num_s, den_s, "slab r_s"), _ratio(num_p, den_p, "slab r_p")
 
-
-def perfect_lens_rs_rp(beta, thickness: float):
-    """Closed coefficients of the lossless eps = mu = -1 mirror-backed slab.
-
-    r_s = -r_p = -exp(-2i beta d). In the evanescent sector (beta = i kappa)
-    these grow like exp(2 kappa d); convergence of the Green integral then
-    requires z_A > d, which the green module enforces.
-    """
-    phase = np.exp(-2j * np.asarray(beta, dtype=complex) * thickness)
-    return -phase, phase

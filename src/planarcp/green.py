@@ -4,7 +4,9 @@
 For a planar structure the scattered tensor is diagonal with
 G_yy = G_xx; both diagonal entries are semi-infinite q-integrals over the
 product of a reflection coefficient and the round-trip phase
-exp(2i beta z_A), evaluated here via the split quadrature engine.
+exp(2i beta z), evaluated here via the split quadrature engine. z is the
+atom's distance from the mirror plane: z_A, or z_A - d for the perfect
+lens, which images its mirror to the focal plane.
 """
 
 from __future__ import annotations
@@ -17,21 +19,10 @@ import numpy as np
 
 from .core import (DomainError, Geometry, HalfSpace, MaterialResponse,
                    NORMALIZED, PerfectLens, SlabWithMirror, UnitSystem)
-from .dispersion import (halfspace_rs_rp, medium_beta1, perfect_lens_rs_rp,
-                         slab_mirror_rs_rp, vacuum_beta)
+from .dispersion import (halfspace_rs_rp, medium_beta1, slab_mirror_rs_rp,
+                         vacuum_beta)
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_evanescent, \
     integrate_propagating
-
-
-@dataclass(frozen=True)
-class FixedReflection:
-    """Geometry stand-in with constant (r_s, r_p); testing/limit aid.
-
-    (r_s, r_p) = (-1, +1) reproduces the perfect-mirror image potential.
-    """
-
-    r_s: complex
-    r_p: complex
 
 
 @dataclass(frozen=True)
@@ -62,12 +53,12 @@ class GreenComponents:
 
 def _coefficients(geometry, omega: float, c: float):
     """Return (rs_rp(q), z_offset): reflection coefficients as a function
-    of transverse wavenumber and the depth offset of the effective image.
+    of transverse wavenumber and the depth of the plane they image.
 
-    For the perfect lens the exponentially growing part of the closed
-    coefficients is pulled out analytically: rs_rp returns the bounded
-    factor and z_offset = thickness shortens the evanescent decay to
-    exp(-2 kappa (z_A - d)).
+    The ideal eps = mu = -1 slab of the perfect lens images its mirror to
+    the focal plane (Pendry, PRL 85, 3966 (2000)): its coefficients
+    -+exp(-2i beta d) are the ideal mirror's (-1, +1) seen from
+    z_A - d, so it returns those constants with z_offset = thickness.
     """
     if isinstance(geometry, HalfSpace):
         material = geometry.material
@@ -91,28 +82,11 @@ def _coefficients(geometry, omega: float, c: float):
         return rs_rp, 0.0
 
     if isinstance(geometry, PerfectLens):
-        d = geometry.thickness
-
         def rs_rp(q):
-            # exp(-2i beta d) with beta = i kappa is exp(2 kappa d); the
-            # growth is handled by the shortened decay length, so only
-            # the residual phase relative to that factor is returned.
-            beta = vacuum_beta(q, omega, c)
-            kappa = np.where(np.imag(np.asarray(beta, complex)) > 0,
-                             np.imag(np.asarray(beta, complex)), 0.0)
-            r_s, r_p = perfect_lens_rs_rp(beta, d)
-            damp = np.exp(-2.0 * kappa * d)
-            return r_s * damp, r_p * damp
-
-        return rs_rp, d
-
-    if isinstance(geometry, FixedReflection):
-        def rs_rp(q):
-            q = np.asarray(q, dtype=float)
             ones = np.ones_like(q, dtype=complex)
-            return geometry.r_s * ones, geometry.r_p * ones
+            return -ones, ones
 
-        return rs_rp, 0.0
+        return rs_rp, geometry.thickness
 
     raise TypeError(f"unsupported geometry {geometry!r}")
 
@@ -232,28 +206,19 @@ def _small_kappa_ladder(k0: float, z_decay: float) -> tuple[float, ...]:
     return tuple(edges)
 
 
-def _osc_panel_width(z_A: float, geometry) -> float:
+def _osc_panel_width(z_image: float, geometry) -> float:
     """Quarter period in beta of the fastest phase factor in the integrand."""
-    scale = z_A
-    if isinstance(geometry, (SlabWithMirror, PerfectLens)):
+    scale = z_image
+    if isinstance(geometry, SlabWithMirror):
         scale += geometry.thickness
     return math.pi / (4.0 * scale)
-
-
-def _check_domain(z_A: float, geometry):
-    if z_A <= 0.0:
-        raise DomainError(f"z_A must be positive, got {z_A}")
-    if isinstance(geometry, PerfectLens) and z_A <= geometry.thickness:
-        raise DomainError(
-            "perfect-lens Green tensor only converges for z_A > thickness "
-            f"(z_A = {z_A}, thickness = {geometry.thickness})")
 
 
 def green_components(z_A: float, omega: float, geometry: Geometry,
                      spec: QuadratureSpec = DEFAULT_SPEC,
                      units: UnitSystem = NORMALIZED, *, xx: bool = True,
                      zz: bool = True) -> GreenComponents:
-    """G_xx and G_zz at the atom, from one integrand per sector.
+    """G_xx and G_zz at the atom, from one integrand for both sectors.
 
     G_xx combines r_s - (beta^2 c^2 / omega^2) r_p with the round-trip
     phase; only r_p enters G_zz, weighted by 2 q^2 c^2 / omega^2. Passing
@@ -262,40 +227,38 @@ def green_components(z_A: float, omega: float, geometry: Geometry,
     """
     if not (xx or zz):
         raise ValueError("green_components needs at least one of xx, zz")
-    _check_domain(z_A, geometry)
     c = units.c
     k0 = omega / c
     rs_rp, z_offset = _coefficients(geometry, omega, c)
+    z_image = z_A - z_offset
+    if z_image <= 0.0:
+        raise DomainError(f"need z_A > {z_offset} for a decaying integrand, "
+                          f"got z_A = {z_A}")
+
+    def rows(q2, b2):
+        # b2 = (beta/k0)^2: (beta/k0)^2 on the propagating sector and
+        # -(kappa/k0)^2 on the evanescent one, where beta = i kappa.
+        r_s, r_p = rs_rp(np.sqrt(q2))
+        out = []
+        if xx:
+            out.append(r_s - b2 * r_p)
+        if zz:
+            out.append(2.0 * (q2 / (k0 * k0)) * r_p)
+        return np.stack(out)
 
     def prop(beta):
         q2 = np.maximum(k0 * k0 - beta * beta, 0.0)
-        r_s, r_p = rs_rp(np.sqrt(q2))
-        rows = []
-        if xx:
-            rows.append(r_s - (beta / k0) ** 2 * r_p)
-        if zz:
-            rows.append(2.0 * (q2 / (k0 * k0)) * r_p)
-        return np.exp(2j * beta * z_A) * np.stack(rows)
+        return np.exp(2j * beta * z_image) * rows(q2, (beta / k0) ** 2)
 
     def evan(kappa):
-        q2 = kappa * kappa + k0 * k0
-        r_s, r_p = rs_rp(np.sqrt(q2))
-        # beta = i kappa, so -(beta/k0)^2 = +(kappa/k0)^2; the decay
-        # exp(-2 kappa (z_A - z_offset)) is applied by the engine, with
-        # the image offset already pulled out of the coefficients.
-        rows = []
-        if xx:
-            rows.append(r_s + (kappa / k0) ** 2 * r_p)
-        if zz:
-            rows.append(2.0 * (q2 / (k0 * k0)) * r_p)
-        return np.stack(rows)
+        # The engine applies the decay exp(-2 kappa z_image).
+        return rows(kappa * kappa + k0 * k0, -(kappa / k0) ** 2)
 
     res_p = integrate_propagating(prop, k0, spec,
-                                  max_panel_width=_osc_panel_width(z_A, geometry))
-    z_decay = z_A - z_offset
-    res_e = integrate_evanescent(evan, z_decay, spec,
+                                  max_panel_width=_osc_panel_width(z_image, geometry))
+    res_e = integrate_evanescent(evan, z_image, spec,
                                  breakpoints=_evanescent_breakpoints(geometry, omega, c)
-                                 + _small_kappa_ladder(k0, z_decay))
+                                 + _small_kappa_ladder(k0, z_image))
     value = (1j / (8.0 * math.pi)) * res_p.value + (1.0 / (8.0 * math.pi)) * res_e.value
     error = (res_p.error_estimate + res_e.error_estimate) / (8.0 * math.pi)
     parts = [(complex(v), float(e)) for v, e in zip(value, error)]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .core import (Atom, DegenerateDenominator, DomainError, Geometry,
                    HalfSpace, MaterialResponse, NORMALIZED, PerfectLens,
                    UnitSystem)
+from .dispersion import _passive_sqrt
 from .green import green_components
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
 
@@ -126,8 +127,8 @@ def potential_retarded(atom: Atom, material: MaterialResponse, z_A: float,
     """
     if z_A <= 0.0:
         raise DomainError(f"z_A must be positive, got {z_A}")
-    sqrt_eps = _passive_scalar_sqrt(material.epsilon)
-    sqrt_mu = _passive_scalar_sqrt(material.mu)
+    sqrt_eps = _passive_sqrt(material.epsilon)
+    sqrt_mu = _passive_sqrt(material.mu)
     den = sqrt_eps + sqrt_mu
     _require_nonzero("sqrt(eps) + sqrt(mu)", den)
     contrast = (sqrt_eps - sqrt_mu) / den
@@ -148,14 +149,6 @@ def _require_nonzero(name: str, den: complex) -> None:
     (the lossless pole of a surface mode)."""
     if abs(den) < 1e-12:
         raise DegenerateDenominator(f"{name} = {den} too close to zero")
-
-
-def _passive_scalar_sqrt(w: complex) -> complex:
-    """Square root on the Im >= 0 branch, consistent with the i0+ rule."""
-    r = cmath.sqrt(w)
-    if r.imag < 0.0:
-        r = -r
-    return r
 
 
 def potential_perfect_lens(atom: Atom, thickness: float, z_A: float,

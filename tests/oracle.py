@@ -20,8 +20,7 @@ from scipy.integrate import quad_vec, simpson
 
 from planarcp.core import HalfSpace, PerfectLens, SlabWithMirror
 from planarcp.dispersion import (halfspace_rs_rp, medium_beta1,
-                                 perfect_lens_rs_rp, slab_mirror_rs_rp,
-                                 vacuum_beta)
+                                 slab_mirror_rs_rp, vacuum_beta)
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,9 @@ def _reflections(geometry, q, omega):
         return slab_mirror_rs_rp(beta, beta1, geometry.material,
                                  geometry.thickness)
     if isinstance(geometry, PerfectLens):
-        return perfect_lens_rs_rp(beta, geometry.thickness)
+        # The closed coefficients of the lossless eps = mu = -1 slab.
+        phase = np.exp(-2j * beta * geometry.thickness)
+        return -phase, phase
     raise TypeError(f"unsupported geometry {geometry!r}")
 
 

@@ -213,6 +213,17 @@ class TestCompare:
         for line in lines[3:]:
             assert float(line.split(",")[3]) < 1e-9
 
+    def test_thick_lens_up_to_focal_plane(self, tmp_path):
+        code, out = run(tmp_path, "compare", "--geometry", "perfect-lens",
+                        "--thickness", "5", "--zmin", "5.01", "--zmax", "6",
+                        "--points", "5", "--workers", "1")
+        assert code == 0
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        assert len(rows) == 5
+        for row in rows:
+            assert math.isfinite(float(row["U_numeric"]))
 
     def test_closed_form_pole_gives_nan_column(self, tmp_path, capsys):
         # eps = 1, mu = -1: the short-distance form's (mu - 1)/(mu + 1)

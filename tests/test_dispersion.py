@@ -11,8 +11,7 @@ from hypothesis import given, strategies as st
 from planarcp import (DegenerateDenominator, PerfectLens, SlabWithMirror,
                       Transition, VACUUM, validate_material)
 from planarcp.dispersion import (halfspace_rs_rp, medium_beta1,
-                                 perfect_lens_rs_rp, slab_mirror_rs_rp,
-                                 vacuum_beta)
+                                 slab_mirror_rs_rp, vacuum_beta)
 
 
 def upper_sqrt(w):
@@ -34,7 +33,10 @@ def slab(q, m, d):
 
 
 def lens(q, d):
-    return perfect_lens_rs_rp(vacuum_beta(q, 1.0), d)
+    """Closed coefficients of the lossless eps = mu = -1 mirror-backed
+    slab: r_s = -r_p = -exp(-2i beta d)."""
+    phase = cmath.exp(-2j * vacuum_beta(q, 1.0) * d)
+    return -phase, phase
 
 
 class TestWaveNumbers:
@@ -208,9 +210,9 @@ class TestSlabMirrorReflection:
 
 
     def test_thickness_validation(self):
-        # slab_mirror_rs_rp and perfect_lens_rs_rp take their thickness
-        # from the geometries, which reject zero, negative and
-        # non-finite values before exp(2i beta1 d) is formed.
+        # slab_mirror_rs_rp and the green module take the thickness from
+        # the geometries, which reject zero, negative and non-finite
+        # values before exp(2i beta1 d) is formed.
         for d in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 SlabWithMirror(VACUUM, d)
@@ -219,8 +221,12 @@ class TestSlabMirrorReflection:
 
 
 class TestPerfectLensReflection:
+    """The mirror-backed slab at lossless eps = mu = -1, the perfect lens."""
+
+    LENS = validate_material(-1, -1)
+
     def test_propagating_phase(self):
-        r_s, r_p = lens(0.6, 0.5)
+        r_s, r_p = slab(0.6, self.LENS, 0.5)
         phase = cmath.exp(-2j * vacuum_beta(0.6, 1.0) * 0.5)
         assert r_s == pytest.approx(-phase, rel=1e-14)
         assert r_p == pytest.approx(phase, rel=1e-14)
@@ -229,6 +235,6 @@ class TestPerfectLensReflection:
     def test_evanescent_amplification(self):
         # beta = i kappa: |r| = exp(2 kappa d) > 1 (amplified waves).
         kappa = math.sqrt(3.0)
-        r_s, r_p = lens(2.0, 0.5)
+        r_s, r_p = slab(2.0, self.LENS, 0.5)
         assert abs(r_p) == pytest.approx(math.exp(2.0 * kappa * 0.5), rel=1e-12)
         assert r_s == pytest.approx(-r_p, rel=1e-14)

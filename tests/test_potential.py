@@ -16,6 +16,7 @@ from oracle import simpson_potential
 PAR = Atom([Transition(1.0, 1.0, 0.0)])
 PERP = Atom([Transition(1.0, 0.0, 1.0)])
 MIXED = Atom([Transition(1.0, 0.6, 0.4)])
+TWO_LEVEL_MIXED = Atom([Transition(0.7, 0.6, 0.4), Transition(1.9, 0.3, 0.7)])
 LENS_SLAB = SlabWithMirror(validate_material(-1 + 1e-4j, -1 + 1e-4j), 5.0)
 
 
@@ -191,6 +192,19 @@ class TestPerfectLensClosedForm:
             potential_perfect_lens(PAR, 1.0, 1.0)
         with pytest.raises(DomainError):
             potential_perfect_lens(PAR, 1.0, 0.5)
+
+    @pytest.mark.parametrize("atom", [PAR, PERP, TWO_LEVEL_MIXED],
+                             ids=["par", "perp", "two-transition-mixed"])
+    @pytest.mark.parametrize("gap", [1e-3, 1e-2, 0.2, 5.0])
+    @pytest.mark.parametrize("d", [0.5, 5.0])
+    def test_quadrature_matches_closed_form(self, d, gap, atom):
+        # The closed form is the lens integral itself, so quadrature must
+        # reproduce it up to the focal plane, where the amplified
+        # coefficients -+exp(2 kappa d) of a thick lens exceed the
+        # floating-point range over the kappa the integral needs.
+        got = potential_numeric(atom, PerfectLens(d), d + gap)
+        want = potential_perfect_lens(atom, d, d + gap)
+        assert got.value == pytest.approx(want.value, rel=1e-10)
 
 
 class TestAutoDispatch:
