@@ -2,8 +2,8 @@
 
 from .core import (Atom, DegenerateDenominator, DomainError, Geometry,
                    HalfSpace, MaterialResponse, NonDecaying, NonFinite,
-                   NORMALIZED, NotConverged, PassivityViolation, PerfectLens,
-                   SI, SlabWithMirror, Transition, UnitSystem, VACUUM,
+                   NotConverged, PassivityViolation, PerfectLens,
+                   SlabWithMirror, Transition, UnitSystem, VACUUM,
                    validate_material)
 from .green import GreenComponents, green_components
 from .potential import (PotentialMethod, PotentialSample, potential_auto,

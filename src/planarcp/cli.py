@@ -1,7 +1,11 @@
 # src/planarcp/cli.py
-"""Command-line front end: distance sweeps of the potential in normalized
-units (lengths in c/omega, potentials in U0 = mu_0 omega^3 d^2 / (8 pi c)),
-emitted as CSV or JSON for external plotting.
+"""Command-line front end: distance sweeps of the potential, emitted as
+CSV or JSON for external plotting.
+
+Inputs and outputs are in the library's natural units for a unit
+transition (omega = d^2 = 1): distances in c/omega. The library returns
+potentials in mu_0 omega^3 d^2 / c (UnitSystem.potential_si); the CLI
+prints them in U0 = mu_0 omega^3 d^2 / (8 pi c), that is, times 8 pi.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .potential import (PotentialMethod, potential_auto, potential_nonretarded,
                         potential_retarded)
 from .quadrature import QuadratureSpec
 
-U0_INV = 8.0 * math.pi  # 1 / U0 in normalized units with omega = d^2 = 1
+U0_INV = 8.0 * math.pi  # 1 / U0 in natural units with omega = d^2 = 1
 
 GEOMETRIES = ("halfspace", "slab-mirror", "perfect-lens")
 METHODS = ("auto", "numeric", "nonretarded", "retarded", "closed-form")
@@ -83,13 +87,10 @@ class SweepConfig:
             raise ConfigError("w_par/w_perp: mixed dipole needs a positive total weight")
         if self.geometry == "perfect-lens" and self.zmin <= self.thickness:
             raise ConfigError("zmin: perfect-lens potential requires zmin > thickness")
-        if (self.geometry == "slab-mirror" and self.method == "closed-form"
-                and self.zmin <= self.thickness):
-            raise ConfigError("zmin: closed-form method requires zmin > thickness")
         if self.method in ("nonretarded", "retarded") and self.geometry != "halfspace":
             raise ConfigError(f"method: {self.method} applies to halfspace only")
-        if self.method == "closed-form" and self.geometry == "halfspace":
-            raise ConfigError("method: closed-form applies to slab-mirror/perfect-lens only")
+        if self.method == "closed-form" and self.geometry != "perfect-lens":
+            raise ConfigError("method: closed-form applies to perfect-lens only")
 
     def material(self):
         return validate_material(complex(self.eps_re, self.eps_im),
@@ -325,7 +326,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="planarcp",
         description="Resonant Casimir-Polder potential sweeps near planar "
-                    "magneto-electric media (normalized units).")
+                    "magneto-electric media (natural units).")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (("sweep", "potential vs distance"),
                             ("compare", "numeric vs closed-form columns")):

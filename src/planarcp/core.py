@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Union
 
-from scipy.constants import c as C_SI, epsilon_0 as EPS0_SI, mu_0 as MU0_SI
-
 
 class PassivityViolation(ValueError):
     """Material with Im(eps) < 0 or Im(mu) < 0 (gain medium)."""
@@ -74,10 +72,6 @@ class MaterialResponse:
     def is_lossless(self) -> bool:
         return self.epsilon.imag == 0.0 and self.mu.imag == 0.0
 
-    @property
-    def is_vacuum(self) -> bool:
-        return self.epsilon == 1.0 and self.mu == 1.0
-
 
 VACUUM = MaterialResponse(1.0 + 0.0j, 1.0 + 0.0j)
 
@@ -94,8 +88,8 @@ def validate_material(epsilon: complex, mu: complex) -> MaterialResponse:
 class Transition:
     """One downward atomic transition.
 
-    omega: angular transition frequency (rad/s, or units of omega_ref when
-    normalized); d_par_sq / d_perp_sq: squared moduli of the dipole-moment
+    omega: angular transition frequency in units of omega_ref (see
+    UnitSystem); d_par_sq / d_perp_sq: squared moduli of the dipole-moment
     components parallel / perpendicular to the surface.
     """
 
@@ -168,72 +162,36 @@ Geometry = Union[HalfSpace, SlabWithMirror, PerfectLens]
 
 @dataclass(frozen=True)
 class UnitSystem:
-    """Unit convention for distances, frequencies and potentials.
+    """SI scales of the natural units the library computes in.
 
-    mode "si": SI units throughout (c, mu_0 from CODATA).
-    mode "normalized": c = mu_0 = eps_0 = 1; distances in c/omega_ref,
-    frequencies in omega_ref, potentials in
-    U0 = mu_0 omega_ref^3 d_sq_ref / (8 pi c) for the declared SI
-    reference scales omega_ref (rad/s) and d_sq_ref (C^2 m^2).
+    Every function takes and returns values with c = mu_0 = eps_0 = 1:
+    frequencies in omega_ref (rad/s), distances in c/omega_ref, squared
+    dipole moments in d_sq_ref (C^2 m^2) and potentials in
+    mu_0 omega_ref^3 d_sq_ref / c. A natural-unit value times the
+    matching scale below is its SI value.
     """
 
-    mode: str = "normalized"
     omega_ref: float = 1.0
     d_sq_ref: float = 1.0
 
     def __post_init__(self):
-        if self.mode not in ("si", "normalized"):
-            raise ValueError(f"unknown unit mode {self.mode!r}")
         if self.omega_ref <= 0.0 or self.d_sq_ref <= 0.0:
             raise ValueError("reference scales must be positive")
 
     @property
-    def c(self) -> float:
-        return 1.0 if self.mode == "normalized" else C_SI
-
-    @property
-    def mu0(self) -> float:
-        return 1.0 if self.mode == "normalized" else MU0_SI
-
-    @property
-    def eps0(self) -> float:
-        return 1.0 if self.mode == "normalized" else EPS0_SI
-
-    @property
     def length_si(self) -> float:
-        """SI meters per unit of length in this system."""
-        return 1.0 if self.mode == "si" else C_SI / self.omega_ref
+        """SI meters per unit of length, c/omega_ref."""
+        # CODATA values are read here, so importing planarcp loads no scipy.
+        from scipy.constants import c
+        return c / self.omega_ref
 
     @property
     def frequency_si(self) -> float:
-        """SI rad/s per unit of angular frequency in this system."""
-        return 1.0 if self.mode == "si" else self.omega_ref
+        """SI rad/s per unit of angular frequency, omega_ref."""
+        return self.omega_ref
 
     @property
     def potential_si(self) -> float:
-        """SI joules per unit of potential in this system (U0 when normalized)."""
-        if self.mode == "si":
-            return 1.0
-        return MU0_SI * self.omega_ref**3 * self.d_sq_ref / (8.0 * math.pi * C_SI)
-
-    def to_si_distance(self, z: float) -> float:
-        return z * self.length_si
-
-    def from_si_distance(self, z_si: float) -> float:
-        return z_si / self.length_si
-
-    def to_si_frequency(self, omega: float) -> float:
-        return omega * self.frequency_si
-
-    def from_si_frequency(self, omega_si: float) -> float:
-        return omega_si / self.frequency_si
-
-    def to_si_potential(self, u: float) -> float:
-        return u * self.potential_si
-
-    def from_si_potential(self, u_si: float) -> float:
-        return u_si / self.potential_si
-
-
-NORMALIZED = UnitSystem(mode="normalized")
-SI = UnitSystem(mode="si")
+        """SI joules per unit of potential, mu_0 omega_ref^3 d_sq_ref / c."""
+        from scipy.constants import c, mu_0
+        return mu_0 * self.omega_ref**3 * self.d_sq_ref / c

@@ -2,7 +2,8 @@
 """Longitudinal wavenumbers and reflection coefficients for planar media.
 
 Every function accepts scalars or numpy arrays of the transverse
-wavenumber q (or of the wavenumbers computed from it).
+wavenumber q (or of the wavenumbers computed from it). Natural units
+(c = 1): the vacuum wavenumber is k0 = omega.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ def _i0_sign(material: MaterialResponse) -> float:
     delta*(Re eps + Re mu); a real positive radicand then requires
     Re eps + Re mu != 0, so the sign is well defined there.
     """
-    eps, mu = material.epsilon, material.mu
-    if eps.imag == 0.0 and mu.imag == 0.0:
-        return 1.0 if (eps.real + mu.real) >= 0.0 else -1.0
+    if material.is_lossless:
+        return 1.0 if (material.epsilon.real + material.mu.real) >= 0.0 else -1.0
     return 1.0
 
 
@@ -44,17 +44,18 @@ def _passive_sqrt(w, i0_sign=1.0):
     return r[()] if r.ndim == 0 else r
 
 
-def vacuum_beta(q, omega, c=1.0):
-    """Vacuum longitudinal wavenumber sqrt(omega^2/c^2 - q^2), Im >= 0."""
+def vacuum_beta(q, omega):
+    """Vacuum longitudinal wavenumber sqrt(omega^2 - q^2), Im >= 0."""
     q = np.asarray(q, dtype=float)
-    w = (omega / c) ** 2 - q * q
+    w = omega ** 2 - q * q
     return _passive_sqrt(w)
 
 
-def medium_beta1(q, omega, material: MaterialResponse, c=1.0):
-    """In-medium longitudinal wavenumber on the Im beta1 > 0 branch."""
+def medium_beta1(q, omega, material: MaterialResponse):
+    """In-medium longitudinal wavenumber sqrt(eps mu omega^2 - q^2) on the
+    Im beta1 > 0 branch."""
     q = np.asarray(q, dtype=float)
-    w = material.epsilon * material.mu * (omega / c) ** 2 - q * q
+    w = material.epsilon * material.mu * omega ** 2 - q * q
     return _passive_sqrt(w, _i0_sign(material))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DomainError, Geometry, HalfSpace, MaterialResponse,
-                   NORMALIZED, PerfectLens, SlabWithMirror, UnitSystem)
+                   PerfectLens, SlabWithMirror)
 from .dispersion import (halfspace_rs_rp, medium_beta1, slab_mirror_rs_rp,
                          vacuum_beta)
 from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_evanescent, \
@@ -51,7 +51,7 @@ class GreenComponents:
         return max(e for e in (self.error_xx, self.error_zz) if e is not None)
 
 
-def _coefficients(geometry, omega: float, c: float):
+def _coefficients(geometry, omega: float):
     """Return (rs_rp(q), z_offset): reflection coefficients as a function
     of transverse wavenumber and the depth of the plane they image.
 
@@ -64,8 +64,8 @@ def _coefficients(geometry, omega: float, c: float):
         material = geometry.material
 
         def rs_rp(q):
-            beta = vacuum_beta(q, omega, c)
-            beta1 = medium_beta1(q, omega, material, c)
+            beta = vacuum_beta(q, omega)
+            beta1 = medium_beta1(q, omega, material)
             return halfspace_rs_rp(beta, beta1, material)
 
         return rs_rp, 0.0
@@ -75,8 +75,8 @@ def _coefficients(geometry, omega: float, c: float):
         d = geometry.thickness
 
         def rs_rp(q):
-            beta = vacuum_beta(q, omega, c)
-            beta1 = medium_beta1(q, omega, material, c)
+            beta = vacuum_beta(q, omega)
+            beta1 = medium_beta1(q, omega, material)
             return slab_mirror_rs_rp(beta, beta1, material, d)
 
         return rs_rp, 0.0
@@ -131,7 +131,7 @@ def _halfspace_mode_kappas(material: MaterialResponse, k0: float) -> list[float]
 
 
 def _slab_mode_kappas(material: MaterialResponse, thickness: float,
-                      omega: float, c: float) -> list[float]:
+                      omega: float) -> list[float]:
     """Guided-mode positions of a weakly lossy mirror-backed slab.
 
     Found by scanning the reflection denominators for sharp relative
@@ -142,12 +142,12 @@ def _slab_mode_kappas(material: MaterialResponse, thickness: float,
     loss = max(eps.imag, mu.imag)
     if loss >= 0.05:
         return []
-    k0 = omega / c
+    k0 = omega
     kappa_win = k0 * (1.0 + math.sqrt(abs(eps * mu)))
     grid = np.linspace(kappa_win / 4096.0, kappa_win, 4096)
     q = np.sqrt(grid * grid + k0 * k0)
     beta = 1j * grid
-    beta1 = medium_beta1(q, omega, material, c)
+    beta1 = medium_beta1(q, omega, material)
     phase = np.exp(2j * beta1 * thickness)
     kappas = []
     for a, pm in ((mu, -1.0), (eps, 1.0)):
@@ -161,25 +161,25 @@ def _slab_mode_kappas(material: MaterialResponse, thickness: float,
     return kappas
 
 
-# (geometry, omega, c) breakpoint sets kept in memory; a distance sweep
+# (geometry, omega) breakpoint sets kept in memory; a distance sweep
 # needs one per transition frequency of its atom.
 _BREAKPOINT_CACHE_SIZE = 32
 
 
 @functools.lru_cache(maxsize=_BREAKPOINT_CACHE_SIZE)
-def _evanescent_breakpoints(geometry, omega: float, c: float) -> tuple[float, ...]:
+def _evanescent_breakpoints(geometry, omega: float) -> tuple[float, ...]:
     """Graded panel edges around the pinned evanescent resonances.
 
     A pure function of frozen value objects, so it is memoised: the
-    guided-mode scan runs once per (geometry, omega, c), not per point.
+    guided-mode scan runs once per (geometry, omega), not per point.
     """
-    k0 = omega / c
+    k0 = omega
     if isinstance(geometry, HalfSpace):
         centers = _halfspace_mode_kappas(geometry.material, k0)
         loss = max(geometry.material.epsilon.imag, geometry.material.mu.imag)
     elif isinstance(geometry, SlabWithMirror):
         centers = _slab_mode_kappas(geometry.material, geometry.thickness,
-                                    omega, c)
+                                    omega)
         loss = max(geometry.material.epsilon.imag, geometry.material.mu.imag)
     else:
         return ()
@@ -215,21 +215,20 @@ def _osc_panel_width(z_image: float, geometry) -> float:
 
 
 def green_components(z_A: float, omega: float, geometry: Geometry,
-                     spec: QuadratureSpec = DEFAULT_SPEC,
-                     units: UnitSystem = NORMALIZED, *, xx: bool = True,
+                     spec: QuadratureSpec = DEFAULT_SPEC, *, xx: bool = True,
                      zz: bool = True) -> GreenComponents:
     """G_xx and G_zz at the atom, from one integrand for both sectors.
 
-    G_xx combines r_s - (beta^2 c^2 / omega^2) r_p with the round-trip
-    phase; only r_p enters G_zz, weighted by 2 q^2 c^2 / omega^2. Passing
-    xx=False or zz=False leaves that component out of the integrand and
-    out of the convergence test; it is returned as None.
+    In natural units, k0 = omega. G_xx combines r_s - (beta/k0)^2 r_p
+    with the round-trip phase; only r_p enters G_zz, weighted by
+    2 (q/k0)^2. Passing xx=False or zz=False leaves that component out
+    of the integrand and out of the convergence test; it is returned as
+    None.
     """
     if not (xx or zz):
         raise ValueError("green_components needs at least one of xx, zz")
-    c = units.c
-    k0 = omega / c
-    rs_rp, z_offset = _coefficients(geometry, omega, c)
+    k0 = omega
+    rs_rp, z_offset = _coefficients(geometry, omega)
     z_image = z_A - z_offset
     if z_image <= 0.0:
         raise DomainError(f"need z_A > {z_offset} for a decaying integrand, "
@@ -257,7 +256,7 @@ def green_components(z_A: float, omega: float, geometry: Geometry,
     res_p = integrate_propagating(prop, k0, spec,
                                   max_panel_width=_osc_panel_width(z_image, geometry))
     res_e = integrate_evanescent(evan, z_image, spec,
-                                 breakpoints=_evanescent_breakpoints(geometry, omega, c)
+                                 breakpoints=_evanescent_breakpoints(geometry, omega)
                                  + _small_kappa_ladder(k0, z_image))
     value = (1j / (8.0 * math.pi)) * res_p.value + (1.0 / (8.0 * math.pi)) * res_e.value
     error = (res_p.error_estimate + res_e.error_estimate) / (8.0 * math.pi)

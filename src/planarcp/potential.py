@@ -5,7 +5,8 @@ U(z_A) = -mu_0 sum_k omega_k^2 [Re G_xx |d_par|^2 + Re G_zz |d_perp|^2]
 
 summed over downward transitions, with G_xx, G_zz from the green module
 or replaced by the closed-form short-distance, long-distance and
-perfect-lens limits.
+perfect-lens limits. Computed in natural units, c = mu_0 = eps_0 = 1;
+UnitSystem holds the SI scales.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (Atom, DegenerateDenominator, DomainError, Geometry,
-                   HalfSpace, MaterialResponse, NORMALIZED, PerfectLens,
-                   UnitSystem)
+                   HalfSpace, MaterialResponse, PerfectLens)
 from .dispersion import _passive_sqrt
 from .green import green_components
 from .quadrature import DEFAULT_SPEC, QuadratureSpec
@@ -54,30 +54,28 @@ def _sample(z_A, contributions, method, error, evaluations=0):
 
 
 def potential_numeric(atom: Atom, geometry: Geometry, z_A: float,
-                      spec: QuadratureSpec = DEFAULT_SPEC,
-                      units: UnitSystem = NORMALIZED) -> PotentialSample:
+                      spec: QuadratureSpec = DEFAULT_SPEC) -> PotentialSample:
     """Potential by direct quadrature of the Green-tensor integral."""
-    mu0 = units.mu0
     contributions = []
     error = 0.0
     evaluations = 0
     for t in atom.transitions:
         # Only the components the dipole weighs are integrated; a skipped
         # one (weight 0) enters the sums below as 0.
-        g = green_components(z_A, t.omega, geometry, spec, units,
+        g = green_components(z_A, t.omega, geometry, spec,
                              xx=t.d_par_sq > 0.0, zz=t.d_perp_sq > 0.0)
         evaluations += g.evaluations
         g_xx, err_xx = (g.g_xx.real, g.error_xx) if g.g_xx is not None else (0.0, 0.0)
         g_zz, err_zz = (g.g_zz.real, g.error_zz) if g.g_zz is not None else (0.0, 0.0)
         contributions.append(
-            -mu0 * t.omega**2 * (g_xx * t.d_par_sq + g_zz * t.d_perp_sq))
-        error += mu0 * t.omega**2 * (err_xx * t.d_par_sq + err_zz * t.d_perp_sq)
+            -t.omega**2 * (g_xx * t.d_par_sq + g_zz * t.d_perp_sq))
+        error += t.omega**2 * (err_xx * t.d_par_sq + err_zz * t.d_perp_sq)
     return _sample(z_A, contributions, PotentialMethod.NUMERIC, error,
                    evaluations=evaluations)
 
 
-def potential_nonretarded(atom: Atom, material: MaterialResponse, z_A: float,
-                          units: UnitSystem = NORMALIZED) -> PotentialSample:
+def potential_nonretarded(atom: Atom, material: MaterialResponse,
+                          z_A: float) -> PotentialSample:
     """Short-distance (z_A omega / c << 1) closed form.
 
     With R_p = (eps-1)/(eps+1), R_s = (mu-1)/(mu+1) and
@@ -101,16 +99,16 @@ def potential_nonretarded(atom: Atom, material: MaterialResponse, z_A: float,
     r_s = (mu - 1.0) / (mu + 1.0)
     x = eps * (eps * mu - 1.0) / (eps + 1.0) ** 2
     # Three divisions overflow to inf, where z_A**3 would underflow to 0.
-    image = r_p.real / (32.0 * math.pi * units.eps0) / z_A / z_A / z_A
+    image = r_p.real / (32.0 * math.pi) / z_A / z_A / z_A
     contributions = []
     rel_trunc = 0.0
     for t in atom.transitions:
         contributions.append(
             -(t.d_par_sq + 2.0 * t.d_perp_sq) * image
-            - units.mu0 * t.omega**2 * (t.d_par_sq * (r_s + x).real
-                                       + 2.0 * t.d_perp_sq * (r_p + x).real)
+            - t.omega**2 * (t.d_par_sq * (r_s + x).real
+                            + 2.0 * t.d_perp_sq * (r_p + x).real)
             / (16.0 * math.pi * z_A))
-        rel_trunc = max(rel_trunc, z_A * t.omega / units.c)
+        rel_trunc = max(rel_trunc, z_A * t.omega)
     value = sum(contributions)
     if not math.isfinite(value):
         raise DomainError(f"short-distance potential not finite at z_A = {z_A}")
@@ -118,12 +116,16 @@ def potential_nonretarded(atom: Atom, material: MaterialResponse, z_A: float,
                    rel_trunc * abs(value))
 
 
-def potential_retarded(atom: Atom, material: MaterialResponse, z_A: float,
-                       units: UnitSystem = NORMALIZED) -> PotentialSample:
+def potential_retarded(atom: Atom, material: MaterialResponse,
+                       z_A: float) -> PotentialSample:
     """Long-distance (z_A omega / c >> 1) oscillating closed form.
 
     Only the parallel dipole component contributes at leading order in
-    c/(z_A omega).
+    c/(z_A omega). The error estimate is the next order at the scale of a
+    passive mirror (|r| <= 1 at normal incidence),
+    sum_k c/(z_A omega_k) mu_0 omega_k^2 (|d_par|^2 + |d_perp|^2)/(8 pi z_A),
+    so it stays positive where the leading term vanishes (a perpendicular
+    dipole, or eps = mu).
     """
     if z_A <= 0.0:
         raise DomainError(f"z_A must be positive, got {z_A}")
@@ -133,14 +135,13 @@ def potential_retarded(atom: Atom, material: MaterialResponse, z_A: float,
     _require_nonzero("sqrt(eps) + sqrt(mu)", den)
     contrast = (sqrt_eps - sqrt_mu) / den
     contributions = []
-    rel_trunc = 0.0
+    error = 0.0
     for t in atom.transitions:
-        phase = cmath.exp(2j * z_A * t.omega / units.c)
+        phase = cmath.exp(2j * z_A * t.omega)
         contributions.append(
-            units.mu0 * t.omega**2 * t.d_par_sq
+            t.omega**2 * t.d_par_sq
             / (8.0 * math.pi * z_A) * (phase * contrast).real)
-        rel_trunc = max(rel_trunc, units.c / (z_A * t.omega))
-    error = rel_trunc * abs(sum(contributions))
+        error += t.omega * (t.d_par_sq + t.d_perp_sq) / (8.0 * math.pi * z_A * z_A)
     return _sample(z_A, contributions, PotentialMethod.RETARDED, error)
 
 
@@ -151,8 +152,8 @@ def _require_nonzero(name: str, den: complex) -> None:
         raise DegenerateDenominator(f"{name} = {den} too close to zero")
 
 
-def potential_perfect_lens(atom: Atom, thickness: float, z_A: float,
-                           units: UnitSystem = NORMALIZED) -> PotentialSample:
+def potential_perfect_lens(atom: Atom, thickness: float,
+                           z_A: float) -> PotentialSample:
     """Closed-form potential of the ideal mirror-backed superlens.
 
     Valid for z_A > thickness; diverges toward the focal plane at
@@ -164,25 +165,24 @@ def potential_perfect_lens(atom: Atom, thickness: float, z_A: float,
             f"thickness = {thickness})")
     contributions = []
     for t in atom.transitions:
-        zt = 2.0 * t.omega * (z_A - thickness) / units.c
+        zt = 2.0 * t.omega * (z_A - thickness)
         cos_zt, sin_zt = math.cos(zt), math.sin(zt)
         par = cos_zt + zt * sin_zt - zt * zt * cos_zt
         perp = 2.0 * (cos_zt + zt * sin_zt)
         contributions.append(
-            -units.mu0 * t.omega**3 / (4.0 * math.pi * units.c * zt**3)
+            -t.omega**3 / (4.0 * math.pi * zt**3)
             * (par * t.d_par_sq + perp * t.d_perp_sq))
     return _sample(z_A, contributions, PotentialMethod.PERFECT_LENS, 0.0)
 
 
 def potential_auto(atom: Atom, geometry: Geometry, z_A: float,
-                   spec: QuadratureSpec = DEFAULT_SPEC,
-                   units: UnitSystem = NORMALIZED) -> PotentialSample:
+                   spec: QuadratureSpec = DEFAULT_SPEC) -> PotentialSample:
     """The perfect-lens closed form, the retarded closed form for a half
     space beyond RETARDED_THRESHOLD, quadrature everywhere else; the
     sample's method records the choice."""
     if isinstance(geometry, PerfectLens):
-        return potential_perfect_lens(atom, geometry.thickness, z_A, units)
+        return potential_perfect_lens(atom, geometry.thickness, z_A)
     if (isinstance(geometry, HalfSpace)
-            and z_A * atom.omega_min / units.c > RETARDED_THRESHOLD):
-        return potential_retarded(atom, geometry.material, z_A, units)
-    return potential_numeric(atom, geometry, z_A, spec, units)
+            and z_A * atom.omega_min > RETARDED_THRESHOLD):
+        return potential_retarded(atom, geometry.material, z_A)
+    return potential_numeric(atom, geometry, z_A, spec)

@@ -270,6 +270,8 @@ class TestConfigHandling:
         ["sweep", "--eps-im", "-0.5"],  # gain medium
         ["sweep", "--zmin", "1", "--zmax", "inf"],
         ["sweep", "--workers", "-1"],
+        ["sweep", "--geometry", "slab-mirror", "--thickness", "0.5",
+         "--zmin", "1", "--zmax", "2", "--method", "closed-form"],  # slab has none
     ])
     def test_config_errors_exit_1(self, tmp_path, args):
         code, _ = run(tmp_path, *args)

@@ -166,6 +166,20 @@ class TestRetarded:
         m = validate_material(2 + 1e-3j, 1)
         assert potential_retarded(PERP, m, 50.0).value == 0.0
 
+    @pytest.mark.parametrize("atom,eps,mu", [
+        pytest.param(PAR, 2 + 1e-3j, 1, id="par"),
+        pytest.param(PERP, 2 + 0.1j, 1, id="perp"),
+        pytest.param(PAR, 2 + 0.1j, 2 + 0.1j, id="impedance-matched"),
+    ])
+    def test_error_covers_quadrature(self, atom, eps, mu):
+        # The leading term vanishes for a perpendicular dipole and for
+        # eps = mu; the next order does not, so the claim must stay > 0.
+        geo = HalfSpace(validate_material(eps, mu))
+        got = potential_retarded(atom, geo.material, 1001.0)
+        want = potential_numeric(atom, geo, 1001.0)
+        assert got.error_estimate > 0.0
+        assert abs(got.value - want.value) <= got.error_estimate
+
 
 class TestPerfectLensClosedForm:
     def test_specific_phase_point(self):
