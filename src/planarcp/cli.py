@@ -17,22 +17,27 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import (Atom, DegenerateDenominator, DomainError, HalfSpace,
-                   NotConverged, PerfectLens, SlabWithMirror, Transition,
-                   validate_material)
-from .potential import (PotentialMethod, potential_auto, potential_nonretarded,
+from .core import (Atom, DegenerateDenominator, HalfSpace, NotConverged,
+                   PerfectLens, SlabWithMirror, Transition, validate_material)
+from .potential import (potential_auto, potential_nonretarded,
                         potential_numeric, potential_perfect_lens,
                         potential_retarded)
-from .quadrature import QuadratureSpec
+from .quadrature import REL_TOL, check_rel_tol
 
 U0_INV = 8.0 * math.pi  # 1 / U0 in natural units with omega = d^2 = 1
 
-GEOMETRIES = ("halfspace", "slab-mirror", "perfect-lens")
-METHODS = ("auto", "numeric", "nonretarded", "retarded", "closed-form")
+# Allowed values of the SweepConfig fields that take one of a few names.
+CHOICES = {
+    "geometry": ("halfspace", "slab-mirror", "perfect-lens"),
+    "spacing": ("lin", "log"),
+    "dipole": ("par", "perp", "mixed"),
+    "method": ("auto", "numeric", "nonretarded", "retarded", "closed-form"),
+    "format": ("csv", "json"),
+}
 
 
 class ConfigError(ValueError):
@@ -55,23 +60,17 @@ class SweepConfig:
     w_par: float = 1.0
     w_perp: float = 0.0
     method: str = "auto"
-    rel_tol: float = 1e-8
+    rel_tol: float = REL_TOL
     format: str = "csv"
     output: str = "-"
     reproducible: bool = False
     workers: int = 0
 
     def validate(self) -> None:
-        if self.geometry not in GEOMETRIES:
-            raise ConfigError(f"geometry: unknown value {self.geometry!r}")
-        if self.method not in METHODS:
-            raise ConfigError(f"method: unknown value {self.method!r}")
-        if self.spacing not in ("lin", "log"):
-            raise ConfigError(f"spacing: must be 'lin' or 'log', got {self.spacing!r}")
-        if self.dipole not in ("par", "perp", "mixed"):
-            raise ConfigError(f"dipole: must be par|perp|mixed, got {self.dipole!r}")
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"format: must be csv|json, got {self.format!r}")
+        for key, allowed in CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"{key}: must be {'|'.join(allowed)}, "
+                                  f"got {getattr(self, key)!r}")
         if not 0.0 < self.zmin < self.zmax < math.inf:
             raise ConfigError("zmin/zmax: need 0 < zmin < zmax < inf, got "
                               f"{self.zmin} and {self.zmax}")
@@ -79,10 +78,7 @@ class SweepConfig:
             raise ConfigError(f"points: need >= 2, got {self.points}")
         if self.workers < 0:
             raise ConfigError(f"workers: need >= 0 (0: one per CPU), got {self.workers}")
-        if self.rel_tol <= 0.0:
-            raise ConfigError(f"rel_tol: must be > 0, got {self.rel_tol}")
-        if self.geometry in ("slab-mirror", "perfect-lens") and self.thickness <= 0.0:
-            raise ConfigError(f"thickness: must be > 0 for {self.geometry}")
+        check_rel_tol(self.rel_tol)
         if self.dipole == "mixed" and self.w_par + self.w_perp <= 0.0:
             raise ConfigError("w_par/w_perp: mixed dipole needs a positive total weight")
         if self.geometry == "perfect-lens" and self.zmin <= self.thickness:
@@ -91,6 +87,8 @@ class SweepConfig:
             raise ConfigError(f"method: {self.method} applies to halfspace only")
         if self.method == "closed-form" and self.geometry != "perfect-lens":
             raise ConfigError("method: closed-form applies to perfect-lens only")
+        self.build_atom()  # the model's own checks, before any point is started
+        self.build_geometry()
 
     def material(self):
         return validate_material(complex(self.eps_re, self.eps_im),
@@ -118,38 +116,34 @@ class SweepConfig:
             return np.geomspace(self.zmin, self.zmax, self.points)
         return np.linspace(self.zmin, self.zmax, self.points)
 
-    def quad_spec(self) -> QuadratureSpec:
-        return QuadratureSpec(rel_tol=self.rel_tol)
-
 
 def _eval_point(args):
     config, z = args
     atom = config.build_atom()
     geometry = config.build_geometry()
-    spec = config.quad_spec()
     try:
         if config.method == "auto":
-            s = potential_auto(atom, geometry, z, spec)
+            s = potential_auto(atom, geometry, z, config.rel_tol)
         elif config.method == "numeric":
-            s = potential_numeric(atom, geometry, z, spec)
+            s = potential_numeric(atom, geometry, z, config.rel_tol)
         elif config.method == "nonretarded":
             s = potential_nonretarded(atom, config.material(), z)
         elif config.method == "retarded":
             s = potential_retarded(atom, config.material(), z)
         else:
             s = potential_perfect_lens(atom, config.thickness, z)
-        return z, s.value * U0_INV, s.error_estimate * U0_INV, s.method.value
+        u, err, method = s.value * U0_INV, s.error_estimate * U0_INV, s.method.value
     except (NotConverged, DegenerateDenominator):
-        return z, float("nan"), float("inf"), "failed"
+        u, err, method = float("nan"), float("inf"), "failed"
+    return {"z_norm": z, "U_norm": u, "U_err": err, "method": method}
 
 
 def _eval_compare(args):
     config, z = args
     atom = config.build_atom()
     geometry = config.build_geometry()
-    spec = config.quad_spec()
     try:
-        num = potential_numeric(atom, geometry, z, spec).value * U0_INV
+        num = potential_numeric(atom, geometry, z, config.rel_tol).value * U0_INV
     except (NotConverged, DegenerateDenominator):
         num = float("nan")
     row = {"z_norm": z, "U_numeric": num}
@@ -235,56 +229,44 @@ def _emit(config: SweepConfig, columns, rows, command: str) -> None:
             fh.write(text)
 
 
-def run_sweep(config: SweepConfig) -> int:
+def run(command: str, config: SweepConfig) -> int:
+    """Evaluate and emit a sweep or compare table; the exit code."""
     config.validate()
-    results = _run_parallel(_eval_point, config, config.distances())
-    rows = [{"z_norm": z, "U_norm": u, "U_err": err, "method": method}
-            for z, u, err, method in results]
-    _emit(config, ("z_norm", "U_norm", "U_err", "method"), rows, "sweep")
-    failed = sum(1 for r in rows if r["method"] == "failed")
-    if failed:
-        print(f"planarcp: {failed}/{len(rows)} points failed",
-              file=sys.stderr)
-        return 2
-    return 0
-
-
-def run_compare(config: SweepConfig) -> int:
-    config.validate()
-    if config.method != "auto":
+    if command == "compare" and config.method != "auto":
         raise ConfigError("method: compare requires method = auto")
-    rows = _run_parallel(_eval_compare, config, config.distances())
-    columns = list(rows[0].keys())
-    _emit(config, columns, rows, "compare")
-    failed = sum(1 for r in rows if math.isnan(r["U_numeric"]))
+    evaluate = _eval_point if command == "sweep" else _eval_compare
+    rows = _run_parallel(evaluate, config, config.distances())
+    _emit(config, list(rows[0]), rows, command)
+    value = "U_norm" if command == "sweep" else "U_numeric"
+    failed = sum(1 for row in rows if math.isnan(row[value]))
     if failed:
         print(f"planarcp: {failed}/{len(rows)} points failed",
               file=sys.stderr)
         return 2
     return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ConfigError on a bad flag, so that it exits 1 like every
+    other configuration error instead of argparse's 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    """--config, then one flag per SweepConfig field (--eps-re for
+    eps_re), typed by the field's default."""
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--geometry", choices=GEOMETRIES)
-    p.add_argument("--eps-re", type=float)
-    p.add_argument("--eps-im", type=float)
-    p.add_argument("--mu-re", type=float)
-    p.add_argument("--mu-im", type=float)
-    p.add_argument("--thickness", type=float)
-    p.add_argument("--zmin", type=float)
-    p.add_argument("--zmax", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--spacing", choices=("lin", "log"))
-    p.add_argument("--dipole", choices=("par", "perp", "mixed"))
-    p.add_argument("--w-par", type=float)
-    p.add_argument("--w-perp", type=float)
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--rel-tol", type=float)
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--output", "-o")
-    p.add_argument("--reproducible", action="store_true", default=None)
-    p.add_argument("--workers", type=int)
+    for field in fields(SweepConfig):
+        names = ["--" + field.name.replace("_", "-")]
+        if field.name == "output":
+            names.append("-o")
+        kind = type(field.default)
+        if kind is bool:
+            p.add_argument(*names, action="store_true", default=None)
+        else:
+            p.add_argument(*names, type=kind, choices=CHOICES.get(field.name))
 
 
 def _typed(key: str, val):
@@ -323,22 +305,18 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="planarcp",
         description="Resonant Casimir-Polder potential sweeps near planar "
                     "magneto-electric media (natural units).")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (("sweep", "potential vs distance"),
                             ("compare", "numeric vs closed-form columns")):
-        p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p)
-    args = parser.parse_args(argv)
+        _add_common_flags(sub.add_parser(name, help=help_text))
     try:
-        config = _build_config(args)
-        if args.command == "sweep":
-            return run_sweep(config)
-        return run_compare(config)
-    except (ConfigError, DomainError, ValueError) as exc:
+        args = parser.parse_args(argv)
+        return run(args.command, _build_config(args))
+    except ValueError as exc:  # ConfigError, DomainError and model checks
         print(f"planarcp: error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,10 +19,6 @@ class DegenerateDenominator(ArithmeticError):
     """Reflection-coefficient denominator collapsed (surface/guided mode pole)."""
 
 
-class NonDecaying(ValueError):
-    """Evanescent integral has no decay factor (z_A <= 0)."""
-
-
 class DomainError(ValueError):
     """Evaluation requested outside a formula's domain of validity."""
 
@@ -37,6 +33,12 @@ class NotConverged(RuntimeError):
     def __init__(self, message, result=None):
         super().__init__(message)
         self.result = result
+
+
+def require_distance(name: str, z: float, floor: float = 0.0) -> None:
+    """Raise DomainError unless floor < z < inf (a nan fails too)."""
+    if not floor < z < math.inf:
+        raise DomainError(f"{name} must be finite and > {floor}, got {z}")
 
 
 def _require_finite_complex(name: str, value: complex) -> complex:
@@ -100,8 +102,9 @@ class Transition:
     def __post_init__(self):
         if not (math.isfinite(self.omega) and self.omega > 0.0):
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
-        if self.d_par_sq < 0.0 or self.d_perp_sq < 0.0:
-            raise ValueError("squared dipole components must be non-negative")
+        if not (0.0 <= self.d_par_sq < math.inf and 0.0 <= self.d_perp_sq < math.inf):
+            raise ValueError("squared dipole components must be non-negative "
+                             f"and finite, got {self.d_par_sq}, {self.d_perp_sq}")
         if self.d_par_sq + self.d_perp_sq <= 0.0:
             raise ValueError("at least one dipole component must be nonzero")
 

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DomainError, Geometry, HalfSpace, MaterialResponse,
-                   PerfectLens, SlabWithMirror)
+from .core import (Geometry, HalfSpace, MaterialResponse, PerfectLens,
+                   SlabWithMirror, require_distance)
 from .dispersion import (halfspace_rs_rp, medium_beta1, slab_mirror_rs_rp,
                          vacuum_beta)
-from .quadrature import DEFAULT_SPEC, QuadratureSpec, integrate_evanescent, \
-    integrate_propagating
+from .quadrature import REL_TOL, integrate_evanescent, integrate_propagating
 
 
 @dataclass(frozen=True)
@@ -215,7 +214,7 @@ def _osc_panel_width(z_image: float, geometry) -> float:
 
 
 def green_components(z_A: float, omega: float, geometry: Geometry,
-                     spec: QuadratureSpec = DEFAULT_SPEC, *, xx: bool = True,
+                     rel_tol: float = REL_TOL, *, xx: bool = True,
                      zz: bool = True) -> GreenComponents:
     """G_xx and G_zz at the atom, from one integrand for both sectors.
 
@@ -229,10 +228,8 @@ def green_components(z_A: float, omega: float, geometry: Geometry,
         raise ValueError("green_components needs at least one of xx, zz")
     k0 = omega
     rs_rp, z_offset = _coefficients(geometry, omega)
+    require_distance("z_A", z_A, z_offset)
     z_image = z_A - z_offset
-    if z_image <= 0.0:
-        raise DomainError(f"need z_A > {z_offset} for a decaying integrand, "
-                          f"got z_A = {z_A}")
 
     def rows(q2, b2):
         # b2 = (beta/k0)^2: (beta/k0)^2 on the propagating sector and
@@ -253,9 +250,9 @@ def green_components(z_A: float, omega: float, geometry: Geometry,
         # The engine applies the decay exp(-2 kappa z_image).
         return rows(kappa * kappa + k0 * k0, -(kappa / k0) ** 2)
 
-    res_p = integrate_propagating(prop, k0, spec,
+    res_p = integrate_propagating(prop, k0, rel_tol,
                                   max_panel_width=_osc_panel_width(z_image, geometry))
-    res_e = integrate_evanescent(evan, z_image, spec,
+    res_e = integrate_evanescent(evan, z_image, rel_tol,
                                  breakpoints=_evanescent_breakpoints(geometry, omega)
                                  + _small_kappa_ladder(k0, z_image))
     value = (1j / (8.0 * math.pi)) * res_p.value + (1.0 / (8.0 * math.pi)) * res_e.value

@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass
 
 from .core import (Atom, DegenerateDenominator, DomainError, Geometry,
-                   HalfSpace, MaterialResponse, PerfectLens)
+                   HalfSpace, MaterialResponse, PerfectLens, require_distance)
 from .dispersion import _passive_sqrt
 from .green import green_components
-from .quadrature import DEFAULT_SPEC, QuadratureSpec
+from .quadrature import REL_TOL
 
 # Auto-dispatch threshold in z_A * omega / c: "much greater than 1" made
 # concrete and validated by the asymptotic-agreement tests.
@@ -54,7 +54,7 @@ def _sample(z_A, contributions, method, error, evaluations=0):
 
 
 def potential_numeric(atom: Atom, geometry: Geometry, z_A: float,
-                      spec: QuadratureSpec = DEFAULT_SPEC) -> PotentialSample:
+                      rel_tol: float = REL_TOL) -> PotentialSample:
     """Potential by direct quadrature of the Green-tensor integral."""
     contributions = []
     error = 0.0
@@ -62,7 +62,7 @@ def potential_numeric(atom: Atom, geometry: Geometry, z_A: float,
     for t in atom.transitions:
         # Only the components the dipole weighs are integrated; a skipped
         # one (weight 0) enters the sums below as 0.
-        g = green_components(z_A, t.omega, geometry, spec,
+        g = green_components(z_A, t.omega, geometry, rel_tol,
                              xx=t.d_par_sq > 0.0, zz=t.d_perp_sq > 0.0)
         evaluations += g.evaluations
         g_xx, err_xx = (g.g_xx.real, g.error_xx) if g.g_xx is not None else (0.0, 0.0)
@@ -90,8 +90,7 @@ def potential_nonretarded(atom: Atom, material: MaterialResponse,
     (eps = -1 or mu = -1) raise DegenerateDenominator, and a distance so
     small that the value overflows raises DomainError.
     """
-    if z_A <= 0.0:
-        raise DomainError(f"z_A must be positive, got {z_A}")
+    require_distance("z_A", z_A)
     eps, mu = material.epsilon, material.mu
     _require_nonzero("eps + 1", eps + 1.0)
     _require_nonzero("mu + 1", mu + 1.0)
@@ -127,8 +126,7 @@ def potential_retarded(atom: Atom, material: MaterialResponse,
     so it stays positive where the leading term vanishes (a perpendicular
     dipole, or eps = mu).
     """
-    if z_A <= 0.0:
-        raise DomainError(f"z_A must be positive, got {z_A}")
+    require_distance("z_A", z_A)
     sqrt_eps = _passive_sqrt(material.epsilon)
     sqrt_mu = _passive_sqrt(material.mu)
     den = sqrt_eps + sqrt_mu
@@ -159,10 +157,7 @@ def potential_perfect_lens(atom: Atom, thickness: float,
     Valid for z_A > thickness; diverges toward the focal plane at
     z_A = thickness, where the atom coincides with its image.
     """
-    if z_A <= thickness:
-        raise DomainError(
-            f"closed form requires z_A > thickness (z_A = {z_A}, "
-            f"thickness = {thickness})")
+    require_distance("z_A", z_A, thickness)
     contributions = []
     for t in atom.transitions:
         zt = 2.0 * t.omega * (z_A - thickness)
@@ -176,7 +171,7 @@ def potential_perfect_lens(atom: Atom, thickness: float,
 
 
 def potential_auto(atom: Atom, geometry: Geometry, z_A: float,
-                   spec: QuadratureSpec = DEFAULT_SPEC) -> PotentialSample:
+                   rel_tol: float = REL_TOL) -> PotentialSample:
     """The perfect-lens closed form, the retarded closed form for a half
     space beyond RETARDED_THRESHOLD, quadrature everywhere else; the
     sample's method records the choice."""
@@ -185,4 +180,4 @@ def potential_auto(atom: Atom, geometry: Geometry, z_A: float,
     if (isinstance(geometry, HalfSpace)
             and z_A * atom.omega_min > RETARDED_THRESHOLD):
         return potential_retarded(atom, geometry.material, z_A)
-    return potential_numeric(atom, geometry, z_A, spec)
+    return potential_numeric(atom, geometry, z_A, rel_tol)

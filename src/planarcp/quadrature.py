@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NonDecaying, NotConverged
+from .core import NotConverged, require_distance
 
 # Gauss-Kronrod 7/15 nodes on [-1, 1] and weights. Gauss weights are zero
 # at the Kronrod-only nodes.
@@ -63,25 +63,15 @@ _GK_WG = np.array([
 ])
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budgets for the adaptive engine."""
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-30
-    max_subdivisions: int = 2000
-    tail_cutoff: float = 1e-16
-
-    def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-        if not 0.0 < self.tail_cutoff < 1.0:
-            raise ValueError("tail_cutoff must be in (0, 1)")
-
-
-DEFAULT_SPEC = QuadratureSpec()
+# Default relative tolerance of every integral.
+REL_TOL = 1e-8
+# Absolute error floor, under which a component counts as converged.
+_ABS_TOL = 1e-30
+# Most bisections, and most tail probes, one integral may spend.
+_MAX_SUBDIVISIONS = 2000
+# Relative size below which the evanescent tail counts as negligible
+# (see integrate_evanescent).
+_TAIL_CUTOFF = 1e-16
 
 # Most panels one integrand call evaluates: bounds the node arrays, and so
 # the memory, of one evaluation.
@@ -133,28 +123,35 @@ def _evaluate(f, a: np.ndarray, b: np.ndarray):
     return np.concatenate(values, axis=-1), np.concatenate(errors, axis=-1)
 
 
-def _refine(f, a, b, val, err, evals: int, spec: QuadratureSpec,
+def check_rel_tol(rel_tol: float) -> None:
+    """Raise ValueError unless 0 < rel_tol < inf."""
+    if not 0.0 < rel_tol < math.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+
+
+def _refine(f, a, b, val, err, evals: int, rel_tol: float,
             sector: str) -> IntegralResult:
     """Bisect panels until every component's summed error meets its
-    tolerance; raise NotConverged once max_subdivisions are spent.
+    tolerance; raise NotConverged once _MAX_SUBDIVISIONS are spent.
 
     a, b are the panel edges and val, err their GK15 values and errors as
     returned by _evaluate. Each round sorts the panels by error relative
     to the tolerance (largest first) and bisects the shortest prefix whose
     error exceeds every component's excess over its tolerance.
     """
+    check_rel_tol(rel_tol)
     bisections = 0
     while True:
         total = np.sum(val, axis=-1)
         err_total = np.sum(err, axis=-1)
-        tol = np.maximum(spec.rel_tol * np.abs(total), spec.abs_tol)
+        tol = np.maximum(rel_tol * np.abs(total), _ABS_TOL)
         if np.all(err_total <= tol):
             return _result(total, err_total, evals, True)
-        budget = spec.max_subdivisions - bisections
+        budget = _MAX_SUBDIVISIONS - bisections
         if budget == 0:
             raise NotConverged(
                 f"{sector} integral: error {np.max(err_total):.3e} above "
-                f"tolerance after {spec.max_subdivisions} subdivisions",
+                f"tolerance after {_MAX_SUBDIVISIONS} subdivisions",
                 _result(total, err_total, evals, False))
         scaled = np.reshape(err / tol[..., None], (-1, err.shape[-1]))
         order = np.argsort(-scaled.max(axis=0), kind="stable")
@@ -182,7 +179,7 @@ def _initial_edges(a: float, b: float, max_width: float | None) -> np.ndarray:
 
 
 def integrate_propagating(integrand, beta_max: float,
-                          spec: QuadratureSpec = DEFAULT_SPEC,
+                          rel_tol: float = REL_TOL,
                           max_panel_width: float | None = None) -> IntegralResult:
     """Integrate a vectorized integrand over beta in (0, beta_max].
 
@@ -195,36 +192,35 @@ def integrate_propagating(integrand, beta_max: float,
     edges = _initial_edges(0.0, beta_max, max_panel_width)
     a, b = edges[:-1], edges[1:]
     val, err = _evaluate(integrand, a, b)
-    return _refine(integrand, a, b, val, err, 15 * len(a), spec, "propagating")
+    return _refine(integrand, a, b, val, err, 15 * len(a), rel_tol, "propagating")
 
 
 def integrate_evanescent(integrand, z_decay: float,
-                         spec: QuadratureSpec = DEFAULT_SPEC,
+                         rel_tol: float = REL_TOL,
                          breakpoints=()) -> IntegralResult:
     """Integrate integrand(kappa) * exp(-2 kappa z_decay) over kappa > 0.
 
     The decay factor is applied here; the caller supplies only the
     bounded prefactor. Truncation starts at the point where the bare
-    exponential reaches tail_cutoff and is pushed outward until the last
+    exponential reaches _TAIL_CUTOFF and is pushed outward until the last
     appended panel is a negligible fraction of the running total (this
     covers integrands whose own growth delays the decay, e.g. amplified
     evanescent waves of a weakly absorbing left-handed slab). The first
     _TAIL_PANELS panels past that point are evaluated with the initial
     ones, since a prefactor growing like kappa^2 keeps the first of them
-    above tail_cutoff; refinement starts from the values of all of them
+    above _TAIL_CUTOFF; refinement starts from the values of all of them
     and of any further tail probes.
 
     breakpoints are extra panel edges, used to pin near-singular features
     (surface-plasmon or guided-mode resonances of weakly lossy media)
     that uniform panels would step over without noticing.
     """
-    if z_decay <= 0.0:
-        raise NonDecaying(f"need z_decay > 0 for convergence, got {z_decay}")
+    require_distance("z_decay", z_decay)
 
     def f(kappa):
         return np.asarray(integrand(kappa), dtype=complex) * np.exp(-2.0 * kappa * z_decay)
 
-    kappa0 = -math.log(spec.tail_cutoff) / (2.0 * z_decay)
+    kappa0 = -math.log(_TAIL_CUTOFF) / (2.0 * z_decay)
     width = 1.0 / (2.0 * z_decay)
     step = max(kappa0 / 4.0, width)
     edges = np.concatenate((_initial_edges(0.0, kappa0, width),
@@ -242,9 +238,9 @@ def integrate_evanescent(integrand, z_decay: float,
     while True:
         running = np.sum(val, axis=-1)
         if np.all(np.abs(val[..., -1])
-                  <= spec.tail_cutoff * np.maximum(np.abs(running), spec.abs_tol)):
+                  <= _TAIL_CUTOFF * np.maximum(np.abs(running), _ABS_TOL)):
             break
-        if extensions == spec.max_subdivisions:
+        if extensions == _MAX_SUBDIVISIONS:
             raise NotConverged(
                 "evanescent tail still contributing after "
                 f"{extensions} extensions (kappa ~ {b[-1]:.3e})",
@@ -257,4 +253,4 @@ def integrate_evanescent(integrand, z_decay: float,
         evals += 15
         extensions += 1
 
-    return _refine(f, a, b, val, err, evals, spec, "evanescent")
+    return _refine(f, a, b, val, err, evals, rel_tol, "evanescent")

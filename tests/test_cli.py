@@ -272,10 +272,19 @@ class TestConfigHandling:
         ["sweep", "--workers", "-1"],
         ["sweep", "--geometry", "slab-mirror", "--thickness", "0.5",
          "--zmin", "1", "--zmax", "2", "--method", "closed-form"],  # slab has none
+        ["sweep", "--geometry", "foo"],  # rejected by the argument parser
+        ["sweep", "--points", "abc"],
+        ["sweep", "--no-such-flag"],
+        ["sweep", "--rel-tol", "nan"],
+        ["sweep", "--rel-tol", "0"],
+        ["sweep", "--dipole", "mixed", "--w-par", "nan"],
     ])
-    def test_config_errors_exit_1(self, tmp_path, args):
+    def test_config_errors_exit_1(self, tmp_path, args, capsys):
         code, _ = run(tmp_path, *args)
+        err = capsys.readouterr().err
         assert code == 1
+        assert err.startswith("planarcp: error: ")
+        assert "Traceback" not in err and "green_components" not in err
 
     @pytest.mark.parametrize("values", [
         {"points": "ten"},

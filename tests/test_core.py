@@ -61,6 +61,13 @@ class TestTransition:
         with pytest.raises(ValueError):
             Transition(1.0, -0.5, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_dipole(self, bad):
+        with pytest.raises(ValueError):
+            Transition(1.0, bad, 0.0)
+        with pytest.raises(ValueError):
+            Transition(1.0, 1.0, bad)
+
     def test_atom_needs_transitions(self):
         with pytest.raises(ValueError):
             Atom([])

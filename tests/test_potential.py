@@ -8,7 +8,8 @@ import pytest
 from planarcp import (Atom, DegenerateDenominator, DomainError, HalfSpace,
                       PerfectLens,
                       PotentialMethod, SlabWithMirror, Transition, VACUUM,
-                      green_components, potential_auto, potential_nonretarded, potential_numeric,
+                      green_components, integrate_evanescent, potential_auto,
+                      potential_nonretarded, potential_numeric,
                       potential_perfect_lens, potential_retarded,
                       validate_material)
 from oracle import simpson_potential
@@ -18,6 +19,32 @@ PERP = Atom([Transition(1.0, 0.0, 1.0)])
 MIXED = Atom([Transition(1.0, 0.6, 0.4)])
 TWO_LEVEL_MIXED = Atom([Transition(0.7, 0.6, 0.4), Transition(1.9, 0.3, 0.7)])
 LENS_SLAB = SlabWithMirror(validate_material(-1 + 1e-4j, -1 + 1e-4j), 5.0)
+
+HALF = HalfSpace(validate_material(2 + 0.1j, 1))
+
+
+# Each entry point that takes a distance, called at z above the floor the
+# distance must exceed: 0, or the perfect lens's thickness 0.5.
+DISTANCE_ENTRY_POINTS = {
+    "green_components": lambda z: green_components(z, 1.0, HALF),
+    "green_components_lens": lambda z: green_components(z + 0.5, 1.0, PerfectLens(0.5)),
+    "integrate_evanescent": lambda z: integrate_evanescent(lambda k: k + 0j, z),
+    "nonretarded": lambda z: potential_nonretarded(MIXED, HALF.material, z),
+    "retarded": lambda z: potential_retarded(MIXED, HALF.material, z),
+    "perfect_lens": lambda z: potential_perfect_lens(MIXED, 0.5, z + 0.5),
+    "numeric": lambda z: potential_numeric(MIXED, HALF, z),
+    "auto": lambda z: potential_auto(MIXED, HALF, z),
+    "auto_lens": lambda z: potential_auto(MIXED, PerfectLens(0.5), z + 0.5),
+}
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("entry", sorted(DISTANCE_ENTRY_POINTS))
+def test_distance_outside_domain_raises(entry, z):
+    # A nan or infinite distance raises at once: no nan result, and no
+    # subdivision budget spent on an integrand of nan.
+    with pytest.raises(DomainError):
+        DISTANCE_ENTRY_POINTS[entry](z)
 
 
 class TestNumeric:

@@ -6,21 +6,18 @@ import math
 import numpy as np
 import pytest
 
-from planarcp import (IntegralResult, NonDecaying, NotConverged,
-                      QuadratureSpec, integrate_evanescent,
-                      integrate_propagating)
+from planarcp import (DomainError, IntegralResult, NotConverged,
+                      integrate_evanescent, integrate_propagating)
+from planarcp.quadrature import _MAX_SUBDIVISIONS
 
 
 class TestSpecValidation:
     def test_rejects_bad_tolerances(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(abs_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(tail_cutoff=1.5)
+        for rel_tol in (0.0, -1e-8, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                integrate_propagating(lambda b: b + 0j, 1.0, rel_tol)
+            with pytest.raises(ValueError):
+                integrate_evanescent(lambda k: k + 0j, 1.0, rel_tol)
 
 
 class TestPropagating:
@@ -51,30 +48,29 @@ class TestPropagating:
 
     def test_not_converged_carries_partial_result(self):
         # A needle the subdivision budget cannot resolve.
-        spec = QuadratureSpec(rel_tol=1e-14, max_subdivisions=2)
 
         def needle(b):
             return 1.0 / ((b - 0.331) ** 2 + 1e-14)
 
         with pytest.raises(NotConverged) as exc_info:
-            integrate_propagating(needle, 1.0, spec)
+            integrate_propagating(needle, 1.0, 1e-14)
         partial = exc_info.value.result
         assert isinstance(partial, IntegralResult)
         assert not partial.converged
         assert partial.error_estimate > 0.0
         # One initial panel; each bisection adds two 15-node panels.
-        assert partial.evaluations <= 15 * (1 + 2 * spec.max_subdivisions)
+        assert partial.evaluations <= 15 * (1 + 2 * _MAX_SUBDIVISIONS)
 
     def test_budget_caps_bisections_of_many_panels(self):
-        # Every one of 64 panels is above tolerance, so a batched round
-        # would bisect far more than the budget allows.
-        spec = QuadratureSpec(rel_tol=1e-15, max_subdivisions=5)
+        # Each of 4096 panels holds several jumps of a square wave, so all
+        # are above tolerance and one batched round would bisect more
+        # than the budget allows.
         with pytest.raises(NotConverged) as exc_info:
-            integrate_propagating(lambda b: np.exp(200j * b) / (b + 1e-3), 1.0,
-                                  spec, max_panel_width=1.0 / 64)
+            integrate_propagating(lambda b: np.sign(np.sin(1e5 * b)) + 0j, 1.0,
+                                  1e-15, max_panel_width=1.0 / 4096)
         partial = exc_info.value.result
         assert not partial.converged
-        assert partial.evaluations == 15 * (64 + 2 * spec.max_subdivisions)
+        assert partial.evaluations == 15 * (4096 + 2 * _MAX_SUBDIVISIONS)
 
 
 class TestVectorIntegrand:
@@ -105,7 +101,7 @@ class TestEvanescent:
         assert integrate_evanescent(np.ones_like, 0.5).evaluations == 585
 
     def test_tail_panels_in_first_call(self):
-        # A kappa^2 prefactor keeps the first tail panel above tail_cutoff;
+        # A kappa^2 prefactor keeps the first tail panel above _TAIL_CUTOFF;
         # the two up-front tail panels make it one integrand call in all.
         # int_0^inf (kappa^2 + 1) exp(-2 kappa z) dkappa = 2/(2z)^3 + 1/(2z).
         calls = []
@@ -153,9 +149,9 @@ class TestEvanescent:
                                                rel=1e-3)
 
     def test_requires_decay(self):
-        with pytest.raises(NonDecaying):
+        with pytest.raises(DomainError):
             integrate_evanescent(lambda k: k, 0.0)
-        with pytest.raises(NonDecaying):
+        with pytest.raises(DomainError):
             integrate_evanescent(lambda k: k, -1.0)
 
 
