@@ -1,9 +1,13 @@
 # src/planarcp/dispersion.py
 """Longitudinal wavenumbers and reflection coefficients for planar media.
 
-Every function accepts scalars or numpy arrays of the transverse
-wavenumber q (or of the wavenumbers computed from it). Natural units
-(c = 1): the vacuum wavenumber is k0 = omega.
+Every function accepts scalars or numpy arrays. The real-axis route of
+the Green module passes the transverse wavenumber q to vacuum_beta and
+medium_beta1; the steepest-descent route passes the complex vacuum
+wavenumber beta = k0 + i t to beta1_of_beta, which continues the
+in-medium wavenumber analytically off the real q axis. Both feed the
+same reflection coefficients. Natural units (c = 1): the vacuum
+wavenumber is k0 = omega.
 """
 
 from __future__ import annotations
@@ -57,6 +61,25 @@ def medium_beta1(q, omega, material: MaterialResponse):
     q = np.asarray(q, dtype=float)
     w = material.epsilon * material.mu * omega ** 2 - q * q
     return _passive_sqrt(w, _i0_sign(material))
+
+
+def beta1_of_beta(beta, omega, material: MaterialResponse):
+    """In-medium wavenumber sqrt(beta^2 + (eps mu - 1) omega^2), Im >= 0,
+    as a function of the vacuum one.
+
+    For beta with Im beta >= 0 (the real-q axis and the path
+    Re beta = omega) this is medium_beta1 continued off the real q axis,
+    with the same i0+ choice for a real radicand. Where that root is beta
+    itself (eps mu = 1 with a positive i0+ direction, vacuum among them)
+    it returns beta bit for bit: sqrt(beta^2) rounds, which would leave
+    the vacuum a nonzero r_s of order 1e-16.
+    """
+    beta = np.asarray(beta, dtype=complex)
+    shift = (material.epsilon * material.mu - 1.0) * omega ** 2
+    i0_sign = _i0_sign(material)
+    if shift != 0.0 or i0_sign < 0.0:
+        return _passive_sqrt(beta * beta + shift, i0_sign)
+    return beta[()] if beta.ndim == 0 else beta
 
 
 def _ratio(num, den, what: str):

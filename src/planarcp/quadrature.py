@@ -1,14 +1,24 @@
 # src/planarcp/quadrature.py
 """Deterministic adaptive quadrature for the layered-media q-integral.
 
-The semi-infinite integral is evaluated in two pieces after the standard
-variable changes that remove the 1/beta endpoint singularity:
+The Green module takes one of two routes (see green.py), and both end
+in the two entry points here:
+
+- steepest-descent path, where a certificate says the strip
+  0 < Re beta < omega/c holds no singularity (half spaces with
+  Im(eps mu) > 0 or real eps mu of the right i0+ direction, and the
+  perfect lens): beta = omega/c + i t, one integrate_evanescent call in t
+  with the decay exp(-2 t z);
+- real axis, every other geometry: the semi-infinite q-integral in two
+  pieces, after the standard variable changes that remove the 1/beta
+  endpoint singularity:
 
   propagating  q in [0, omega/c):  beta = sqrt(omega^2/c^2 - q^2),
                q dq = -beta dbeta  ->  plain dbeta integral on (0, omega/c]
+               (integrate_propagating)
   evanescent   q > omega/c:        beta = i kappa,
                q dq = kappa dkappa ->  dkappa integral with decay
-               exp(-2 kappa z)
+               exp(-2 kappa z) (integrate_evanescent)
 
 Each panel is estimated with an embedded Gauss(7)/Kronrod(15) pair.
 Refinement is vectorised in the manner of Shampine's quadgk (J. Comput.
@@ -21,17 +31,20 @@ meet its own tolerance. Everything is deterministic: identical inputs
 give bit-identical results.
 
 Since each round is one integrand call, cost follows the number of
-rounds. The evanescent sector's first call therefore holds, besides the
+rounds. integrate_evanescent's first call therefore holds, besides the
 uniform initial panels and the caller's breakpoints (the Green module
-passes a ladder k0/8, k0/4, ... that resolves the small-kappa scale at
-short distances), the first _TAIL_PANELS tail panels; further tail
-panels are probed one per call only while the last is not negligible.
+passes a ladder k0/8, k0/4, ... that resolves the small-kappa, or
+small-t, scale at short distances), the first _TAIL_PANELS tail panels;
+further tail panels are probed one per call only while the last is not
+negligible. Each result keeps its final panel values, whose |values|
+sum to the magnitude from which a caller can floor its error at the
+round-off of the sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,18 +98,29 @@ _TAIL_PANELS = 2
 @dataclass(frozen=True)
 class IntegralResult:
     """value and error_estimate are scalars for an integrand returning
-    shape (N,), and arrays of shape (m,) for one returning (m, N)."""
+    shape (N,), and arrays of shape (m,) for one returning (m, N).
+    panel_values holds the final panels' GK15 values, panel axis last."""
 
     value: complex | np.ndarray
     error_estimate: float | np.ndarray
     evaluations: int
     converged: bool
+    panel_values: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def magnitude(self) -> float | np.ndarray:
+        """Sum of the panels' |values|, the integral of |f| at panel
+        resolution: the scale of the round-off in the summed value, which
+        the Kronrod-Gauss difference does not see. Computed on request, so
+        callers that do not floor their error do not pay for it."""
+        m = np.sum(np.abs(self.panel_values), axis=-1)
+        return float(m) if np.ndim(m) == 0 else m
 
 
-def _result(total, err_total, evals: int, converged: bool) -> IntegralResult:
+def _result(total, err_total, evals: int, converged: bool, val) -> IntegralResult:
     if np.ndim(total) == 0:
         total, err_total = complex(total), float(err_total)
-    return IntegralResult(total, err_total, evals, converged)
+    return IntegralResult(total, err_total, evals, converged, val)
 
 
 def _evaluate(f, a: np.ndarray, b: np.ndarray):
@@ -146,13 +170,13 @@ def _refine(f, a, b, val, err, evals: int, rel_tol: float,
         err_total = np.sum(err, axis=-1)
         tol = np.maximum(rel_tol * np.abs(total), _ABS_TOL)
         if np.all(err_total <= tol):
-            return _result(total, err_total, evals, True)
+            return _result(total, err_total, evals, True, val)
         budget = _MAX_SUBDIVISIONS - bisections
         if budget == 0:
             raise NotConverged(
                 f"{sector} integral: error {np.max(err_total):.3e} above "
                 f"tolerance after {_MAX_SUBDIVISIONS} subdivisions",
-                _result(total, err_total, evals, False))
+                _result(total, err_total, evals, False, val))
         scaled = np.reshape(err / tol[..., None], (-1, err.shape[-1]))
         order = np.argsort(-scaled.max(axis=0), kind="stable")
         excess = np.reshape(err_total / tol - 1.0, (-1, 1))
@@ -244,7 +268,8 @@ def integrate_evanescent(integrand, z_decay: float,
             raise NotConverged(
                 "evanescent tail still contributing after "
                 f"{extensions} extensions (kappa ~ {b[-1]:.3e})",
-                _result(running, np.full(np.shape(running), np.inf), evals, False))
+                _result(running, np.full(np.shape(running), np.inf), evals, False,
+                        val))
         lo, hi = b[-1:], b[-1:] + step
         probe_val, probe_err = _evaluate(f, lo, hi)
         a, b = np.concatenate((a, lo)), np.concatenate((b, hi))

@@ -57,15 +57,16 @@ def _reflections(geometry, q, omega):
     raise TypeError(f"unsupported geometry {geometry!r}")
 
 
-def simpson_green(z_A: float, omega: float, geometry,
-                  spec: OracleSpec = DEFAULT_ORACLE):
-    """(g_xx, g_zz) by composite Simpson in normalized units (c = 1).
+def _simpson_sectors(z_A: float, omega: float, geometry, spec: OracleSpec):
+    """(g, roundoff): g = [g_xx, g_zz] by composite Simpson in normalized
+    units (c = 1), and the rounding scale sqrt(n) eps_mach sum |w_i f_i|
+    of the two sectors' sums, per component.
 
-    Same variable split as the production engine (that split is forced by
-    the endpoint singularity, not a design choice): a beta integral over
-    the propagating sector and a kappa integral over the evanescent one,
-    the latter truncated where exp(-2 kappa z_decay) reaches 1e-16 times
-    a safety factor.
+    Same variable split as the production engine's real-axis route (that
+    split is forced by the endpoint singularity, not a design choice): a
+    beta integral over the propagating sector and a kappa integral over
+    the evanescent one, the latter truncated where exp(-2 kappa z_decay)
+    reaches 1e-16 times a safety factor.
     """
     k0 = omega  # c = 1
     z_decay = z_A - (geometry.thickness
@@ -85,10 +86,8 @@ def simpson_green(z_A: float, omega: float, geometry,
     q = k0 * np.cos(theta)
     r_s, r_p = _reflections(geometry, q, omega)
     phase = np.exp(2j * beta * z_A)
-    fxx_p = jac * phase * (r_s - (beta / k0) ** 2 * r_p)
-    fzz_p = jac * phase * 2.0 * ((q / k0) ** 2) * r_p
-    ixx_p = simpson(fxx_p, x=theta)
-    izz_p = simpson(fzz_p, x=theta)
+    f_p = jac * phase * np.array([r_s - (beta / k0) ** 2 * r_p,
+                                  2.0 * ((q / k0) ** 2) * r_p])
 
     # Evanescent sector: kappa in (0, kappa_max].
     kappa_max = spec.kappa_max_factor * (-math.log(1e-16)) / (2.0 * z_decay)
@@ -103,29 +102,44 @@ def simpson_green(z_A: float, omega: float, geometry,
     else:
         r_s, r_p = _reflections(geometry, q, omega)
         decay = np.exp(-2.0 * kappa * z_A)
-    fxx_e = decay * (r_s + (kappa / k0) ** 2 * r_p)
-    fzz_e = decay * 2.0 * ((kappa * kappa + k0 * k0) / (k0 * k0)) * r_p
-    ixx_e = simpson(fxx_e, x=kappa)
-    izz_e = simpson(fzz_e, x=kappa)
+    f_e = decay * np.array([r_s + (kappa / k0) ** 2 * r_p,
+                            2.0 * ((kappa * kappa + k0 * k0) / (k0 * k0)) * r_p])
 
-    g_xx = (1j * ixx_p + ixx_e) / (8.0 * math.pi)
-    g_zz = (1j * izz_p + izz_e) / (8.0 * math.pi)
+    g = (1j * simpson(f_p, x=theta) + simpson(f_e, x=kappa)) / (8.0 * math.pi)
+    # Simpson's weights are positive, so sum |w_i f_i| is the rule applied
+    # to |f|; summing n terms rounds like a random walk of sqrt(n) steps.
+    # A phase exp(2i beta z_A) of 2 z_A k0 radians makes the propagating
+    # sum cancel by up to that factor, which its n-vs-n/2 difference
+    # cannot see.
+    magnitude = simpson(np.abs(f_p), x=theta) + simpson(np.abs(f_e), x=kappa)
+    roundoff = math.sqrt(n) * np.finfo(float).eps * magnitude / (8.0 * math.pi)
+    return g, roundoff
+
+
+def simpson_green(z_A: float, omega: float, geometry,
+                  spec: OracleSpec = DEFAULT_ORACLE):
+    """(g_xx, g_zz) by composite Simpson in normalized units (c = 1)."""
+    (g_xx, g_zz), _ = _simpson_sectors(z_A, omega, geometry, spec)
     return g_xx, g_zz
 
 
 def simpson_green_with_error(z_A: float, omega: float, geometry,
                              spec: OracleSpec = DEFAULT_ORACLE):
     """(g_xx, g_zz, err_xx, err_zz): values plus the reference's own
-    resolution error, estimated by comparing against a half-resolution
-    grid. Needed because in-medium branch-point kinks degrade the uniform
-    grid at small z_A; without this bound the reference's error would be
-    billed to the adaptive engine in cross-checks.
+    error: the resolution error, estimated by comparing against a
+    half-resolution grid, plus the round-off of the full grid's sums.
+    Needed because in-medium branch-point kinks degrade the uniform grid
+    at small z_A, and because at large z_A the sums of a million
+    oscillating terms round at 1e-18 to 1e-16, far above the engine's
+    error there; without this bound the reference's error would be billed
+    to the adaptive engine in cross-checks.
     """
-    g_xx, g_zz = simpson_green(z_A, omega, geometry, spec)
+    g, roundoff = _simpson_sectors(z_A, omega, geometry, spec)
     half = OracleSpec(nodes=max(spec.nodes // 2, 1000),
                       kappa_max_factor=spec.kappa_max_factor)
-    h_xx, h_zz = simpson_green(z_A, omega, geometry, half)
-    return g_xx, g_zz, abs(g_xx - h_xx), abs(g_zz - h_zz)
+    h, _ = _simpson_sectors(z_A, omega, geometry, half)
+    err = np.abs(g - h) + roundoff
+    return g[0], g[1], err[0], err[1]
 
 
 def quad_vec_green(z_A: float, omega: float, geometry, rel_tol: float = 1e-12):
@@ -134,10 +148,13 @@ def quad_vec_green(z_A: float, omega: float, geometry, rel_tol: float = 1e-12):
     An adaptive reference that shares no panel layout with the engine:
     GK21 panels chosen by QUADPACK's own rules, the evanescent sector on
     (0, inf) through scipy's change of variables, and the propagating one
-    in the same beta = k0 sin(theta) variable as simpson_green. Half
-    spaces and mirror-backed slabs only. error bounds both components.
+    in the same beta = k0 sin(theta) variable as simpson_green. The
+    perfect lens is integrated as its closed coefficients with the decay
+    folded in, as in simpson_green. error bounds both components.
     """
     k0 = omega
+    lens = isinstance(geometry, PerfectLens)
+    z_decay = z_A - geometry.thickness if lens else z_A
 
     def parts(v):
         return np.concatenate((v.real, v.imag))
@@ -151,8 +168,8 @@ def quad_vec_green(z_A: float, omega: float, geometry, rel_tol: float = 1e-12):
 
     def evan(kappa):
         q = math.sqrt(kappa * kappa + k0 * k0)
-        r_s, r_p = _reflections(geometry, q, omega)
-        return parts(math.exp(-2.0 * kappa * z_A)
+        r_s, r_p = (-1.0, 1.0) if lens else _reflections(geometry, q, omega)
+        return parts(math.exp(-2.0 * kappa * z_decay)
                      * np.array([r_s + (kappa / k0) ** 2 * r_p,
                                  2.0 * (q / k0) ** 2 * r_p]))
 

@@ -105,6 +105,50 @@ class TestSweep:
         assert "1/3 points failed" in err
         assert out.read_text().splitlines()[-3].endswith(",nan,inf,failed")
 
+    @staticmethod
+    def values(out):
+        return [(float(row.split(",")[1]), row.split(",")[3])
+                for row in out.read_text().splitlines()[3:]]
+
+    @pytest.mark.parametrize("eps_re,mu_re", [
+        # The surface plasmon lies on the real q axis but off the
+        # steepest-descent path, which gives the i0+ answer directly; the
+        # path's error is linear in the loss, so 1e-9 of it is the limit.
+        ("-2", "1"),
+        # eps mu = 4 with a negative i0+ direction is not certified for the
+        # path; the real axis holds no pole and gives the limit as well.
+        ("-2", "-2"),
+    ])
+    def test_lossless_half_space_is_the_lossy_limit(self, tmp_path, eps_re, mu_re):
+        args = ["sweep", "--geometry", "halfspace", "--eps-re", eps_re,
+                "--mu-re", mu_re, "--zmin", "0.05", "--zmax", "5",
+                "--points", "4", "--workers", "1", "--reproducible"]
+        code, out = run(tmp_path, *args, "--eps-im", "0", "--mu-im", "0",
+                        name="a.csv")
+        code_lossy, lossy = run(tmp_path, *args, "--eps-im", "1e-9",
+                                "--mu-im", "1e-9" if mu_re == "-2" else "0",
+                                name="b.csv")
+        assert (code, code_lossy) == (0, 0)
+        rows, lossy_rows = self.values(out), self.values(lossy)
+        assert len(rows) == 4
+        for (u, method), (u_lossy, _) in zip(rows, lossy_rows):
+            assert math.isfinite(u) and method == "numeric"
+            assert abs(u - u_lossy) <= 1e-8 * abs(u_lossy)
+
+    def test_lossless_uncertified_surface_mode_fails_rows(self, tmp_path, capsys):
+        # eps = -3, mu = -0.5: eps mu = 1.5 > 0 with a negative i0+
+        # direction keeps the real axis, where the lossless s-polarised
+        # surface mode is a pole the engine cannot integrate through.
+        code, out = run(tmp_path, "sweep", "--geometry", "halfspace",
+                        "--eps-re", "-3", "--eps-im", "0", "--mu-re", "-0.5",
+                        "--mu-im", "0", "--zmin", "0.05", "--zmax", "5",
+                        "--points", "3", "--workers", "1")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert "3/3 points failed" in err
+        assert all(line.endswith(",nan,inf,failed")
+                   for line in out.read_text().splitlines()[-3:])
 
     def test_pool_never_larger_than_points(self, tmp_path, monkeypatch):
         # A fake pool that records its size and runs the jobs in this
@@ -187,6 +231,18 @@ class TestJsonNonFinite:
 
 
 class TestCompare:
+    def test_readme_compare_out_to_far_field(self, tmp_path, capsys):
+        # README's compare example taken to z = 1e5: the real-axis
+        # propagating sector did not converge for z >= 9.4e3, the path
+        # costs the same at every distance.
+        code, out = run(tmp_path, "compare", "--eps-re", "2", "--eps-im", "1e-3",
+                        "--zmin", "1e-3", "--zmax", "1e5", "--points", "40")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 40
+        assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
+
     def test_halfspace_columns(self, tmp_path):
         code, out = run(tmp_path, "compare", "--eps-re", "2", "--eps-im",
                         "1e-3", "--zmin", "1e-3", "--zmax", "100",

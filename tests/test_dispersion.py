@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from planarcp import (DegenerateDenominator, PerfectLens, SlabWithMirror,
                       Transition, VACUUM, validate_material)
-from planarcp.dispersion import (halfspace_rs_rp, medium_beta1,
+from planarcp.dispersion import (beta1_of_beta, halfspace_rs_rp, medium_beta1,
                                  slab_mirror_rs_rp, vacuum_beta)
 
 
@@ -103,6 +103,34 @@ class TestWaveNumbers:
         assert b[2] == pytest.approx(1j * math.sqrt(3.0))
         b1 = medium_beta1(q, 1.0, validate_material(2 + 0.1j, 1))
         assert b1.shape == (3,)
+
+
+class TestWaveNumberOfBeta:
+    """beta1 as a function of the vacuum beta, for the path beta = k0 + i t."""
+
+    PATH = 1.0 + 1j * np.array([0.0, 1e-9, 0.3, 1.0, 7.0, 1e4])
+
+    def test_vacuum_is_beta_bit_for_bit(self):
+        beta1 = beta1_of_beta(self.PATH, 1.0, VACUUM)
+        assert np.array_equal(beta1, self.PATH)
+        assert beta1_of_beta(1.0 + 0.5j, 1.0, VACUUM) == 1.0 + 0.5j
+
+    @pytest.mark.parametrize("eps,mu", [
+        (2 + 0.1j, 1), (-3 + 1e-3j, 2 + 0.5j), (0.5, 3), (-2, 1), (-1, -1),
+        (-1 + 1e-3j, -1 + 1e-3j)])
+    def test_matches_medium_beta1_on_real_q_axis(self, eps, mu):
+        m = validate_material(eps, mu)
+        q = np.linspace(0.0, 10.0, 41)
+        beta, beta1 = betas(q, m)
+        assert np.allclose(beta1_of_beta(beta, 1.0, m), beta1, rtol=1e-12,
+                           atol=1e-12)
+
+    def test_upper_half_plane_on_path(self):
+        for m in (validate_material(2 + 0.1j, 1), validate_material(-6, 0.5),
+                  validate_material(-1 + 0.1j, -1 + 0.1j)):
+            beta1 = beta1_of_beta(self.PATH, 1.0, m)
+            assert np.all(beta1.imag >= 0.0)
+            assert np.allclose(beta1 ** 2, self.PATH ** 2 + m.epsilon * m.mu - 1.0)
 
 
 class TestHalfSpaceReflection:

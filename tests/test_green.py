@@ -5,11 +5,12 @@ dense-grid reference."""
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from planarcp import (DomainError, HalfSpace, PerfectLens, SlabWithMirror,
                       VACUUM, green_components, validate_material)
 import planarcp.green
-from planarcp.green import _evanescent_breakpoints
+from planarcp.green import _coefficients, _evanescent_breakpoints
 from oracle import quad_vec_green, simpson_green
 
 LENS_SLAB = SlabWithMirror(validate_material(-1 + 1e-4j, -1 + 1e-4j), 5.0)
@@ -169,24 +170,90 @@ class TestAgainstReference:
             honest += ok_xx and ok_zz
         assert honest >= 0.95 * len(oracle_suite.cases)
 
+    # (index into oracle_suite.cases, G_xx, G_zz) to 30 digits; see below.
+    PINNED = (
+        (0, "8.23334034884451514561323979827e-5-8.01570083029646692993305210194e-5j",
+         "1.06419818022986023870181783614e-6+1.20574850617076175146855870769e-6j"),
+        (4, "7.92824425964379849195213856357e-4-3.78344193817225517122407510564e-3j",
+         "8.53355550989851317754308908233e-4+1.15238921266914703085269616153e-4j"),
+        (12, "-1.857905479599408776829162466e-4-1.85553950589046892212464279554e-4j",
+         "1.4168362753674567425685200547e-5-9.48500881125759106321360478474e-6j"),
+    )
+
+    def test_thirty_digit_values(self, oracle_suite):
+        """The engine and the Simpson reference, each within its own
+        claimed error of 30-digit values, on three suite cases with
+        z_A omega/c = 71.9, 3.93 and 16.1.
+
+        The values are the path integral, exact by Cauchy's theorem for
+        these lossy half spaces, made with mpmath 1.3 by
+
+            python - <<'EOF'
+            import mpmath as mp
+            mp.mp.dps = 30
+            def green(eps, mu, z):  # eps, mu, z as in oracle_suite.cases
+                eps, mu, z = mp.mpc(eps), mp.mpc(mu), mp.mpf(z)
+                def f(t, zz):
+                    b = 1 + 1j * t
+                    b1 = mp.sqrt(b * b + eps * mu - 1)
+                    b1 = -b1 if mp.im(b1) < 0 else b1
+                    rs = (mu * b - b1) / (mu * b + b1)
+                    rp = (eps * b - b1) / (eps * b + b1)
+                    r = 2 * (1 - b * b) * rp if zz else rs - b * b * rp
+                    return r * mp.exp(-2 * t * z)
+                cuts = [0] + [c / z for c in (0.5, 2, 8, 32)] + [mp.inf]
+                return [mp.nstr(mp.exp(2j * z) * mp.quad(lambda t: f(t, zz), cuts)
+                                / (8 * mp.pi), 30) for zz in (0, 1)]
+            EOF
+
+        and agree with the cuts (1, 4, 16) to all 30 digits. At these
+        distances the reference's sums of 5e5 oscillating terms round at
+        about 2e-17, above the engine's claims, which is why its error
+        carries a round-off term.
+        """
+        for index, exact_xx, exact_zz in self.PINNED:
+            _, _, _, engine, ref_xx, ref_zz, oerr_xx, oerr_zz = \
+                oracle_suite.cases[index]
+            exact_xx, exact_zz = complex(exact_xx), complex(exact_zz)
+            assert abs(engine.g_xx - exact_xx) <= engine.error_xx
+            assert abs(engine.g_zz - exact_zz) <= engine.error_zz
+            assert abs(ref_xx - exact_xx) <= oerr_xx
+            assert abs(ref_zz - exact_zz) <= oerr_zz
+
 
 class TestSmallDistance:
-    """The evanescent sector's first engine call covers the small-kappa
+    """Each route's first engine call covers the small-kappa (or small-t)
     scale k0 and the first tail panels, so short distances take few
     rounds and stay within their stated error."""
 
-    def test_few_rounds_at_short_distance(self, monkeypatch):
+    @staticmethod
+    def count_calls(monkeypatch, name):
         calls = []
-        real = planarcp.green.medium_beta1
+        real = getattr(planarcp.green, name)
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(planarcp.green, "medium_beta1", counted)
+        monkeypatch.setattr(planarcp.green, name, counted)
+        return calls
+
+    def test_few_rounds_at_short_distance(self, monkeypatch):
+        # A certified half space takes the path: one beta1_of_beta call
+        # per engine round, and the real-axis wavenumber is never asked.
+        path = self.count_calls(monkeypatch, "beta1_of_beta")
+        axis = self.count_calls(monkeypatch, "medium_beta1")
         green_components(1e-2, 1.0, HalfSpace(validate_material(2 + 0.1j, 1)))
-        # One call per engine round of either sector.
-        assert len(calls) <= 4
+        assert (len(path), len(axis)) == (1, 0)
+
+    def test_few_rounds_at_short_distance_real_axis(self, monkeypatch):
+        # Im(eps mu) < 0 keeps the real-axis route: one medium_beta1 call
+        # per engine round of either sector, three of them propagating.
+        path = self.count_calls(monkeypatch, "beta1_of_beta")
+        axis = self.count_calls(monkeypatch, "medium_beta1")
+        green_components(1e-2, 1.0,
+                         HalfSpace(validate_material(-1 + 0.1j, -1 + 0.1j)))
+        assert (len(path), len(axis)) == (0, 4)
 
     @pytest.mark.parametrize("z", [1e-3, 1e-2, 0.1, 1.0, 5.0])
     @pytest.mark.parametrize("geometry", [
@@ -199,3 +266,65 @@ class TestSmallDistance:
         ref_xx, ref_zz, ref_err = quad_vec_green(z, 1.0, geometry)
         assert abs(g.g_xx - ref_xx) <= g.error_xx + ref_err
         assert abs(g.g_zz - ref_zz) <= g.error_zz + ref_err
+
+
+def on_path(geometry) -> bool:
+    return _coefficients(geometry, 1.0)[2]
+
+
+class TestSteepestDescentPath:
+    """The route through Re beta = k0, taken where the quarter strip
+    0 < Re beta < k0 is certified free of singularities."""
+
+    @pytest.mark.parametrize("geometry,expected", [
+        (PerfectLens(5.0), True),
+        (HalfSpace(VACUUM), True),
+        (HalfSpace(validate_material(2 + 0.1j, 1)), True),
+        (HalfSpace(validate_material(-3 + 1e-3j, 1)), True),
+        (HalfSpace(validate_material(1, -3 + 1e-3j)), True),
+        (HalfSpace(validate_material(-2, 1)), True),       # eps mu <= 0
+        (HalfSpace(validate_material(0.5, 3)), True),      # i0+ direction > 0
+        (HalfSpace(validate_material(-2, -2)), False),     # i0+ direction < 0
+        (HalfSpace(validate_material(-1 + 0.1j, -1 + 0.1j)), False),
+        (SlabWithMirror(validate_material(2 + 0.1j, 1), 1.0), False),
+        (LENS_SLAB, False),
+    ])
+    def test_route_certificate(self, geometry, expected):
+        assert on_path(geometry) is expected
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(eps_re=st.floats(-6.0, 6.0), mu_re=st.floats(-6.0, 6.0),
+           eps_loss=st.floats(-6.0, 0.0), mu_loss=st.floats(-6.0, 0.0),
+           log_z=st.floats(-3.0, 3.0))
+    def test_certified_half_space_against_quad_vec(self, eps_re, mu_re, eps_loss,
+                                                   mu_loss, log_z):
+        material = validate_material(complex(eps_re, 10.0 ** eps_loss),
+                                     complex(mu_re, 10.0 ** mu_loss))
+        geometry = HalfSpace(material)
+        assume(on_path(geometry))
+        self.check_against_quad_vec(geometry, 10.0 ** log_z)
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(d=st.floats(0.1, 10.0), log_gap=st.floats(-3.0, 3.0))
+    def test_perfect_lens_against_quad_vec(self, d, log_gap):
+        self.check_against_quad_vec(PerfectLens(d), d + 10.0 ** log_gap)
+
+    @pytest.mark.parametrize("z", [0.05, 1.0, 30.0])
+    def test_left_handed_half_space_guard(self, z):
+        # Im(eps mu) = -0.2 puts the branch point k0 sqrt(1 - eps mu) in
+        # the strip; the plain path would be off by up to 450 times the
+        # value here, so the certificate must send it to the real axis.
+        geometry = HalfSpace(validate_material(-1 + 0.1j, -1 + 0.1j))
+        assert not on_path(geometry)
+        self.check_against_quad_vec(geometry, z)
+
+    @staticmethod
+    def check_against_quad_vec(geometry, z):
+        # quad_vec at 1e-9: with losses of 1e-6 its own round-off near the
+        # surface mode keeps it from reaching 1e-10 within its panel limit.
+        g = green_components(z, 1.0, geometry)
+        ref_xx, ref_zz, ref_err = quad_vec_green(z, 1.0, geometry, rel_tol=1e-9)
+        for value, claimed, ref in ((g.g_xx, g.error_xx, ref_xx),
+                                    (g.g_zz, g.error_zz, ref_zz)):
+            assert abs(value - ref) <= 1e-7 * abs(ref) + claimed + ref_err, \
+                (geometry, z, value, ref)
