@@ -2,12 +2,13 @@
 """Longitudinal wavenumbers and reflection coefficients for planar media.
 
 Every function accepts scalars or numpy arrays. The real-axis route of
-the Green module passes the transverse wavenumber q to vacuum_beta and
-medium_beta1; the steepest-descent route passes the complex vacuum
-wavenumber beta = k0 + i t to beta1_of_beta, which continues the
-in-medium wavenumber analytically off the real q axis. Both feed the
-same reflection coefficients. Natural units (c = 1): the vacuum
-wavenumber is k0 = omega.
+the Green module (slabs) passes the transverse wavenumber q to
+vacuum_beta and medium_beta1; the steepest-descent route passes the
+complex vacuum wavenumber beta = k0 + i t to beta1_of_beta, which
+continues the in-medium wavenumber analytically off the real q axis.
+Both feed the same reflection coefficients, which a half space's branch
+cut also takes at beta1 = +-sqrt(beta^2 - b0^2). Natural units (c = 1):
+the vacuum wavenumber is k0 = omega.
 """
 
 from __future__ import annotations

@@ -11,20 +11,19 @@ the focal plane.
 
 Two routes compute that contour integral, and _coefficients picks one:
 
-- steepest-descent path: where the quarter strip 0 < Re beta < k0,
-  Im beta > 0 is certified free of poles and branch cuts, Cauchy's
-  theorem moves the contour onto Re beta = k0, beta = k0 + i t, and
-  G = exp(2i k0 z)/(8 pi) int_0^inf R(t) exp(-2 t z) dt is one decaying,
-  non-oscillating integral (Paulus, Gay-Balmaz & Martin, PRE 62, 5797
-  (2000); Michalski & Mosig, IEEE TAP 45, 508 (1997)). Certified are the
-  perfect lens, a half space with Im(eps mu) > 0, and a half space with
-  real eps mu that is <= 0 or has a positive i0+ direction; on each, the
-  poles lie at Re beta < 0 and the branch point of beta1 outside the
-  strip.
-- real axis: every other geometry (left-handed half spaces with
-  Im(eps mu) < 0, whose branch point lies in the strip, and all
-  mirror-backed slabs, whose guided-mode poles may) integrates the
-  oscillating propagating sector and the evanescent one separately.
+- steepest-descent path, for every half space and the perfect lens:
+  Cauchy's theorem moves the contour onto Re beta = k0, beta = k0 + i t,
+  and G = exp(2i k0 z)/(8 pi) int_0^inf R(t) exp(-2 t z) dt is one
+  decaying, non-oscillating integral (Paulus, Gay-Balmaz & Martin, PRE
+  62, 5797 (2000); Michalski & Mosig, IEEE TAP 45, 508 (1997)). Where
+  the branch point b0 of beta1 lies in the strip 0 <= Re beta < k0
+  (Im(eps mu) < 0, as in lossy left-handed media, or its lossless
+  limit), its cut, turned to run up from b0, adds a term with the same
+  decay to the same integrand. No residue is added: no surface-mode pole
+  of 10^5 random passive media lies in the strip on the path's sheet.
+- real axis, for mirror-backed slabs, whose guided-mode poles may lie
+  in the strip: the oscillating propagating sector and the evanescent
+  one are integrated separately.
 """
 
 from __future__ import annotations
@@ -38,8 +37,9 @@ import numpy as np
 
 from .core import (Geometry, HalfSpace, MaterialResponse, PerfectLens,
                    SlabWithMirror, require_distance)
-from .dispersion import (_i0_sign, beta1_of_beta, halfspace_rs_rp,
-                         medium_beta1, slab_mirror_rs_rp, vacuum_beta)
+from .dispersion import (_i0_sign, _passive_sqrt, beta1_of_beta,
+                         halfspace_rs_rp, medium_beta1, slab_mirror_rs_rp,
+                         vacuum_beta)
 from .quadrature import REL_TOL, integrate_evanescent, integrate_propagating
 
 # Round-off floor of a path integral's error, per unit of its magnitude
@@ -75,31 +75,36 @@ class GreenComponents:
         return max(e for e in (self.error_xx, self.error_zz) if e is not None)
 
 
-def _path_certified(material: MaterialResponse) -> bool:
-    """True when a half space's r_s, r_p are analytic in the strip
-    0 < Re beta < k0, Im beta > 0 and continuous onto its edges.
+def _branch_point(material: MaterialResponse, k0: float) -> complex | None:
+    """The branch point b0 = k0 sqrt(1 - eps mu), Im b0 >= 0, of a half
+    space's beta1 if its cut crosses the path Re beta = k0, else None.
 
-    There Im(beta1^2) = 2 Re beta Im beta + Im(eps mu) k0^2, so for
-    Im(eps mu) > 0 beta1 never meets its cut, and the surface-mode poles
-    of a passive medium lie at Re beta < 0. For real eps mu the radicand
-    is real only on the strip's edges, which the interior approaches with
-    Im(beta1^2) -> 0+: a positive radicand there continues to the +sqrt
-    root, which is the i0+ one unless the direction is negative, and
-    eps mu <= 0 keeps the radicand negative on both edges.
+    beta1 = sqrt(beta^2 - b0^2), Im >= 0, changes sign where beta^2 - b0^2
+    is real and positive: nowhere in the strip if Im(eps mu) > 0 or in
+    its limit (real eps mu, positive i0+ direction); otherwise along
+    Re beta Im beta = Re b0 Im b0 from b0 to Re beta -> inf, which meets
+    the path if Re b0 < k0.
     """
     eps_mu = material.epsilon * material.mu
-    if eps_mu.imag != 0.0:
-        return eps_mu.imag > 0.0
-    return eps_mu.real <= 0.0 or _i0_sign(material) > 0.0
+    if eps_mu.imag > 0.0 or (eps_mu.imag == 0.0 and _i0_sign(material) > 0.0):
+        return None
+    b0 = k0 * complex(_passive_sqrt(1.0 - eps_mu))
+    return b0 if b0.real < k0 else None
 
 
 def _coefficients(geometry, omega: float):
-    """Return (rs_rp, z_offset, on_path): the reflection coefficients, the
-    depth of the plane they image, and the route.
+    """Return (rs_rp, z_offset, on_path, cut): the reflection
+    coefficients, the depth of the plane they image, the route, and the
+    branch cut the path must add.
 
     on_path True: rs_rp takes the complex vacuum wavenumber beta on the
     steepest-descent path Re beta = k0. False: rs_rp takes the real
     transverse wavenumber q of the real-axis route.
+
+    cut is None, or (b0, jump) where _branch_point finds b0. Turning the
+    cut to run up from b0, beta = b0 + i t, flips beta1 on the path above
+    t = Re b0 Im b0 / k0 and adds the integral of jump(t): (r_s, r_p) at
+    beta1 = s minus (r_s, r_p) at -s, where s = sqrt(t (2i b0 - t)).
 
     The ideal eps = mu = -1 slab of the perfect lens images its mirror to
     the focal plane (Pendry, PRL 85, 3966 (2000)): its coefficients
@@ -111,23 +116,25 @@ def _coefficients(geometry, omega: float):
             ones = np.ones_like(beta, dtype=complex)
             return -ones, ones
 
-        return mirror, geometry.thickness, True
+        return mirror, geometry.thickness, True, None
 
     if isinstance(geometry, HalfSpace):
         material = geometry.material
-        if _path_certified(material):
-            def on_path(beta):
-                return halfspace_rs_rp(beta, beta1_of_beta(beta, omega, material),
-                                       material)
+        b0 = _branch_point(material, omega)
+        flip_above = math.inf if b0 is None else b0.real * b0.imag / omega
 
-            return on_path, 0.0, True
-
-        def rs_rp(q):
-            beta = vacuum_beta(q, omega)
-            beta1 = medium_beta1(q, omega, material)
+        def on_path(beta):
+            beta1 = beta1_of_beta(beta, omega, material)
+            if b0 is not None:
+                beta1 = np.where(beta.imag > flip_above, -beta1, beta1)
             return halfspace_rs_rp(beta, beta1, material)
 
-        return rs_rp, 0.0, False
+        def jump(t):
+            s = _passive_sqrt(t * (2j * b0 - t))
+            r_s, r_p = halfspace_rs_rp(b0 + 1j * t, np.stack((s, -s)), material)
+            return r_s[0] - r_s[1], r_p[0] - r_p[1]
+
+        return on_path, 0.0, True, None if b0 is None else (b0, jump)
 
     if isinstance(geometry, SlabWithMirror):
         material = geometry.material
@@ -138,7 +145,7 @@ def _coefficients(geometry, omega: float):
             beta1 = medium_beta1(q, omega, material)
             return slab_mirror_rs_rp(beta, beta1, material, d)
 
-        return rs_rp, 0.0, False
+        return rs_rp, 0.0, False, None
 
     raise TypeError(f"unsupported geometry {geometry!r}")
 
@@ -156,30 +163,6 @@ def _graded_edges(center: float, span: float, floor: float) -> list[float]:
         edges.append(center - o)
         edges.append(center + o)
     return edges
-
-
-def _halfspace_mode_kappas(material: MaterialResponse, k0: float) -> list[float]:
-    """Evanescent surface-mode positions of a half space (s and p).
-
-    Solving a*beta + beta1 = 0 (a = mu for s, eps for p) gives
-    q^2 = a (a - b) k0^2 / (a^2 - 1); a genuine real-axis pole needs
-    Re a < 0 and q > k0. Near-lossless media make these resonances too
-    narrow for uniform panels, so they are pinned explicitly.
-    """
-    eps, mu = material.epsilon, material.mu
-    kappas = []
-    for a, b in ((mu, eps), (eps, mu)):
-        if a.real >= 0.0:
-            continue
-        den = a * a - 1.0
-        if abs(den) < 1e-12:
-            continue
-        kap = complex(np.sqrt(complex(a * (a - b) / den - 1.0))) * k0
-        if kap.imag < 0:
-            kap = -kap
-        if kap.real > 1e-9 * k0 and kap.imag < 0.5 * kap.real:
-            kappas.append(kap.real)
-    return kappas
 
 
 def _slab_mode_kappas(material: MaterialResponse, thickness: float,
@@ -220,18 +203,14 @@ _BREAKPOINT_CACHE_SIZE = 32
 
 @functools.lru_cache(maxsize=_BREAKPOINT_CACHE_SIZE)
 def _evanescent_breakpoints(geometry, omega: float) -> tuple[float, ...]:
-    """Graded panel edges around the pinned evanescent resonances of a
-    half space or slab on the real-axis route.
+    """Graded panel edges around the pinned guided-mode resonances of a
+    slab on the real-axis route.
 
     A pure function of frozen value objects, so it is memoised: the
     guided-mode scan runs once per (geometry, omega), not per point.
     """
     k0 = omega
-    if isinstance(geometry, HalfSpace):
-        centers = _halfspace_mode_kappas(geometry.material, k0)
-    else:
-        centers = _slab_mode_kappas(geometry.material, geometry.thickness,
-                                    omega)
+    centers = _slab_mode_kappas(geometry.material, geometry.thickness, omega)
     loss = max(geometry.material.epsilon.imag, geometry.material.mu.imag)
     floor = max(loss, 1e-13) * k0 / 100.0
     edges: list[float] = []
@@ -257,14 +236,6 @@ def _small_ladder(k0: float, z_decay: float) -> tuple[float, ...]:
     return tuple(edges)
 
 
-def _osc_panel_width(z_image: float, geometry) -> float:
-    """Quarter period in beta of the fastest phase factor in the integrand."""
-    scale = z_image
-    if isinstance(geometry, SlabWithMirror):
-        scale += geometry.thickness
-    return math.pi / (4.0 * scale)
-
-
 def green_components(z_A: float, omega: float, geometry: Geometry,
                      rel_tol: float = REL_TOL, *, xx: bool = True,
                      zz: bool = True) -> GreenComponents:
@@ -280,7 +251,7 @@ def green_components(z_A: float, omega: float, geometry: Geometry,
     if not (xx or zz):
         raise ValueError("green_components needs at least one of xx, zz")
     k0 = omega
-    rs_rp, z_offset, on_path = _coefficients(geometry, omega)
+    rs_rp, z_offset, on_path, cut = _coefficients(geometry, omega)
     require_distance("z_A", z_A, z_offset)
     z_image = z_A - z_offset
     ladder = _small_ladder(k0, z_image)
@@ -295,10 +266,25 @@ def green_components(z_A: float, omega: float, geometry: Geometry,
         return np.stack(out)
 
     if on_path:
+        if cut is not None:
+            b0, jump = cut
+            cut_phase = cmath.exp(2j * (b0 - k0) * z_image)
+            # The jump grows like s ~ sqrt(t) from t = 0: grade the first
+            # panel toward it, down to 8^-4 of its width.
+            first = min(k0 / 8.0, 0.5 / z_image)
+            ladder += tuple(first / 8.0 ** k for k in range(1, 5))
+
         def path(t):
             # beta = k0 + i t; the engine applies the decay exp(-2 t z_image).
             beta = k0 + 1j * t
-            return rows(*rs_rp(beta), (beta / k0) ** 2, k0 * k0 - beta * beta)
+            out = rows(*rs_rp(beta), (beta / k0) ** 2, k0 * k0 - beta * beta)
+            if cut is None:
+                return out
+            # The cut's beta = b0 + i t has the same decay, and its phase
+            # relative to exp(2i k0 z_image) has modulus <= 1.
+            beta = b0 + 1j * t
+            return out + cut_phase * rows(*jump(t), (beta / k0) ** 2,
+                                          k0 * k0 - beta * beta)
 
         res = integrate_evanescent(path, z_image, rel_tol, breakpoints=ladder)
         value = (cmath.exp(2j * k0 * z_image) / (8.0 * math.pi)) * res.value
@@ -316,8 +302,10 @@ def green_components(z_A: float, omega: float, geometry: Geometry,
             q2 = kappa * kappa + k0 * k0
             return rows(*rs_rp(np.sqrt(q2)), -(kappa / k0) ** 2, q2)
 
-        res_p = integrate_propagating(prop, k0, rel_tol,
-                                      max_panel_width=_osc_panel_width(z_image, geometry))
+        # Initial panels a quarter period of the slab's fastest phase wide.
+        res_p = integrate_propagating(
+            prop, k0, rel_tol,
+            max_panel_width=math.pi / (4.0 * (z_image + geometry.thickness)))
         res_e = integrate_evanescent(evan, z_image, rel_tol,
                                      breakpoints=_evanescent_breakpoints(geometry, omega)
                                      + ladder)

@@ -4,12 +4,10 @@
 The Green module takes one of two routes (see green.py), and both end
 in the two entry points here:
 
-- steepest-descent path, where a certificate says the strip
-  0 < Re beta < omega/c holds no singularity (half spaces with
-  Im(eps mu) > 0 or real eps mu of the right i0+ direction, and the
-  perfect lens): beta = omega/c + i t, one integrate_evanescent call in t
-  with the decay exp(-2 t z);
-- real axis, every other geometry: the semi-infinite q-integral in two
+- steepest-descent path (half spaces and the perfect lens):
+  beta = omega/c + i t, one integrate_evanescent call in t with the
+  decay exp(-2 t z), which a half space's branch-cut term shares;
+- real axis (mirror-backed slabs): the semi-infinite q-integral in two
   pieces, after the standard variable changes that remove the 1/beta
   endpoint singularity:
 
@@ -32,13 +30,13 @@ give bit-identical results.
 
 Since each round is one integrand call, cost follows the number of
 rounds. integrate_evanescent's first call therefore holds, besides the
-uniform initial panels and the caller's breakpoints (the Green module
-passes a ladder k0/8, k0/4, ... that resolves the small-kappa, or
-small-t, scale at short distances), the first _TAIL_PANELS tail panels;
-further tail panels are probed one per call only while the last is not
-negligible. Each result keeps its final panel values, whose |values|
-sum to the magnitude from which a caller can floor its error at the
-round-off of the sum.
+uniform initial panels and the caller's breakpoints (the Green module's
+ladders k0/8, k0/4, ... for the small-kappa, or small-t, scale at short
+distances, and toward the sqrt(t) onset of a branch cut), the first
+_TAIL_PANELS tail panels; further tail panels are probed one per call
+only while the last is not negligible. Each result keeps its final
+panel values, whose |values| sum to the magnitude from which a caller
+can floor its error at the round-off of the sum.
 """
 
 from __future__ import annotations
@@ -236,8 +234,8 @@ def integrate_evanescent(integrand, z_decay: float,
     and of any further tail probes.
 
     breakpoints are extra panel edges, used to pin near-singular features
-    (surface-plasmon or guided-mode resonances of weakly lossy media)
-    that uniform panels would step over without noticing.
+    (guided-mode resonances of weakly lossy slabs, the sqrt(t) onset of a
+    branch cut) that uniform panels would step over without noticing.
     """
     require_distance("z_decay", z_decay)
 

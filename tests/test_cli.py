@@ -115,9 +115,14 @@ class TestSweep:
         # steepest-descent path, which gives the i0+ answer directly; the
         # path's error is linear in the loss, so 1e-9 of it is the limit.
         ("-2", "1"),
-        # eps mu = 4 with a negative i0+ direction is not certified for the
-        # path; the real axis holds no pole and gives the limit as well.
+        # eps mu = 4 with a negative i0+ direction puts the branch point at
+        # i sqrt(3) k0; the path with its cut holds no pole and gives the
+        # limit as well.
         ("-2", "-2"),
+        # eps mu = 0.25 with a negative i0+ direction: the branch point
+        # lies on the real axis, at sqrt(3)/2 k0, and the cut is needed
+        # all the same.
+        ("-0.5", "-0.5"),
     ])
     def test_lossless_half_space_is_the_lossy_limit(self, tmp_path, eps_re, mu_re):
         args = ["sweep", "--geometry", "halfspace", "--eps-re", eps_re,
@@ -126,7 +131,7 @@ class TestSweep:
         code, out = run(tmp_path, *args, "--eps-im", "0", "--mu-im", "0",
                         name="a.csv")
         code_lossy, lossy = run(tmp_path, *args, "--eps-im", "1e-9",
-                                "--mu-im", "1e-9" if mu_re == "-2" else "0",
+                                "--mu-im", "0" if mu_re == "1" else "1e-9",
                                 name="b.csv")
         assert (code, code_lossy) == (0, 0)
         rows, lossy_rows = self.values(out), self.values(lossy)
@@ -137,8 +142,11 @@ class TestSweep:
 
     def test_lossless_uncertified_surface_mode_fails_rows(self, tmp_path, capsys):
         # eps = -3, mu = -0.5: eps mu = 1.5 > 0 with a negative i0+
-        # direction keeps the real axis, where the lossless s-polarised
-        # surface mode is a pole the engine cannot integrate through.
+        # direction puts the branch point at i sqrt(0.5) k0, and the
+        # lossless s-polarised surface mode on the cut itself. The cut
+        # integral then meets a pole, whose i0+ half residue the engine
+        # does not add, so these points fail with a typed error. From
+        # z = 20 on they match loss 1e-8 to 1e-8.
         code, out = run(tmp_path, "sweep", "--geometry", "halfspace",
                         "--eps-re", "-3", "--eps-im", "0", "--mu-re", "-0.5",
                         "--mu-im", "0", "--zmin", "0.05", "--zmax", "5",
@@ -149,6 +157,21 @@ class TestSweep:
         assert "3/3 points failed" in err
         assert all(line.endswith(",nan,inf,failed")
                    for line in out.read_text().splitlines()[-3:])
+
+    def test_far_left_handed_half_space(self, tmp_path, capsys):
+        # On the real axis the two sectors of eps = mu = -1 + 0.1i cancel
+        # to 1e-7 of either at z = 1e3, and did not converge beyond; the
+        # path with its cut costs the same at every distance.
+        code, out = run(tmp_path, "sweep", "--geometry", "halfspace",
+                        "--eps-re", "-1", "--eps-im", "0.1", "--mu-re", "-1",
+                        "--mu-im", "0.1", "--method", "numeric", "--zmin",
+                        "1e3", "--zmax", "1e5", "--points", "3", "--workers",
+                        "1", "--reproducible")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        rows = self.values(out)
+        assert len(rows) == 3
+        assert all(math.isfinite(u) and method == "numeric" for u, method in rows)
 
     def test_pool_never_larger_than_points(self, tmp_path, monkeypatch):
         # A fake pool that records its size and runs the jobs in this

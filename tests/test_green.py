@@ -5,7 +5,7 @@ dense-grid reference."""
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from planarcp import (DomainError, HalfSpace, PerfectLens, SlabWithMirror,
                       VACUUM, green_components, validate_material)
@@ -247,13 +247,16 @@ class TestSmallDistance:
         assert (len(path), len(axis)) == (1, 0)
 
     def test_few_rounds_at_short_distance_real_axis(self, monkeypatch):
-        # Im(eps mu) < 0 keeps the real-axis route: one medium_beta1 call
-        # per engine round of either sector, three of them propagating.
+        # A slab keeps the real-axis route: one medium_beta1 call per
+        # engine round of either sector, two of them propagating. A half
+        # space of the same medium takes the path and its cut in one round.
         path = self.count_calls(monkeypatch, "beta1_of_beta")
         axis = self.count_calls(monkeypatch, "medium_beta1")
-        green_components(1e-2, 1.0,
-                         HalfSpace(validate_material(-1 + 0.1j, -1 + 0.1j)))
-        assert (len(path), len(axis)) == (0, 4)
+        material = validate_material(-1 + 0.1j, -1 + 0.1j)
+        green_components(1e-2, 1.0, SlabWithMirror(material, 1.0))
+        assert (len(path), len(axis)) == (0, 3)
+        green_components(1e-2, 1.0, HalfSpace(material))
+        assert (len(path), len(axis)) == (1, 3)
 
     @pytest.mark.parametrize("z", [1e-3, 1e-2, 0.1, 1.0, 5.0])
     @pytest.mark.parametrize("geometry", [
@@ -272,9 +275,14 @@ def on_path(geometry) -> bool:
     return _coefficients(geometry, 1.0)[2]
 
 
+def has_cut(geometry) -> bool:
+    return _coefficients(geometry, 1.0)[3] is not None
+
+
 class TestSteepestDescentPath:
-    """The route through Re beta = k0, taken where the quarter strip
-    0 < Re beta < k0 is certified free of singularities."""
+    """The route through Re beta = k0, taken by every half space and the
+    perfect lens, with the branch cut of beta1 where it lies in the strip
+    0 <= Re beta < k0."""
 
     @pytest.mark.parametrize("geometry,expected", [
         (PerfectLens(5.0), True),
@@ -284,13 +292,25 @@ class TestSteepestDescentPath:
         (HalfSpace(validate_material(1, -3 + 1e-3j)), True),
         (HalfSpace(validate_material(-2, 1)), True),       # eps mu <= 0
         (HalfSpace(validate_material(0.5, 3)), True),      # i0+ direction > 0
-        (HalfSpace(validate_material(-2, -2)), False),     # i0+ direction < 0
-        (HalfSpace(validate_material(-1 + 0.1j, -1 + 0.1j)), False),
+        (HalfSpace(validate_material(-2, -2)), True),      # i0+ direction < 0
+        (HalfSpace(validate_material(-1 + 0.1j, -1 + 0.1j)), True),
         (SlabWithMirror(validate_material(2 + 0.1j, 1), 1.0), False),
         (LENS_SLAB, False),
     ])
     def test_route_certificate(self, geometry, expected):
         assert on_path(geometry) is expected
+
+    @pytest.mark.parametrize("eps,mu,expected", [
+        (2 + 0.1j, 1, False),                # Im(eps mu) > 0
+        (-2, 1, False),                      # eps mu <= 0
+        (0.5, 3, False),                     # i0+ direction > 0
+        (-3 + 1e-3j, 2 + 0.5j, False),       # Im(eps mu) < 0, Re b0 > k0
+        (-1 + 0.1j, -1 + 0.1j, True),        # b0 = 0.32 + 0.31i
+        (-2, -2, True),                      # b0 = i sqrt(3), i0+ < 0
+        (-0.5, -0.5, True),                  # b0 = sqrt(3)/2, i0+ < 0
+    ])
+    def test_branch_cut_in_strip(self, eps, mu, expected):
+        assert has_cut(HalfSpace(validate_material(eps, mu))) is expected
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(eps_re=st.floats(-6.0, 6.0), mu_re=st.floats(-6.0, 6.0),
@@ -298,11 +318,22 @@ class TestSteepestDescentPath:
            log_z=st.floats(-3.0, 3.0))
     def test_certified_half_space_against_quad_vec(self, eps_re, mu_re, eps_loss,
                                                    mu_loss, log_z):
+        # Every passive half space, left-handed ones with their cut
+        # included.
         material = validate_material(complex(eps_re, 10.0 ** eps_loss),
                                      complex(mu_re, 10.0 ** mu_loss))
-        geometry = HalfSpace(material)
-        assume(on_path(geometry))
-        self.check_against_quad_vec(geometry, 10.0 ** log_z)
+        self.check_against_quad_vec(HalfSpace(material), 10.0 ** log_z)
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(eps_re=st.floats(-6.0, -0.01), mu_re=st.floats(-6.0, -0.01),
+           eps_loss=st.floats(-6.0, 0.0), mu_loss=st.floats(-6.0, 0.0),
+           log_z=st.floats(-3.0, 3.0))
+    def test_left_handed_half_space_against_quad_vec(self, eps_re, mu_re,
+                                                     eps_loss, mu_loss, log_z):
+        # Re eps, Re mu < 0 make Im(eps mu) < 0: mostly media with a cut.
+        material = validate_material(complex(eps_re, 10.0 ** eps_loss),
+                                     complex(mu_re, 10.0 ** mu_loss))
+        self.check_against_quad_vec(HalfSpace(material), 10.0 ** log_z)
 
     @settings(max_examples=12, derandomize=True, deadline=None)
     @given(d=st.floats(0.1, 10.0), log_gap=st.floats(-3.0, 3.0))
@@ -312,11 +343,73 @@ class TestSteepestDescentPath:
     @pytest.mark.parametrize("z", [0.05, 1.0, 30.0])
     def test_left_handed_half_space_guard(self, z):
         # Im(eps mu) = -0.2 puts the branch point k0 sqrt(1 - eps mu) in
-        # the strip; the plain path would be off by up to 450 times the
-        # value here, so the certificate must send it to the real axis.
+        # the strip; the path without its cut would be off by up to 450
+        # times the value here.
         geometry = HalfSpace(validate_material(-1 + 0.1j, -1 + 0.1j))
-        assert not on_path(geometry)
+        assert on_path(geometry) and has_cut(geometry)
         self.check_against_quad_vec(geometry, z)
+
+    # (eps = mu, z, G_xx, G_zz) to 30 digits; see below.
+    FAR = (
+        (-1 + 0.1j, 1500.0,
+         "4.2381351181541832224937167025e-14+5.82930913619249133942872176542e-13j",
+         "8.47627023630836644498743340499e-14+1.16586182723849826788574435308e-12j"),
+        (-2 + 0.05j, 1500.0,
+         "-2.14990922653789612108115806414e-12+5.21262323535527847994149129084e-13j",
+         "-4.29981845307579224216231612828e-12+1.04252464707105569598829825817e-12j"),
+        (-1 + 0.1j, 1e4,
+         "1.37352534663925911237456356487e-15-1.41535496839965964049381258164e-15j",
+         "2.74705069327851822474912712975e-15-2.83070993679931928098762516328e-15j"),
+        (-2 + 0.05j, 1e4,
+         "6.14301679708516772830447252024e-15+4.24333412740840778989060924849e-15j",
+         "1.22860335941703354566089450405e-14+8.48666825481681557978121849698e-15j"),
+    )
+
+    @pytest.mark.parametrize("eps,z,exact_xx,exact_zz", FAR)
+    def test_far_left_handed_thirty_digit_values(self, eps, z, exact_xx,
+                                                 exact_zz):
+        """The path with its cut against 30-digit values at distances
+        quad_vec cannot reach: on the real axis the two sectors cancel to
+        1e-7 of either, which left the real-axis engine off by up to
+        1.9e-4 at z = 1500 and without a result at z = 1e4.
+
+        The values are the real-axis integral in both sectors, so they do
+        not depend on the contour, made with mpmath 1.3 by
+
+            python - <<'EOF'
+            import mpmath as mp
+            mp.mp.dps = 40  # 50 agrees to all 30 digits
+            def green(eps, z):  # eps = mu, z as in FAR
+                eps, z = mp.mpc(eps), mp.mpf(z)
+                def r(b, zz):
+                    b1 = mp.sqrt(b * b + eps * eps - 1)
+                    b1 = -b1 if mp.im(b1) < 0 else b1
+                    rp = (eps * b - b1) / (eps * b + b1)  # r_s = r_p
+                    return 2 * (1 - b * b) * rp if zz else (1 - b * b) * rp
+                n = int(mp.ceil(z / mp.pi))  # one period per interval
+                prop = [mp.mpf(k) / n for k in range(n + 1)]
+                kap = abs(mp.re(mp.sqrt(eps * eps - 1)))  # branch point
+                evan = sorted({mp.mpf(0), mp.inf}
+                              | {c / z for c in (0.5, 2, 8, 32)}
+                              | {kap * f for f in (0.9, 0.99, 1, 1.01, 1.1)})
+                out = []
+                for zz in (0, 1):
+                    p = mp.quad(lambda b: mp.exp(2j * b * z) * r(b, zz), prop)
+                    e = mp.quad(lambda k: mp.exp(-2 * k * z) * r(1j * k, zz),
+                                evan)
+                    out.append(mp.nstr((1j * p + e) / (8 * mp.pi), 30))
+                return out
+            EOF
+
+        in 1 to 6.5 minutes each. The engine lands within 4.1e-13
+        relative. That is its round-off: R = r_s - (beta/k0)^2 r_p
+        cancels near t = 0 for eps = mu, so the claimed error, whose
+        round-off floor scales with the integral of |f|, is 1.5 times low
+        for eps = -2 + 0.05i at z = 1500; hence the fixed bound here.
+        """
+        g = green_components(z, 1.0, HalfSpace(validate_material(eps, eps)))
+        for value, exact in ((g.g_xx, exact_xx), (g.g_zz, exact_zz)):
+            assert abs(value - complex(exact)) <= 1e-12 * abs(complex(exact))
 
     @staticmethod
     def check_against_quad_vec(geometry, z):
