@@ -23,13 +23,13 @@ Two routes compute that contour integral, and _coefficients picks one:
   of 10^5 random passive media lies in the strip on the path's sheet.
 - real axis, for mirror-backed slabs, whose guided-mode poles may lie
   in the strip: the oscillating propagating sector and the evanescent
-  one are integrated separately.
+  one are integrated separately. Bisection finds a weakly lossy slab's
+  near-real-axis poles unaided (see quadrature.py).
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -150,83 +150,13 @@ def _coefficients(geometry, omega: float):
     raise TypeError(f"unsupported geometry {geometry!r}")
 
 
-def _graded_edges(center: float, span: float, floor: float) -> list[float]:
-    """Panel edges clustered geometrically around a near-singular point."""
-    offsets = []
-    d = span
-    while d > floor:
-        offsets.append(d)
-        d /= 8.0
-    offsets.append(max(d, floor))
-    edges = [center]
-    for o in offsets:
-        edges.append(center - o)
-        edges.append(center + o)
-    return edges
-
-
-def _slab_mode_kappas(material: MaterialResponse, thickness: float,
-                      omega: float) -> list[float]:
-    """Guided-mode positions of a weakly lossy mirror-backed slab.
-
-    Found by scanning the reflection denominators for sharp relative
-    minima; lossy slabs (Im >= 0.05) have broad resonances the adaptive
-    engine resolves unaided.
-    """
-    eps, mu = material.epsilon, material.mu
-    loss = max(eps.imag, mu.imag)
-    if loss >= 0.05:
-        return []
-    k0 = omega
-    kappa_win = k0 * (1.0 + math.sqrt(abs(eps * mu)))
-    grid = np.linspace(kappa_win / 4096.0, kappa_win, 4096)
-    q = np.sqrt(grid * grid + k0 * k0)
-    beta = 1j * grid
-    beta1 = medium_beta1(q, omega, material)
-    phase = np.exp(2j * beta1 * thickness)
-    kappas = []
-    for a, pm in ((mu, -1.0), (eps, 1.0)):
-        den = a * beta + beta1 + pm * (a * beta - beta1) * phase
-        scale = np.abs(a * beta) + np.abs(beta1)
-        rel = np.abs(den) / np.maximum(scale, 1e-300)
-        interior = (rel[1:-1] < rel[:-2]) & (rel[1:-1] < rel[2:]) & (rel[1:-1] < 0.2)
-        kappas.extend(grid[1:-1][interior])
-    if len(kappas) > 64:
-        kappas = sorted(kappas)[:64]
-    return kappas
-
-
-# (geometry, omega) breakpoint sets kept in memory; a distance sweep
-# needs one per transition frequency of its atom.
-_BREAKPOINT_CACHE_SIZE = 32
-
-
-@functools.lru_cache(maxsize=_BREAKPOINT_CACHE_SIZE)
-def _evanescent_breakpoints(geometry, omega: float) -> tuple[float, ...]:
-    """Graded panel edges around the pinned guided-mode resonances of a
-    slab on the real-axis route.
-
-    A pure function of frozen value objects, so it is memoised: the
-    guided-mode scan runs once per (geometry, omega), not per point.
-    """
-    k0 = omega
-    centers = _slab_mode_kappas(geometry.material, geometry.thickness, omega)
-    loss = max(geometry.material.epsilon.imag, geometry.material.mu.imag)
-    floor = max(loss, 1e-13) * k0 / 100.0
-    edges: list[float] = []
-    for kap in centers:
-        edges.extend(_graded_edges(kap, 0.25 * max(kap, 0.1 * k0), floor))
-    return tuple(sorted(e for e in edges if e > 0.0))
-
-
 def _small_ladder(k0: float, z_decay: float) -> tuple[float, ...]:
     """Panel edges k0/8, k0/4, k0/2, ... below the first uniform edge.
 
     The uniform panels of integrate_evanescent are 1/(2 z_decay) wide,
     which at small z_decay puts all of the coefficients' structure at
     kappa ~ k0 (or t ~ k0 on the path) into the first panel; halving it
-    toward 0 would take one refinement round per octave. Depends on z, so
-    it stays outside the breakpoint cache.
+    toward 0 would take one refinement round per octave.
     """
     edges = []
     kappa = k0 / 8.0
@@ -306,9 +236,7 @@ def green_components(z_A: float, omega: float, geometry: Geometry,
         res_p = integrate_propagating(
             prop, k0, rel_tol,
             max_panel_width=math.pi / (4.0 * (z_image + geometry.thickness)))
-        res_e = integrate_evanescent(evan, z_image, rel_tol,
-                                     breakpoints=_evanescent_breakpoints(geometry, omega)
-                                     + ladder)
+        res_e = integrate_evanescent(evan, z_image, rel_tol, breakpoints=ladder)
         value = (1j / (8.0 * math.pi)) * res_p.value + (1.0 / (8.0 * math.pi)) * res_e.value
         error = (res_p.error_estimate + res_e.error_estimate) / (8.0 * math.pi)
         evaluations = res_p.evaluations + res_e.evaluations

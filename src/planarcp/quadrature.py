@@ -24,16 +24,19 @@ Appl. Math. 211, 131 (2008)): all pending panels go to the integrand as
 one flat node array (in chunks of at most _CHUNK_PANELS panels), and
 each round bisects, in one batch, the fewest largest-error panels whose
 error exceeds the gap to the tolerance, until the global estimate meets
-it. The integrand may return shape (N,) or (m, N); every component must
+it. A pole just off the real axis, such as a weakly lossy slab's guided
+mode, needs no breakpoint: its 1/(x - x_p) tail makes the Kronrod-Gauss
+difference large on every panel near it, so bisection homes in on it.
+The integrand may return shape (N,) or (m, N); every component must
 meet its own tolerance. Everything is deterministic: identical inputs
 give bit-identical results.
 
 Since each round is one integrand call, cost follows the number of
 rounds. integrate_evanescent's first call therefore holds, besides the
-uniform initial panels and the caller's breakpoints (the Green module's
-ladders k0/8, k0/4, ... for the small-kappa, or small-t, scale at short
-distances, and toward the sqrt(t) onset of a branch cut), the first
-_TAIL_PANELS tail panels; further tail panels are probed one per call
+uniform initial panels and the caller's breakpoints (only the Green
+module's ladders k0/8, k0/4, ... for the small-kappa, or small-t, scale
+at short distances, and toward the sqrt(t) onset of a branch cut), the
+first _TAIL_PANELS tail panels; further tail panels are probed one per call
 only while the last is not negligible. Each result keeps its final
 panel values, whose |values| sum to the magnitude from which a caller
 can floor its error at the round-off of the sum.
@@ -233,9 +236,9 @@ def integrate_evanescent(integrand, z_decay: float,
     above _TAIL_CUTOFF; refinement starts from the values of all of them
     and of any further tail probes.
 
-    breakpoints are extra panel edges, used to pin near-singular features
-    (guided-mode resonances of weakly lossy slabs, the sqrt(t) onset of a
-    branch cut) that uniform panels would step over without noticing.
+    breakpoints are extra panel edges, the Green module's ladders: they
+    put the small-kappa scale and the sqrt(t) onset of a branch cut into
+    the first call, where bisection would spend a round per octave.
     """
     require_distance("z_decay", z_decay)
 

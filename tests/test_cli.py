@@ -8,7 +8,6 @@ import pytest
 
 import planarcp.cli
 from planarcp.cli import main
-from planarcp.green import _evanescent_breakpoints
 
 
 def run(tmp_path, *args, name="out.csv"):
@@ -72,18 +71,14 @@ class TestSweep:
         _, serial = run(tmp_path, *args, "--workers", "1", name="serial.csv")
         _, parallel = run(tmp_path, *args, "--workers", "4", name="par.csv")
         assert serial.read_bytes() == parallel.read_bytes()
-        # The slab's guided-mode breakpoints are memoised per process: the
-        # pool starts with an empty cache, the later serial runs fill and
-        # then reuse this process's one.
         lens = ["sweep", "--geometry", "slab-mirror", "--eps-re", "-1",
                 "--eps-im", "1e-4", "--mu-re", "-1", "--mu-im", "1e-4",
                 "--thickness", "5", "--zmin", "5.2", "--zmax", "8",
                 "--points", "8", "--dipole", "par", "--reproducible"]
-        _evanescent_breakpoints.cache_clear()
-        _, cold = run(tmp_path, *lens, "--workers", "2", name="cold.csv")
-        _, filling = run(tmp_path, *lens, "--workers", "1", name="fill.csv")
-        _, warm = run(tmp_path, *lens, "--workers", "1", name="warm.csv")
-        assert cold.read_bytes() == filling.read_bytes() == warm.read_bytes()
+        _, pooled = run(tmp_path, *lens, "--workers", "2", name="pool.csv")
+        _, first = run(tmp_path, *lens, "--workers", "1", name="first.csv")
+        _, again = run(tmp_path, *lens, "--workers", "1", name="again.csv")
+        assert pooled.read_bytes() == first.read_bytes() == again.read_bytes()
 
     def test_forced_method_column(self, tmp_path):
         code, out = run(tmp_path, *BASE, "--method", "retarded")

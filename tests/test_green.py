@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from planarcp import (DomainError, HalfSpace, PerfectLens, SlabWithMirror,
                       VACUUM, green_components, validate_material)
 import planarcp.green
-from planarcp.green import _coefficients, _evanescent_breakpoints
+from planarcp.green import _coefficients
 from oracle import quad_vec_green, simpson_green
 
 LENS_SLAB = SlabWithMirror(validate_material(-1 + 1e-4j, -1 + 1e-4j), 5.0)
@@ -81,14 +81,6 @@ class TestComponentSelection:
         with pytest.raises(ValueError):
             green_components(6.0, 1.0, LENS_SLAB, xx=False, zz=False)
 
-    def test_cold_and_warm_breakpoints_bit_identical(self):
-        _evanescent_breakpoints.cache_clear()
-        cold = green_components(6.0, 1.0, LENS_SLAB)
-        warm = green_components(6.0, 1.0, LENS_SLAB)
-        info = _evanescent_breakpoints.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert repr(cold) == repr(warm)
-
 
 class TestLimits:
     def test_mirror_limit_matches_fixed_reflection(self):
@@ -133,12 +125,12 @@ class TestAgainstReference:
         assert abs(g.g_zz - ref_zz) <= 1e-7 * abs(ref_zz)
 
     def test_narrow_surface_mode_resolved(self):
-        # Re eps < 0 with tiny loss: the evanescent integrand has a
-        # near-real-axis pole of width ~ Im eps that the breakpoint
-        # grading must pin. Reference: 60M-node Simpson zoomed windows
-        # are impractical here, so compare against a tightened engine
-        # run instead (different panel layout, same machinery) plus a
-        # moderate-loss oracle anchor.
+        # Re eps < 0 with tiny loss: on the real axis the integrand has a
+        # surface-mode pole of width ~ Im eps; the steepest-descent path
+        # passes it at a distance, with no breakpoint. Reference: 60M-node
+        # Simpson zoomed windows are impractical here, so compare against
+        # a tightened engine run instead (different panel layout, same
+        # machinery) plus a moderate-loss oracle anchor.
         geo = HalfSpace(validate_material(-3 + 1e-2j, 1))
         g = green_components(0.5, 1.0, geo)
         ref_xx, ref_zz = simpson_green(0.5, 1.0, geo)
@@ -402,10 +394,12 @@ class TestSteepestDescentPath:
             EOF
 
         in 1 to 6.5 minutes each. The engine lands within 4.1e-13
-        relative. That is its round-off: R = r_s - (beta/k0)^2 r_p
-        cancels near t = 0 for eps = mu, so the claimed error, whose
-        round-off floor scales with the integral of |f|, is 1.5 times low
-        for eps = -2 + 0.05i at z = 1500; hence the fixed bound here.
+        relative, but for eps = -2 + 0.05i at z = 1500 its error is 1.26
+        (G_xx) and 1.46 (G_zz) times its claimed error; hence the fixed
+        bound here. The cause is not identified: computing
+        q^2 = -i t (2 k0 + i t) and R_xx = (r_s - r_p) + (q/k0)^2 r_p,
+        which removes the cancellation of R = r_s - (beta/k0)^2 r_p near
+        t = 0, still leaves both at 1.31 times the claim.
         """
         g = green_components(z, 1.0, HalfSpace(validate_material(eps, eps)))
         for value, exact in ((g.g_xx, exact_xx), (g.g_zz, exact_zz)):
@@ -421,3 +415,21 @@ class TestSteepestDescentPath:
                                     (g.g_zz, g.error_zz, ref_zz)):
             assert abs(value - ref) <= 1e-7 * abs(ref) + claimed + ref_err, \
                 (geometry, z, value, ref)
+
+
+class TestWeaklyLossySlab:
+    """Mirror-backed slabs with losses of 1e-6 to 1e-4, whose guided-mode
+    poles lie just off the real kappa axis. Adaptive bisection must find
+    them with no breakpoint placed there."""
+
+    @pytest.mark.parametrize("eps,mu,d,z", [
+        (1.670 + 1.33e-5j, 5.816 + 2.83e-6j, 43.6, 6.38),
+        (-3.227 + 6.41e-6j, -5.782 + 8.10e-5j, 38.7, 22.3),
+        (-2.508 + 1.45e-6j, -3.604 + 1.22e-5j, 6.54, 7.72),
+        (4.476 + 1.40e-6j, 3.006 + 5.0e-6j, 4.54, 0.198),
+        (2.941 + 2.53e-6j, 1, 13.7, 0.0119),
+        (3.124 + 1.35e-6j, 0.634 + 2.73e-6j, 6.5, 0.109),
+    ])
+    def test_against_quad_vec(self, eps, mu, d, z):
+        geometry = SlabWithMirror(validate_material(eps, mu), d)
+        TestSteepestDescentPath.check_against_quad_vec(geometry, z)
