@@ -1,14 +1,13 @@
 # src/planarcp/dispersion.py
 """Longitudinal wavenumbers and reflection coefficients for planar media.
 
-Every function accepts scalars or numpy arrays. The real-axis route of
-the Green module (slabs) passes the transverse wavenumber q to
-vacuum_beta and medium_beta1; the steepest-descent route passes the
-complex vacuum wavenumber beta = k0 + i t to beta1_of_beta, which
-continues the in-medium wavenumber analytically off the real q axis.
-Both feed the same reflection coefficients, which a half space's branch
-cut also takes at beta1 = +-sqrt(beta^2 - b0^2). Natural units (c = 1):
-the vacuum wavenumber is k0 = omega.
+Every function accepts scalars or numpy arrays. The Green module passes
+the complex vacuum wavenumber beta = k0 + i t of the steepest-descent
+path to beta1_of_beta, which continues the in-medium wavenumber
+analytically off the real q axis; vacuum_beta and medium_beta1 give both
+on the real q axis itself. The reflection coefficients take the pair,
+and a half space's branch cut takes them at beta1 = +-sqrt(beta^2 - b0^2).
+Natural units (c = 1): the vacuum wavenumber is k0 = omega.
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ def _ratio(num, den, what: str):
     if np.any(np.abs(r) >= 1.0 / DEGENERATE_REL_TOL):
         raise DegenerateDenominator(
             f"{what} denominator within {DEGENERATE_REL_TOL} of zero "
-            "(real-axis surface or guided mode; lossless input)")
+            "(surface or guided mode, or an amplified wave out of range)")
     return r
 
 
@@ -116,3 +115,25 @@ def slab_mirror_rs_rp(beta, beta1, material: MaterialResponse, thickness: float)
     den_p = eps * beta + beta1 + (eps * beta - beta1) * phase
     return _ratio(num_s, den_s, "slab r_s"), _ratio(num_p, den_p, "slab r_p")
 
+
+def slab_mirror_denominators(beta, omega, material: MaterialResponse,
+                             thickness: float):
+    """D_s, D_p and beta1 of a mirror-backed slab, stacked.
+
+    The slab's (r_s, r_p) have the poles of the entire functions
+    D_s = cos(beta1 d) - i mu beta sin(beta1 d)/beta1 and
+    D_p = eps beta cos(beta1 d) - i beta1 sin(beta1 d), which are even in
+    beta1 and come times exp(-|Im beta1| d) > 0: that keeps their phase
+    and stops the overflow. For eps mu = 1, D_p comes divided by
+    beta = beta1, whose zero cancels in r_p.
+    """
+    eps, mu, d = material.epsilon, material.mu, thickness
+    beta = np.asarray(beta, dtype=complex)
+    w2 = beta * beta + (eps * mu - 1.0) * omega ** 2
+    w = _passive_sqrt(w2)
+    turn, em1 = np.exp(-1j * w.real * d), np.expm1(2j * w * d)
+    cos = turn * (1.0 + 0.5 * em1)
+    sinc = np.divide(turn * em1, 2j * w, out=np.full_like(w, d), where=w != 0.0)
+    d_p = (eps * cos - 1j * beta * sinc if eps * mu == 1.0
+           else eps * beta * cos - 1j * w2 * sinc)
+    return np.array((cos - 1j * mu * beta * sinc, d_p, w))

@@ -2,45 +2,41 @@
 """Scattering Green tensor components G_xx and G_zz at the atom's position.
 
 For a planar structure the scattered tensor is diagonal with
-G_yy = G_xx; both diagonal entries are integrals over the product of a
-reflection coefficient and the round-trip phase exp(2i beta z) along the
-contour beta: i inf -> 0 -> k0 (the evanescent sector beta = i kappa,
-then the propagating one). z is the atom's distance from the mirror
-plane: z_A, or z_A - d for the perfect lens, which images its mirror to
-the focal plane.
-
-Two routes compute that contour integral, and _coefficients picks one:
-
-- steepest-descent path, for every half space and the perfect lens:
-  Cauchy's theorem moves the contour onto Re beta = k0, beta = k0 + i t,
-  and G = exp(2i k0 z)/(8 pi) int_0^inf R(t) exp(-2 t z) dt is one
-  decaying, non-oscillating integral (Paulus, Gay-Balmaz & Martin, PRE
-  62, 5797 (2000); Michalski & Mosig, IEEE TAP 45, 508 (1997)). Where
-  the branch point b0 of beta1 lies in the strip 0 <= Re beta < k0
-  (Im(eps mu) < 0, as in lossy left-handed media, or its lossless
-  limit), its cut, turned to run up from b0, adds a term with the same
-  decay to the same integrand. No residue is added: no surface-mode pole
-  of 10^5 random passive media lies in the strip on the path's sheet.
-- real axis, for mirror-backed slabs, whose guided-mode poles may lie
-  in the strip: the oscillating propagating sector and the evanescent
-  one are integrated separately. Bisection finds a weakly lossy slab's
-  near-real-axis poles unaided (see quadrature.py).
+G_yy = G_xx; both diagonal entries are integrals of a reflection
+coefficient times the round-trip phase exp(2i beta z) along the contour
+beta: i inf -> 0 -> k0. z is the atom's distance from the mirror plane:
+z_A, or z_A - d for the perfect lens, which images its mirror to the
+focal plane. Cauchy's theorem moves the contour onto the steepest-descent
+path beta = k0 + i t, where G = exp(2i k0 z)/(8 pi) int_0^inf R(t)
+exp(-2 t z) dt is one decaying, non-oscillating integral (Paulus,
+Gay-Balmaz & Martin, PRE 62, 5797 (2000); Michalski & Mosig, IEEE TAP 45,
+508 (1997)). What the move sweeps across in the strip 0 < Re beta < k0
+is added: a half space's branch cut, turned to run up from its branch
+point, with the same decay in the same integrand (no surface-mode pole of
+10^5 random passive half spaces lies in the strip on the path's sheet);
+and -(1/4) Res F, F = exp(2i beta z) R, at each pole of a mirror-backed
+slab, whose coefficients are even in beta1 and so have no cut.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Geometry, HalfSpace, MaterialResponse, PerfectLens,
+from .core import (DegenerateDenominator, Geometry, HalfSpace,
+                   MaterialResponse, NotConverged, PerfectLens,
                    SlabWithMirror, require_distance)
-from .dispersion import (_i0_sign, _passive_sqrt, beta1_of_beta,
+# vacuum_beta, medium_beta1 and integrate_propagating are not called here;
+# bench/tracing.py hooks them under these names.
+from .dispersion import (_i0_sign, _passive_sqrt, beta1_of_beta,  # noqa: F401
                          halfspace_rs_rp, medium_beta1, slab_mirror_rs_rp,
-                         vacuum_beta)
-from .quadrature import REL_TOL, integrate_evanescent, integrate_propagating
+                         slab_mirror_denominators, vacuum_beta)
+from .quadrature import (REL_TOL, integrate_evanescent,  # noqa: F401
+                         integrate_propagating)
 
 # Round-off floor of a path integral's error, per unit of its magnitude
 # (the integral of |f|): QUADPACK's 50 eps_mach. A one-round GK15
@@ -93,16 +89,13 @@ def _branch_point(material: MaterialResponse, k0: float) -> complex | None:
 
 
 def _coefficients(geometry, omega: float):
-    """Return (rs_rp, z_offset, on_path, cut): the reflection
-    coefficients, the depth of the plane they image, the route, and the
-    branch cut the path must add.
+    """Return (rs_rp, z_offset, cut, poles): the reflection coefficients
+    of the complex vacuum wavenumber beta, the depth of the plane they
+    image, and what the path must add: poles is None or a slab's
+    _strip_poles, and cut is None or a half space's (b0, jump).
 
-    on_path True: rs_rp takes the complex vacuum wavenumber beta on the
-    steepest-descent path Re beta = k0. False: rs_rp takes the real
-    transverse wavenumber q of the real-axis route.
-
-    cut is None, or (b0, jump) where _branch_point finds b0. Turning the
-    cut to run up from b0, beta = b0 + i t, flips beta1 on the path above
+    b0 is what _branch_point finds. Turning the cut to run up from b0,
+    beta = b0 + i t, flips beta1 on the path above
     t = Re b0 Im b0 / k0 and adds the integral of jump(t): (r_s, r_p) at
     beta1 = s minus (r_s, r_p) at -s, where s = sqrt(t (2i b0 - t)).
 
@@ -116,14 +109,14 @@ def _coefficients(geometry, omega: float):
             ones = np.ones_like(beta, dtype=complex)
             return -ones, ones
 
-        return mirror, geometry.thickness, True, None
+        return mirror, geometry.thickness, None, None
 
     if isinstance(geometry, HalfSpace):
         material = geometry.material
         b0 = _branch_point(material, omega)
         flip_above = math.inf if b0 is None else b0.real * b0.imag / omega
 
-        def on_path(beta):
+        def half_space(beta):
             beta1 = beta1_of_beta(beta, omega, material)
             if b0 is not None:
                 beta1 = np.where(beta.imag > flip_above, -beta1, beta1)
@@ -134,20 +127,153 @@ def _coefficients(geometry, omega: float):
             r_s, r_p = halfspace_rs_rp(b0 + 1j * t, np.stack((s, -s)), material)
             return r_s[0] - r_s[1], r_p[0] - r_p[1]
 
-        return on_path, 0.0, True, None if b0 is None else (b0, jump)
+        return half_space, 0.0, None if b0 is None else (b0, jump), None
 
     if isinstance(geometry, SlabWithMirror):
-        material = geometry.material
-        d = geometry.thickness
-
-        def rs_rp(q):
-            beta = vacuum_beta(q, omega)
-            beta1 = medium_beta1(q, omega, material)
-            return slab_mirror_rs_rp(beta, beta1, material, d)
-
-        return rs_rp, 0.0, False, None
+        material, d = geometry.material, geometry.thickness
+        return (lambda beta: slab_mirror_rs_rp(
+                    beta, beta1_of_beta(beta, omega, material), material, d),
+                0.0, None, _strip_poles(geometry, omega))
 
     raise TypeError(f"unsupported geometry {geometry!r}")
+
+
+def _strip_height(material: MaterialResponse, d: float, k0: float) -> float:
+    """A height above which D_s and D_p have no zero in the strip.
+
+    D_s = 0 needs |mu beta + beta1| = exp(-2 d Im beta1) |mu beta - beta1|
+    (D_p: eps for mu). At Im beta = y, |beta1 - beta| <= s/y with
+    s = |eps mu - 1| k0^2 bounds the left side from below and the right
+    one from above; y doubles, from where both bounds are monotone, until
+    they exclude a zero.
+    """
+    s = abs(material.epsilon * material.mu - 1.0) * k0 * k0
+    y = max(k0, math.sqrt(s), 1.0 / d)
+    for a in (material.mu, material.epsilon):
+        while not (a == -1.0 and s == 0.0):  # D is then exp(i beta d)
+            top = math.hypot(k0, y)
+            near = s / (2.0 * top + s / y) if a == -1.0 else abs(a + 1.0) * y - s / y
+            if near > math.exp(2.0 * d * min(0.0, s / y - y)) * (abs(a - 1.0) * top + s / y):
+                break
+            y *= 2.0
+    return y
+
+
+def _count_zeros(fns, corner: complex, wx: float, wy: float, d: float):
+    """Zeros of D_s and D_p in the rectangle from corner to
+    corner + wx + i wy, by the argument principle (Kravanja & Van Barel,
+    LNM 1727 (2000)); fns(beta) stacks D_s, D_p and beta1.
+
+    Each step along the boundary is split until D turns by at most pi/4
+    along it, and so does d Re beta1, the phase of exp(2i beta1 d): a zero
+    just outside an edge, such as a weakly lossy slab's guided mode 1e-7
+    off Re beta = 0, turns D by nearly pi within 1e-7, and two of them in
+    one step would alias.
+    """
+    ends = np.cumsum([0.0, wx, wy, wx, wy])
+    corners = corner + np.array([0, wx, wx + 1j * wy, 1j * wy, 0])
+
+    def f(u):  # the boundary, anticlockwise from corner
+        return fns(np.interp(u, ends, corners))
+
+    # Steps of h along the bottom and top, and up the sides steps that
+    # grow from h by 1/8 each: far up, D turns slowly.
+    h = min(wx, wy, 0.5 * math.pi / d) / 4.0
+    ys = 8.0 * h * (1.125 ** np.arange(2 + int(math.log1p(wy / (8.0 * h)) / math.log(1.125))) - 1.0)
+    ys = np.append(ys[ys < wy], wy)
+    u = np.sort(np.concatenate((np.arange(0.0, wx, h), wx + ys,
+                                ends[2] + np.arange(0.0, wx, h), ends[4] - ys[1:])))
+    vals = f(u)
+    while True:
+        nxt = np.concatenate((vals[:, 1:], vals[:, :1]), axis=1)
+        turn = np.angle(nxt[:2] * vals[:2].conj())
+        re, re_next = vals[2].real, nxt[2].real
+        moved = d * np.minimum(abs(re_next - re), abs(re_next + re))
+        # A zero on the boundary leaves a turn of pi for good.
+        split = np.flatnonzero((moved > math.pi / 4.0)
+                               | ~(abs(turn) <= math.pi / 4.0).all(axis=0))
+        if not len(split):
+            return np.rint(turn.sum(axis=1) / (2.0 * math.pi)).astype(int)
+        width = np.append(u[1:], ends[-1])[split] - u[split]
+        if np.any(width <= 1e-15 * ends[-1]):
+            raise DegenerateDenominator("a slab's reflection pole lies on the "
+                                        "strip's edge (guided mode; lossless input)")
+        # Eight parts per step: a zero 1e-7 off an edge takes seven rounds.
+        new = (u[split, None] + width[:, None] * np.arange(1, 8) / 8.0).ravel()
+        order = np.argsort(np.append(u, new), kind="stable")
+        u = np.append(u, new)[order]
+        vals = np.concatenate((vals, f(new)), axis=1)[:, order]
+
+
+@functools.lru_cache(maxsize=256)
+def _strip_poles(geometry: SlabWithMirror, omega: float):
+    """(beta, res, dbeta, dres, on_edge): the poles of a slab's (r_s, r_p)
+    in the strip 0 <= Re beta < k0, the residues of (r_s, r_p) stacked as
+    rows (one row is 0 at each pole), their errors, and which lie on
+    Re beta = 0; None if there are none. Cached per (geometry, omega): a
+    sweep's points share them.
+
+    Below _strip_height, a rectangle that holds more than one zero of D_s
+    or D_p is halved until the secant method from its centre finds its
+    one zero inside; dbeta is the last step. res is the mean of
+    (beta - beta_p) r on 8 points of a circle around the pole, and dres
+    its change from the mean on 4 of them.
+    """
+    material, d, k0 = geometry.material, geometry.thickness, omega
+    fns = functools.partial(slab_mirror_denominators, omega=omega,
+                            material=material, thickness=d)
+
+    def locate(corner, wx, wy, n):
+        if n.sum() == 1:
+            kind = int(np.argmax(n))
+            a, b = corner + 0.6 * (wx + 1j * wy), corner + 0.5 * (wx + 1j * wy)
+            f_a = fns(a)[kind]
+            with np.errstate(all="ignore"):
+                for _ in range(50):
+                    f_b = fns(b)[kind]
+                    a, f_a, b = b, f_b, b - f_b * (b - a) / (f_b - f_a)
+                    if abs(b - a) <= 1e-13 * (abs(b) + k0):
+                        if 0.0 < (b - corner).real < wx and 0.0 < (b - corner).imag < wy:
+                            return [(b, kind, abs(b - a))]
+                        break
+        if not n.any():
+            return []
+        if max(wx, wy) <= 1e-12 * k0:
+            raise NotConverged("no slab pole found where the count puts one")
+        half = (wx / 2.0, wy) if wx > wy else (wx, wy / 2.0)
+        lower = _count_zeros(fns, corner, *half, d)
+        return (locate(corner, *half, lower)
+                + locate(corner + wx + 1j * wy - half[0] - 1j * half[1], *half, n - lower))
+
+    # A lossless slab's guided modes lie on Re beta = 0, where the i0+
+    # limit decides whether they count: its strip starts at -eta, and
+    # they come back flagged as on the edge.
+    eta = 1e-9 * k0 if material.is_lossless else 0.0
+    height = _strip_height(material, d, k0)
+    poles = locate(-eta + 0j, k0 + eta, height,
+                   _count_zeros(fns, -eta + 0j, k0 + eta, height, d))
+    if not poles:
+        return None
+    beta, kind, step = map(np.array, zip(*poles))
+    ring = 1e-3 * min(k0, 1.0 / d) * np.exp(0.25j * math.pi * np.arange(8))
+    at = beta[:, None] + ring
+    r = np.stack(slab_mirror_rs_rp(at, beta1_of_beta(at, omega, material), material, d))
+    r = r[kind, np.arange(len(beta))] * ring
+    mine = kind == np.array([[0], [1]])
+    return (beta, np.where(mine, r.mean(axis=-1), 0.0), step,
+            np.where(mine, abs(r.mean(axis=-1) - r[:, ::2].mean(axis=-1)), 0.0),
+            abs(beta.real) < eta)
+
+
+def _product(a: float, b: float) -> tuple[float, float]:
+    """a b as p + e: p rounded and e its rounding error (Dekker's product
+    with Veltkamp's split); e is 0 where the split would overflow."""
+    p = a * b
+    a_hi = a * 134217729.0 - (a * 134217729.0 - a)
+    b_hi = b * 134217729.0 - (b * 134217729.0 - b)
+    e = (((a_hi * b_hi - p) + a_hi * (b - b_hi) + (a - a_hi) * b_hi)
+         + (a - a_hi) * (b - b_hi))
+    return p, e if math.isfinite(e) else 0.0
 
 
 def _small_ladder(k0: float, z_decay: float) -> tuple[float, ...]:
@@ -155,8 +281,8 @@ def _small_ladder(k0: float, z_decay: float) -> tuple[float, ...]:
 
     The uniform panels of integrate_evanescent are 1/(2 z_decay) wide,
     which at small z_decay puts all of the coefficients' structure at
-    kappa ~ k0 (or t ~ k0 on the path) into the first panel; halving it
-    toward 0 would take one refinement round per octave.
+    t ~ k0 into the first panel; halving it toward 0 would take one
+    refinement round per octave.
     """
     edges = []
     kappa = k0 / 8.0
@@ -173,15 +299,14 @@ def green_components(z_A: float, omega: float, geometry: Geometry,
 
     In natural units, k0 = omega. G_xx integrates R = r_s - (beta/k0)^2 r_p
     and G_zz integrates R = 2 (q/k0)^2 r_p = 2 (1 - beta^2/k0^2) r_p,
-    each times the round-trip phase, along the route _coefficients picks
-    (see the module docstring). Passing xx=False or zz=False leaves that
-    component out of the integrand and out of the convergence test; it
-    is returned as None.
+    each times the round-trip phase, on the path with what _coefficients
+    adds. Passing xx=False or zz=False leaves that component out of the
+    integrand and out of the convergence test; it is returned as None.
     """
     if not (xx or zz):
         raise ValueError("green_components needs at least one of xx, zz")
     k0 = omega
-    rs_rp, z_offset, on_path, cut = _coefficients(geometry, omega)
+    rs_rp, z_offset, cut, poles = _coefficients(geometry, omega)
     require_distance("z_A", z_A, z_offset)
     z_image = z_A - z_offset
     ladder = _small_ladder(k0, z_image)
@@ -195,54 +320,55 @@ def green_components(z_A: float, omega: float, geometry: Geometry,
             out.append(2.0 * (q2 / (k0 * k0)) * r_p)
         return np.stack(out)
 
-    if on_path:
-        if cut is not None:
-            b0, jump = cut
-            cut_phase = cmath.exp(2j * (b0 - k0) * z_image)
-            # The jump grows like s ~ sqrt(t) from t = 0: grade the first
-            # panel toward it, down to 8^-4 of its width.
-            first = min(k0 / 8.0, 0.5 / z_image)
-            ladder += tuple(first / 8.0 ** k for k in range(1, 5))
+    def at(beta, r_s, r_p):
+        # q^2 as a product: k0 - beta = -i t is exact on the path, where
+        # k0^2 - beta^2 would lose t^2 to the rounding of k0^2.
+        return rows(r_s, r_p, (beta / k0) ** 2, (k0 - beta) * (k0 + beta))
 
-        def path(t):
-            # beta = k0 + i t; the engine applies the decay exp(-2 t z_image).
-            beta = k0 + 1j * t
-            out = rows(*rs_rp(beta), (beta / k0) ** 2, k0 * k0 - beta * beta)
-            if cut is None:
-                return out
-            # The cut's beta = b0 + i t has the same decay, and its phase
-            # relative to exp(2i k0 z_image) has modulus <= 1.
-            beta = b0 + 1j * t
-            return out + cut_phase * rows(*jump(t), (beta / k0) ** 2,
-                                          k0 * k0 - beta * beta)
+    if cut is not None:
+        b0, jump = cut
+        cut_phase = cmath.exp(2j * (b0 - k0) * z_image)
+        # The jump grows like s ~ sqrt(t) from t = 0: grade the first
+        # panel toward it, down to 8^-4 of its width.
+        first = min(k0 / 8.0, 0.5 / z_image)
+        ladder += tuple(first / 8.0 ** k for k in range(1, 5))
 
-        res = integrate_evanescent(path, z_image, rel_tol, breakpoints=ladder)
-        value = (cmath.exp(2j * k0 * z_image) / (8.0 * math.pi)) * res.value
-        error = np.maximum(res.error_estimate,
-                           _ROUNDOFF * res.magnitude) / (8.0 * math.pi)
-        evaluations = res.evaluations
-    else:
-        def prop(beta):
-            q2 = np.maximum(k0 * k0 - beta * beta, 0.0)
-            return np.exp(2j * beta * z_image) * rows(
-                *rs_rp(np.sqrt(q2)), (beta / k0) ** 2, q2)
+    def path(t):
+        # beta = k0 + i t; the engine applies the decay exp(-2 t z_image).
+        beta = k0 + 1j * t
+        out = at(beta, *rs_rp(beta))
+        if cut is None:
+            return out
+        # The cut's beta = b0 + i t has the same decay, and its phase
+        # relative to exp(2i k0 z_image) has modulus <= 1.
+        return out + cut_phase * at(b0 + 1j * t, *jump(t))
 
-        def evan(kappa):
-            # beta = i kappa; the engine applies the decay exp(-2 kappa z_image).
-            q2 = kappa * kappa + k0 * k0
-            return rows(*rs_rp(np.sqrt(q2)), -(kappa / k0) ** 2, q2)
-
-        # Initial panels a quarter period of the slab's fastest phase wide.
-        res_p = integrate_propagating(
-            prop, k0, rel_tol,
-            max_panel_width=math.pi / (4.0 * (z_image + geometry.thickness)))
-        res_e = integrate_evanescent(evan, z_image, rel_tol, breakpoints=ladder)
-        value = (1j / (8.0 * math.pi)) * res_p.value + (1.0 / (8.0 * math.pi)) * res_e.value
-        error = (res_p.error_estimate + res_e.error_estimate) / (8.0 * math.pi)
-        evaluations = res_p.evaluations + res_e.evaluations
+    res = integrate_evanescent(path, z_image, rel_tol, breakpoints=ladder)
+    # The phase at the rounded k0 z_image would be off by up to
+    # 1e-16 k0 z_image, above the path's error at large distances.
+    arg, rounding = _product(k0, z_image)
+    phase = cmath.exp(2j * arg) * cmath.exp(2j * rounding)
+    value = (phase / (8.0 * math.pi)) * res.value
+    error = np.maximum(res.error_estimate,
+                       _ROUNDOFF * res.magnitude) / (8.0 * math.pi)
+    if poles is not None:
+        # -(1/4) Res F per pole; its error is what moving the pole by its
+        # last secant step changes, plus the residue's and round-off. A
+        # pole on Re beta = 0 is left out, which its term must allow.
+        beta, residue, dbeta, dresidue, on_edge = poles
+        phase = np.exp(2j * beta * z_image) / 4.0
+        terms = phase * at(beta, *residue)
+        value = value - terms[:, ~on_edge].sum(axis=-1)
+        edge = np.abs(terms[:, on_edge]).sum(axis=-1)
+        if np.any(edge > rel_tol * np.abs(value)):
+            raise DegenerateDenominator("a lossless slab's guided mode on "
+                                        "Re beta = 0 is not negligible here")
+        bound = rows(*dresidue, -abs(beta / k0) ** 2, abs(k0 * k0 - beta * beta))
+        error = error + edge + (np.abs(terms) * (2.0 * z_image * dbeta + _ROUNDOFF)
+                                + abs(phase) * bound).sum(axis=-1)
     parts = [(complex(v), float(e)) for v, e in zip(value, error)]
     g_xx, error_xx = parts.pop(0) if xx else (None, None)
     g_zz, error_zz = parts.pop(0) if zz else (None, None)
     return GreenComponents(g_xx=g_xx, g_zz=g_zz, omega=omega, z_A=z_A,
                            error_xx=error_xx, error_zz=error_zz,
-                           evaluations=evaluations)
+                           evaluations=res.evaluations)

@@ -1,45 +1,23 @@
 # src/planarcp/quadrature.py
 """Deterministic adaptive quadrature for the layered-media q-integral.
 
-The Green module takes one of two routes (see green.py), and both end
-in the two entry points here:
-
-- steepest-descent path (half spaces and the perfect lens):
-  beta = omega/c + i t, one integrate_evanescent call in t with the
-  decay exp(-2 t z), which a half space's branch-cut term shares;
-- real axis (mirror-backed slabs): the semi-infinite q-integral in two
-  pieces, after the standard variable changes that remove the 1/beta
-  endpoint singularity:
-
-  propagating  q in [0, omega/c):  beta = sqrt(omega^2/c^2 - q^2),
-               q dq = -beta dbeta  ->  plain dbeta integral on (0, omega/c]
-               (integrate_propagating)
-  evanescent   q > omega/c:        beta = i kappa,
-               q dq = kappa dkappa ->  dkappa integral with decay
-               exp(-2 kappa z) (integrate_evanescent)
+The Green module integrates on the steepest-descent path
+beta = omega/c + i t: one integrate_evanescent call in t with the decay
+exp(-2 t z). integrate_propagating integrates over (0, beta_max].
 
 Each panel is estimated with an embedded Gauss(7)/Kronrod(15) pair.
 Refinement is vectorised in the manner of Shampine's quadgk (J. Comput.
 Appl. Math. 211, 131 (2008)): all pending panels go to the integrand as
-one flat node array (in chunks of at most _CHUNK_PANELS panels), and
-each round bisects, in one batch, the fewest largest-error panels whose
-error exceeds the gap to the tolerance, until the global estimate meets
-it. A pole just off the real axis, such as a weakly lossy slab's guided
-mode, needs no breakpoint: its 1/(x - x_p) tail makes the Kronrod-Gauss
-difference large on every panel near it, so bisection homes in on it.
-The integrand may return shape (N,) or (m, N); every component must
-meet its own tolerance. Everything is deterministic: identical inputs
-give bit-identical results.
-
-Since each round is one integrand call, cost follows the number of
-rounds. integrate_evanescent's first call therefore holds, besides the
-uniform initial panels and the caller's breakpoints (only the Green
-module's ladders k0/8, k0/4, ... for the small-kappa, or small-t, scale
-at short distances, and toward the sqrt(t) onset of a branch cut), the
-first _TAIL_PANELS tail panels; further tail panels are probed one per call
-only while the last is not negligible. Each result keeps its final
-panel values, whose |values| sum to the magnitude from which a caller
-can floor its error at the round-off of the sum.
+one flat node array, and each round bisects, in one batch, the fewest
+largest-error panels whose error exceeds the gap to the tolerance, until
+the global estimate meets it. A pole near the path needs no breakpoint:
+its 1/(x - x_p) tail makes the Kronrod-Gauss difference large on every
+panel near it, so bisection homes in on it. The integrand may return
+shape (N,) or (m, N); every component must meet its own tolerance.
+Identical inputs give bit-identical results. Since each round is one
+integrand call, cost follows the number of rounds. Each result keeps its
+final panel values, whose |values| sum to the magnitude from which a
+caller can floor its error at the round-off of the sum.
 """
 
 from __future__ import annotations
@@ -87,10 +65,6 @@ _MAX_SUBDIVISIONS = 2000
 # (see integrate_evanescent).
 _TAIL_CUTOFF = 1e-16
 
-# Most panels one integrand call evaluates: bounds the node arrays, and so
-# the memory, of one evaluation.
-_CHUNK_PANELS = 256
-
 # Tail panels past kappa0 evaluated with the initial panels of an
 # evanescent integral, before any single-panel probe.
 _TAIL_PANELS = 2
@@ -128,24 +102,18 @@ def _evaluate(f, a: np.ndarray, b: np.ndarray):
     """GK15 values and errors of the panels [a_j, b_j].
 
     Both come back with the integrand's component axes first and the panel
-    axis last: shape (P,) or (m, P). Panels go to f at most _CHUNK_PANELS
-    at a time, as one flat node array.
+    axis last: shape (P,) or (m, P). All panels go to f as one flat node
+    array.
     """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    values, errors = [], []
-    for lo in range(0, len(a), _CHUNK_PANELS):
-        h = half[lo:lo + _CHUNK_PANELS]
-        x = mid[lo:lo + _CHUNK_PANELS, None] + h[:, None] * _GK_NODES
-        y = np.asarray(f(x.ravel()), dtype=complex)
-        y = y.reshape(y.shape[:-1] + x.shape)
-        # Sums over the contiguous node axis, not BLAS, keep the bits
-        # independent of alignment and thread count.
-        i15 = h * np.sum(y * _GK_WK, axis=-1)
-        i7 = h * np.sum(y * _GK_WG, axis=-1)
-        values.append(i15)
-        errors.append(np.abs(i15 - i7))
-    return np.concatenate(values, axis=-1), np.concatenate(errors, axis=-1)
+    h = 0.5 * (b - a)
+    x = 0.5 * (a + b)[:, None] + h[:, None] * _GK_NODES
+    y = np.asarray(f(x.ravel()), dtype=complex)
+    y = y.reshape(y.shape[:-1] + x.shape)
+    # Sums over the contiguous node axis, not BLAS, keep the bits
+    # independent of alignment and thread count.
+    i15 = h * np.sum(y * _GK_WK, axis=-1)
+    i7 = h * np.sum(y * _GK_WG, axis=-1)
+    return i15, np.abs(i15 - i7)
 
 
 def check_rel_tol(rel_tol: float) -> None:
@@ -195,14 +163,6 @@ def _refine(f, a, b, val, err, evals: int, rel_tol: float,
         bisections += len(split)
 
 
-def _initial_edges(a: float, b: float, max_width: float | None) -> np.ndarray:
-    n = 1
-    if max_width is not None and max_width > 0.0:
-        n = max(1, math.ceil((b - a) / max_width))
-    n = min(n, 4096)
-    return np.linspace(a, b, n + 1)
-
-
 def integrate_propagating(integrand, beta_max: float,
                           rel_tol: float = REL_TOL,
                           max_panel_width: float | None = None) -> IntegralResult:
@@ -214,7 +174,8 @@ def integrate_propagating(integrand, beta_max: float,
     """
     if beta_max <= 0.0:
         raise ValueError(f"beta_max must be positive, got {beta_max}")
-    edges = _initial_edges(0.0, beta_max, max_panel_width)
+    n = max(1, math.ceil(beta_max / max_panel_width)) if max_panel_width else 1
+    edges = np.linspace(0.0, beta_max, n + 1)
     a, b = edges[:-1], edges[1:]
     val, err = _evaluate(integrand, a, b)
     return _refine(integrand, a, b, val, err, 15 * len(a), rel_tol, "propagating")
@@ -225,20 +186,16 @@ def integrate_evanescent(integrand, z_decay: float,
                          breakpoints=()) -> IntegralResult:
     """Integrate integrand(kappa) * exp(-2 kappa z_decay) over kappa > 0.
 
-    The decay factor is applied here; the caller supplies only the
-    bounded prefactor. Truncation starts at the point where the bare
-    exponential reaches _TAIL_CUTOFF and is pushed outward until the last
-    appended panel is a negligible fraction of the running total (this
-    covers integrands whose own growth delays the decay, e.g. amplified
-    evanescent waves of a weakly absorbing left-handed slab). The first
-    _TAIL_PANELS panels past that point are evaluated with the initial
-    ones, since a prefactor growing like kappa^2 keeps the first of them
-    above _TAIL_CUTOFF; refinement starts from the values of all of them
-    and of any further tail probes.
-
-    breakpoints are extra panel edges, the Green module's ladders: they
-    put the small-kappa scale and the sqrt(t) onset of a branch cut into
-    the first call, where bisection would spend a round per octave.
+    The caller supplies the prefactor; the decay is applied here. The
+    first call holds 37 uniform panels up to kappa0, where the bare
+    exponential reaches _TAIL_CUTOFF, the first _TAIL_PANELS panels past
+    it (a kappa^2 prefactor keeps the first above _TAIL_CUTOFF) and the
+    breakpoints: the Green module's ladders toward small kappa and toward
+    the sqrt(t) onset of a branch cut, where bisection would spend a
+    round per octave. Further tail panels are probed one per call while
+    the last is not a negligible fraction of the total, which covers a
+    prefactor whose growth delays the decay, such as the amplified waves
+    of a weakly lossy left-handed slab.
     """
     require_distance("z_decay", z_decay)
 
@@ -246,9 +203,9 @@ def integrate_evanescent(integrand, z_decay: float,
         return np.asarray(integrand(kappa), dtype=complex) * np.exp(-2.0 * kappa * z_decay)
 
     kappa0 = -math.log(_TAIL_CUTOFF) / (2.0 * z_decay)
-    width = 1.0 / (2.0 * z_decay)
-    step = max(kappa0 / 4.0, width)
-    edges = np.concatenate((_initial_edges(0.0, kappa0, width),
+    step = kappa0 / 4.0
+    # Panels at most 1/(2 z_decay) wide: 37 of them.
+    edges = np.concatenate((np.linspace(0.0, kappa0, math.ceil(-math.log(_TAIL_CUTOFF)) + 1),
                             kappa0 + step * np.arange(1, _TAIL_PANELS + 1)))
     inner = [b for b in breakpoints if 0.0 < b < kappa0]
     if inner:

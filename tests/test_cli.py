@@ -168,6 +168,42 @@ class TestSweep:
         assert len(rows) == 3
         assert all(math.isfinite(u) and method == "numeric" for u, method in rows)
 
+    def test_far_slab(self, tmp_path, capsys):
+        # On the real axis this slab's sectors cancelled at z = 1e4, which
+        # failed; the path with its residues costs the same at every
+        # distance.
+        code, out = run(tmp_path, "sweep", "--geometry", "slab-mirror",
+                        "--eps-re", "2", "--eps-im", "0.1", "--thickness", "1",
+                        "--zmin", "1e3", "--zmax", "1e4", "--points", "3",
+                        "--workers", "1", "--reproducible")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert all(math.isfinite(u) and method == "numeric"
+                   for u, method in self.values(out))
+
+    @pytest.mark.parametrize("mu_re,failed", [
+        # A lossless eps = 4 slab's guided modes lie on the strip's edge
+        # Re beta = 0 and matter at every one of these distances: typed
+        # failures, no traceback, no hang.
+        ("1", 3),
+        # mu = -1 exactly leaves no height bound from |mu + 1|, but the
+        # finite rows stay finite.
+        ("-1", 0),
+    ])
+    def test_slab_edge_cases(self, tmp_path, capsys, mu_re, failed):
+        eps = ["--eps-re", "4", "--eps-im", "0", "--thickness", "3"] if failed \
+            else ["--eps-re", "2", "--eps-im", "0.1", "--thickness", "1"]
+        code, out = run(tmp_path, "sweep", "--geometry", "slab-mirror", *eps,
+                        "--mu-re", mu_re, "--mu-im", "0", "--zmin", "0.05",
+                        "--zmax", "20", "--points", "3", "--workers", "1",
+                        "--reproducible")
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert code == (2 if failed else 0)
+        rows = self.values(out)
+        assert sum(method == "failed" for _, method in rows) == failed
+        assert all(math.isfinite(u) for u, method in rows if method != "failed")
+
     def test_pool_never_larger_than_points(self, tmp_path, monkeypatch):
         # A fake pool that records its size and runs the jobs in this
         # process, so no worker is started.

@@ -4,13 +4,15 @@ dense-grid reference."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from planarcp import (DomainError, HalfSpace, PerfectLens, SlabWithMirror,
-                      VACUUM, green_components, validate_material)
+from planarcp import (DegenerateDenominator, DomainError, HalfSpace,
+                      PerfectLens, SlabWithMirror, VACUUM, green_components,
+                      validate_material)
 import planarcp.green
-from planarcp.green import _coefficients
+from planarcp.green import _coefficients, _strip_height, _strip_poles
 from oracle import quad_vec_green, simpson_green
 
 LENS_SLAB = SlabWithMirror(validate_material(-1 + 1e-4j, -1 + 1e-4j), 5.0)
@@ -238,17 +240,21 @@ class TestSmallDistance:
         green_components(1e-2, 1.0, HalfSpace(validate_material(2 + 0.1j, 1)))
         assert (len(path), len(axis)) == (1, 0)
 
-    def test_few_rounds_at_short_distance_real_axis(self, monkeypatch):
-        # A slab keeps the real-axis route: one medium_beta1 call per
-        # engine round of either sector, two of them propagating. A half
-        # space of the same medium takes the path and its cut in one round.
+    def test_few_rounds_at_short_distance_slab(self, monkeypatch):
+        # A slab takes the path too: one beta1_of_beta call per engine
+        # round, once its strip poles are found and cached. Its pole at
+        # beta = 0.988 + 1.439i lies 0.012 from the path, which bisection
+        # resolves in four more rounds. A half space of the same medium
+        # takes the path and its cut in one round.
+        material = validate_material(-1 + 0.1j, -1 + 0.1j)
+        slab = SlabWithMirror(material, 1.0)
+        green_components(1e-2, 1.0, slab)
         path = self.count_calls(monkeypatch, "beta1_of_beta")
         axis = self.count_calls(monkeypatch, "medium_beta1")
-        material = validate_material(-1 + 0.1j, -1 + 0.1j)
-        green_components(1e-2, 1.0, SlabWithMirror(material, 1.0))
-        assert (len(path), len(axis)) == (0, 3)
+        green_components(1e-2, 1.0, slab)
+        assert (len(path), len(axis)) == (5, 0)
         green_components(1e-2, 1.0, HalfSpace(material))
-        assert (len(path), len(axis)) == (1, 3)
+        assert (len(path), len(axis)) == (6, 0)
 
     @pytest.mark.parametrize("z", [1e-3, 1e-2, 0.1, 1.0, 5.0])
     @pytest.mark.parametrize("geometry", [
@@ -263,18 +269,29 @@ class TestSmallDistance:
         assert abs(g.g_zz - ref_zz) <= g.error_zz + ref_err
 
 
-def on_path(geometry) -> bool:
-    return _coefficients(geometry, 1.0)[2]
+def on_path(geometry, monkeypatch) -> bool:
+    """Whether a Green call at z = 6 integrates once on the path and asks
+    for no real-axis wavenumber or integral."""
+    calls = []
+    for name in ("integrate_evanescent", "integrate_propagating",
+                 "vacuum_beta", "medium_beta1"):
+        def counted(*args, _name=name, _real=getattr(planarcp.green, name),
+                    **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(planarcp.green, name, counted)
+    green_components(6.0, 1.0, geometry)
+    return calls == ["integrate_evanescent"]
 
 
 def has_cut(geometry) -> bool:
-    return _coefficients(geometry, 1.0)[3] is not None
+    return _coefficients(geometry, 1.0)[2] is not None
 
 
 class TestSteepestDescentPath:
-    """The route through Re beta = k0, taken by every half space and the
-    perfect lens, with the branch cut of beta1 where it lies in the strip
-    0 <= Re beta < k0."""
+    """The route through Re beta = k0, taken by every geometry, with the
+    branch cut of beta1 where it lies in the strip 0 <= Re beta < k0."""
 
     @pytest.mark.parametrize("geometry,expected", [
         (PerfectLens(5.0), True),
@@ -286,11 +303,11 @@ class TestSteepestDescentPath:
         (HalfSpace(validate_material(0.5, 3)), True),      # i0+ direction > 0
         (HalfSpace(validate_material(-2, -2)), True),      # i0+ direction < 0
         (HalfSpace(validate_material(-1 + 0.1j, -1 + 0.1j)), True),
-        (SlabWithMirror(validate_material(2 + 0.1j, 1), 1.0), False),
-        (LENS_SLAB, False),
+        (SlabWithMirror(validate_material(2 + 0.1j, 1), 1.0), True),
+        (LENS_SLAB, True),
     ])
-    def test_route_certificate(self, geometry, expected):
-        assert on_path(geometry) is expected
+    def test_route_certificate(self, geometry, expected, monkeypatch):
+        assert on_path(geometry, monkeypatch) is expected
 
     @pytest.mark.parametrize("eps,mu,expected", [
         (2 + 0.1j, 1, False),                # Im(eps mu) > 0
@@ -338,7 +355,7 @@ class TestSteepestDescentPath:
         # the strip; the path without its cut would be off by up to 450
         # times the value here.
         geometry = HalfSpace(validate_material(-1 + 0.1j, -1 + 0.1j))
-        assert on_path(geometry) and has_cut(geometry)
+        assert has_cut(geometry)
         self.check_against_quad_vec(geometry, z)
 
     # (eps = mu, z, G_xx, G_zz) to 30 digits; see below.
@@ -419,8 +436,9 @@ class TestSteepestDescentPath:
 
 class TestWeaklyLossySlab:
     """Mirror-backed slabs with losses of 1e-6 to 1e-4, whose guided-mode
-    poles lie just off the real kappa axis. Adaptive bisection must find
-    them with no breakpoint placed there."""
+    poles lie within about the loss of the real kappa axis, on either side
+    of the strip's edge Re beta = 0 (backward modes of the left-handed
+    ones inside): the strip's pole count must sort them out."""
 
     @pytest.mark.parametrize("eps,mu,d,z", [
         (1.670 + 1.33e-5j, 5.816 + 2.83e-6j, 43.6, 6.38),
@@ -433,3 +451,144 @@ class TestWeaklyLossySlab:
     def test_against_quad_vec(self, eps, mu, d, z):
         geometry = SlabWithMirror(validate_material(eps, mu), d)
         TestSteepestDescentPath.check_against_quad_vec(geometry, z)
+
+
+def dense_count(eps, mu, d, height, n=400_000):
+    """Zeros of D_s and D_p in 0 < Re beta < 1, 0 < Im beta < height
+    (k0 = 1), from the phase of each on n points per edge: an argument
+    principle with no adaptivity, sharing no code with the engine."""
+    t = np.arange(n) / n
+    beta = np.concatenate((t, 1 + 1j * height * t, 1 - t + 1j * height,
+                           1j * height * (1 - t)))
+    w = np.sqrt(beta * beta + eps * mu - 1)
+    # cos(w d) and sin(w d) times exp(-|Im w| d), which keeps the phase.
+    up, down = (np.exp(s * 1j * w * d - abs(w.imag) * d) for s in (1, -1))
+    cos, sin = (up + down) / 2, (up - down) / 2j
+    return [round(np.angle(f / np.roll(f, 1)).sum() / (2 * math.pi))
+            for f in (cos - 1j * mu * beta * sin / w,
+                      eps * beta * cos - 1j * w * sin)]
+
+
+class TestStripPoles:
+    """The poles of a mirror-backed slab's coefficients in the strip
+    0 < Re beta < k0, whose residues the path adds."""
+
+    @pytest.mark.parametrize("eps,mu,d,expected", [
+        (-1 + 1e-4j, -1 + 1e-4j, 5.0, [1, 2]),        # lens-sweep's slab
+        (-1 + 0.01j, -1 + 0.01j, 20.0, [6, 6]),
+        # Guided modes 1e-7 outside the strip's left edge.
+        (9 + 1e-6j, 1, 50.0, [0, 0]),
+        # The media of TestWeaklyLossySlab.
+        (1.670 + 1.33e-5j, 5.816 + 2.83e-6j, 43.6, None),
+        (-3.227 + 6.41e-6j, -5.782 + 8.10e-5j, 38.7, None),
+        (-2.508 + 1.45e-6j, -3.604 + 1.22e-5j, 6.54, None),
+        (4.476 + 1.40e-6j, 3.006 + 5.0e-6j, 4.54, None),
+        (2.941 + 2.53e-6j, 1, 13.7, None),
+        (3.124 + 1.35e-6j, 0.634 + 2.73e-6j, 6.5, None),
+    ])
+    def test_count_matches_dense_boundary_count(self, eps, mu, d, expected):
+        geometry = SlabWithMirror(validate_material(eps, mu), d)
+        beta, res, _, _, _ = _strip_poles(geometry, 1.0) or (np.zeros(0),) * 5
+        counts = [int(np.count_nonzero(row)) for row in res] or [0, 0]
+        height = _strip_height(geometry.material, d, 1.0)
+        assert counts == dense_count(eps, mu, d, height)
+        assert expected is None or counts == expected
+        assert np.all((beta.real > 0) & (beta.real < 1) & (beta.imag > 0))
+
+    def test_lossless_guided_mode_on_the_edge(self):
+        # The real-q guided modes of a lossless slab lie on Re beta = 0,
+        # where the i0+ limit decides whether they count: a typed error
+        # where their terms matter, the path value where they do not.
+        slab = SlabWithMirror(validate_material(4, 1), 3.0)
+        with pytest.raises(DegenerateDenominator):
+            green_components(1.0, 1.0, slab)
+        beta, _, _, _, on_edge = _strip_poles(slab, 1.0)
+        assert on_edge.all() and np.all(beta.real == pytest.approx(0, abs=1e-12))
+        thin = SlabWithMirror(validate_material(2.15, 4.44), 0.17)
+        lossy = SlabWithMirror(validate_material(2.15 + 1e-9j, 4.44 + 1e-9j), 0.17)
+        g, limit = green_components(38.2, 1.0, thin), green_components(38.2, 1.0, lossy)
+        assert abs(g.g_xx - limit.g_xx) <= 1e-8 * abs(limit.g_xx)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(["right-handed", "eps-negative", "mu-negative",
+                                 "left-handed"]),
+           eps_re=st.floats(0.01, 6.0), mu_re=st.floats(0.01, 6.0),
+           eps_loss=st.floats(-4.0, 0.0), mu_loss=st.floats(-4.0, 0.0),
+           log_d=st.floats(math.log10(0.05), math.log10(20.0)),
+           log_z=st.floats(-3.0, 2.0))
+    def test_slab_against_quad_vec(self, kind, eps_re, mu_re, eps_loss,
+                                   mu_loss, log_d, log_z):
+        if kind in ("eps-negative", "left-handed"):
+            eps_re = -eps_re
+        if kind in ("mu-negative", "left-handed"):
+            mu_re = -mu_re
+        material = validate_material(complex(eps_re, 10.0 ** eps_loss),
+                                     complex(mu_re, 10.0 ** mu_loss))
+        TestSteepestDescentPath.check_against_quad_vec(
+            SlabWithMirror(material, 10.0 ** log_d), 10.0 ** log_z)
+
+    def test_thick_weakly_lossy_slab_at_short_distance(self):
+        # The real axis took 32,805 evaluations at z = 5 and did not
+        # converge at z = 0.5.
+        geometry = SlabWithMirror(validate_material(9 + 1e-6j, 1), 50.0)
+        TestSteepestDescentPath.check_against_quad_vec(geometry, 0.5)
+
+    # (eps, mu, d, z, omega, G_xx, G_zz) to 30 digits; see below.
+    FAR = (
+        (2 + 0.1j, 1, 1.0, 1e4, 1.0,
+         "3.58786685357183856240319501047e-6+6.53727736954958130963479659999e-7j",
+         "-6.53664730000709494039045087077e-11+3.58759674954675545120237216991e-10j"),
+        (-2 + 0.05j, -2 + 0.05j, 1.0, 1e4, 1.0,
+         "3.49961050194681376289337587799e-6-8.45993166983454495528622196594e-7j",
+         "8.46099801881780672321843696033e-11+3.49998098180430318632499227801e-10j"),
+        (-1.034770719048046 + 0.0004523214587456385j,
+         -2.6645382400244264 + 0.0002999246121315607j,
+         0.08878882051299529, 707.9457843841374, 0.8,
+         "-1.14872263045058362547617684186e-5-5.50210004704811782027213384965e-5j",
+         "9.71205394031388694837990816506e-8-2.02765892980617208406865831669e-8j"),
+    )
+
+    @pytest.mark.parametrize("eps,mu,d,z,omega,exact_xx,exact_zz", FAR)
+    def test_far_slab_thirty_digit_values(self, eps, mu, d, z, omega, exact_xx,
+                                          exact_zz):
+        """The path with its residues against 30-digit values far out. At
+        z = 1e4 the real axis's sectors cancelled and it did not converge;
+        at omega = 0.8 the phase exp(2i k0 z) must be taken at the exact
+        product k0 z, and G_zz's q^2 = k0^2 - beta^2 as a product, or the
+        value is off by 5.7 and 4.9 times its claimed error.
+
+        The values are the real-axis integral in both sectors, so they do
+        not depend on the contour, made with mpmath 1.3 by
+
+            python - <<'EOF'
+            import mpmath as mp
+            mp.mp.dps = 40
+            def green(eps, mu, d, z, k0):  # as in FAR, k0 = omega
+                eps, mu, d, z, k0 = (mp.mpc(eps), mp.mpc(mu), mp.mpf(d),
+                                     mp.mpf(z), mp.mpf(k0))
+                def R(b, zz):
+                    w = mp.sqrt(b * b + (eps * mu - 1) * k0 * k0)  # r is even in w
+                    c, s = mp.cos(w * d), mp.sin(w * d) / w
+                    rs = -(c + 1j * mu * b * s) / (c - 1j * mu * b * s)
+                    rp = ((eps * b * c + 1j * w * w * s)
+                          / (eps * b * c - 1j * w * w * s))
+                    q = 1 - (b / k0) ** 2
+                    return 2 * q * rp if zz else rs - (b / k0) ** 2 * rp
+                n = int(mp.ceil(k0 * z / mp.pi))  # one period per interval
+                prop = [k0 * k / n for k in range(n + 1)]
+                evan = [mp.mpf(0)] + [c / z for c in (0.5, 2, 8, 32)] + [mp.inf]
+                out = []
+                for zz in (0, 1):
+                    p = mp.quad(lambda b: mp.exp(2j * b * z) * R(b, zz), prop)
+                    e = mp.quad(lambda k: mp.exp(-2 * k * z) * R(1j * k, zz),
+                                evan)
+                    out.append(mp.nstr((1j * p + e) / (8 * mp.pi), 30))
+                return out
+            EOF
+
+        in about 14 minutes each at z = 1e4 and 1 minute at z = 708.
+        """
+        g = green_components(z, omega, SlabWithMirror(validate_material(eps, mu), d))
+        for value, claimed, exact in ((g.g_xx, g.error_xx, exact_xx),
+                                      (g.g_zz, g.error_zz, exact_zz)):
+            assert abs(value - complex(exact)) <= claimed

@@ -3,7 +3,10 @@
 
 import math
 
+import numpy as np
 import pytest
+
+import planarcp.green
 
 from planarcp import (Atom, DegenerateDenominator, DomainError, HalfSpace,
                       PerfectLens,
@@ -95,9 +98,19 @@ class TestNumeric:
         want_err = g.error_xx * t.d_par_sq + g.error_zz * t.d_perp_sq
         assert abs(got.value - want) <= got.error_estimate + want_err
 
-    def test_parallel_dipole_skips_zz(self):
-        got = potential_numeric(PAR, LENS_SLAB, 6.0)
-        assert got.evaluations < green_components(6.0, 1.0, LENS_SLAB).evaluations
+    def test_parallel_dipole_skips_zz(self, monkeypatch):
+        # The integrand of a parallel dipole carries the G_xx row alone.
+        rows = []
+        real = planarcp.green.integrate_evanescent
+
+        def recorded(integrand, *args, **kwargs):
+            rows.append(len(integrand(np.array([0.5]))))
+            return real(integrand, *args, **kwargs)
+
+        monkeypatch.setattr(planarcp.green, "integrate_evanescent", recorded)
+        potential_numeric(PAR, LENS_SLAB, 6.0)
+        green_components(6.0, 1.0, LENS_SLAB)
+        assert rows == [1, 2]
 
 
 class TestNonretarded:

@@ -174,7 +174,7 @@ class TestDeterminism:
         assert e1.value == e2.value and e1.evaluations == e2.evaluations
 
     def test_vector_repeats_bit_for_bit(self):
-        # Enough initial panels to span several evaluation chunks.
+        # 3000 initial panels, evaluated in one call.
         def f(b):
             return np.stack((np.exp(2j * b * 40.0), np.cos(b) / (1.0 + b)))
 
