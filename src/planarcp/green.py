@@ -35,14 +35,8 @@ from .core import (DegenerateDenominator, Geometry, HalfSpace,
 from .dispersion import (_i0_sign, _passive_sqrt, beta1_of_beta,  # noqa: F401
                          halfspace_rs_rp, medium_beta1, slab_mirror_rs_rp,
                          slab_mirror_denominators, vacuum_beta)
-from .quadrature import (REL_TOL, integrate_evanescent,  # noqa: F401
+from .quadrature import (_ROUNDOFF, REL_TOL, integrate_evanescent,  # noqa: F401
                          integrate_propagating)
-
-# Round-off floor of a path integral's error, per unit of its magnitude
-# (the integral of |f|): QUADPACK's 50 eps_mach. A one-round GK15
-# estimate of a smooth decaying integrand can claim far less than the
-# rounding of the sum.
-_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -349,8 +343,7 @@ def green_components(z_A: float, omega: float, geometry: Geometry,
     arg, rounding = _product(k0, z_image)
     phase = cmath.exp(2j * arg) * cmath.exp(2j * rounding)
     value = (phase / (8.0 * math.pi)) * res.value
-    error = np.maximum(res.error_estimate,
-                       _ROUNDOFF * res.magnitude) / (8.0 * math.pi)
+    error = res.error_estimate / (8.0 * math.pi)
     if poles is not None:
         # -(1/4) Res F per pole; its error is what moving the pole by its
         # last secant step changes, plus the residue's and round-off. A

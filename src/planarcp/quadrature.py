@@ -15,15 +15,16 @@ its 1/(x - x_p) tail makes the Kronrod-Gauss difference large on every
 panel near it, so bisection homes in on it. The integrand may return
 shape (N,) or (m, N); every component must meet its own tolerance.
 Identical inputs give bit-identical results. Since each round is one
-integrand call, cost follows the number of rounds. Each result keeps its
-final panel values, whose |values| sum to the magnitude from which a
-caller can floor its error at the round-off of the sum.
+integrand call, cost follows the number of rounds. An evanescent
+integral's rounds also extend its tail, in the same call, as Shampine's
+loop handles an infinite interval. Every error is floored at the
+round-off of the sum, as QUADPACK's (Piessens et al., 1983) is.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,43 +60,33 @@ _GK_WG = np.array([
 REL_TOL = 1e-8
 # Absolute error floor, under which a component counts as converged.
 _ABS_TOL = 1e-30
-# Most bisections, and most tail probes, one integral may spend.
+# Most subdivisions one integral may spend, from one budget: a bisection
+# and an appended tail panel each spend one.
 _MAX_SUBDIVISIONS = 2000
 # Relative size below which the evanescent tail counts as negligible
 # (see integrate_evanescent).
 _TAIL_CUTOFF = 1e-16
+# Round-off floor of an error, per unit of the integral of |f|:
+# QUADPACK's 50 eps_mach. A one-round GK15 estimate of a smooth decaying
+# integrand can claim far less than the rounding of the sum.
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 # Tail panels past kappa0 evaluated with the initial panels of an
-# evanescent integral, before any single-panel probe.
+# evanescent integral, before any refinement round appends more.
 _TAIL_PANELS = 2
 
 
 @dataclass(frozen=True)
 class IntegralResult:
     """value and error_estimate are scalars for an integrand returning
-    shape (N,), and arrays of shape (m,) for one returning (m, N).
-    panel_values holds the final panels' GK15 values, panel axis last."""
+    shape (N,), and arrays of shape (m,) for one returning (m, N). A
+    partial result whose evanescent tail still contributes has an
+    infinite error."""
 
     value: complex | np.ndarray
     error_estimate: float | np.ndarray
     evaluations: int
     converged: bool
-    panel_values: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def magnitude(self) -> float | np.ndarray:
-        """Sum of the panels' |values|, the integral of |f| at panel
-        resolution: the scale of the round-off in the summed value, which
-        the Kronrod-Gauss difference does not see. Computed on request, so
-        callers that do not floor their error do not pay for it."""
-        m = np.sum(np.abs(self.panel_values), axis=-1)
-        return float(m) if np.ndim(m) == 0 else m
-
-
-def _result(total, err_total, evals: int, converged: bool, val) -> IntegralResult:
-    if np.ndim(total) == 0:
-        total, err_total = complex(total), float(err_total)
-    return IntegralResult(total, err_total, evals, converged, val)
 
 
 def _evaluate(f, a: np.ndarray, b: np.ndarray):
@@ -122,45 +113,76 @@ def check_rel_tol(rel_tol: float) -> None:
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
 
 
-def _refine(f, a, b, val, err, evals: int, rel_tol: float,
-            sector: str) -> IntegralResult:
-    """Bisect panels until every component's summed error meets its
-    tolerance; raise NotConverged once _MAX_SUBDIVISIONS are spent.
+def _integrate(f, edges: np.ndarray, rel_tol: float, sector: str,
+               step: float = 0.0) -> IntegralResult:
+    """Integrate f over the panels between consecutive edges, refining
+    until every component's summed error meets its tolerance; raise
+    NotConverged once _MAX_SUBDIVISIONS are spent.
 
-    a, b are the panel edges and val, err their GK15 values and errors as
-    returned by _evaluate. Each round sorts the panels by error relative
-    to the tolerance (largest first) and bisects the shortest prefix whose
-    error exceeds every component's excess over its tolerance.
+    Each round sorts the panels by error relative to the tolerance
+    (largest first) and bisects the shortest prefix whose error exceeds
+    every component's excess over its tolerance. With step > 0 the
+    integral runs on past the last edge: while the last panel is above
+    _TAIL_CUTOFF of the total, the round also appends, in the same
+    integrand call, the next panel step wide. A bisection and a tail
+    panel each spend one subdivision.
     """
     check_rel_tol(rel_tol)
-    bisections = 0
+    a = edges[:-1]
+    b = edges[1:]
+    val, err = _evaluate(f, a, b)
+    evals = 15 * len(a)
+    spent = 0
+    tail_open = step > 0.0
     while True:
-        total = np.sum(val, axis=-1)
-        err_total = np.sum(err, axis=-1)
+        total = val.sum(axis=-1)
+        err_total = err.sum(axis=-1)
         tol = np.maximum(rel_tol * np.abs(total), _ABS_TOL)
-        if np.all(err_total <= tol):
-            return _result(total, err_total, evals, True, val)
-        budget = _MAX_SUBDIVISIONS - bisections
-        if budget == 0:
-            raise NotConverged(
-                f"{sector} integral: error {np.max(err_total):.3e} above "
-                f"tolerance after {_MAX_SUBDIVISIONS} subdivisions",
-                _result(total, err_total, evals, False, val))
-        scaled = np.reshape(err / tol[..., None], (-1, err.shape[-1]))
-        order = np.argsort(-scaled.max(axis=0), kind="stable")
-        excess = np.reshape(err_total / tol - 1.0, (-1, 1))
-        covered = np.all(np.cumsum(scaled[:, order], axis=-1) > excess, axis=0)
-        split = order[:min(int(np.argmax(covered)) + 1, budget)]
-        mid = 0.5 * (a[split] + b[split])
-        new_a = np.concatenate((a[split], mid))
-        new_b = np.concatenate((mid, b[split]))
+        # While open, the tail panel is the last one appended. Once
+        # negligible it stays so, and is not checked again.
+        if tail_open:
+            cutoff = _TAIL_CUTOFF * np.maximum(np.abs(total), _ABS_TOL)
+            tail_open = not np.all(np.abs(val[..., -1]) <= cutoff)
+        converged = bool(np.all(err_total <= tol))
+        done = converged and not tail_open
+        if done or spent == _MAX_SUBDIVISIONS:
+            # The Kronrod-Gauss difference does not see the rounding of
+            # the sum, whose scale is the panels' summed |values|.
+            err_total = np.fmax(np.where(tail_open, np.inf, err_total),
+                                _ROUNDOFF * np.sum(np.abs(val), axis=-1))
+            if np.ndim(total) == 0:
+                total, err_total = complex(total), float(err_total)
+            result = IntegralResult(total, err_total, evals, done)
+            if done:
+                return result
+            why = (f"tail still contributing at {b[-1]:.3e}" if tail_open
+                   else f"error {np.max(err_total):.3e} above tolerance")
+            raise NotConverged(f"{sector} integral: {why} after "
+                               f"{_MAX_SUBDIVISIONS} subdivisions", result)
+        # The next tail panel, if the tail is open, goes last.
+        new_a = b[-1:] if tail_open else b[:0]
+        new_b = new_a + step
+        spent += tail_open
+        if not converged:
+            scaled = np.reshape(err / tol[..., None], (-1, err.shape[-1]))
+            order = np.argsort(-scaled.max(axis=0), kind="stable")
+            excess = np.reshape(err_total / tol - 1.0, (-1, 1))
+            covered = np.all(np.cumsum(scaled[:, order], axis=-1) > excess, axis=0)
+            split = order[:min(int(np.argmax(covered)) + 1, _MAX_SUBDIVISIONS - spent)]
+            mid = 0.5 * (a[split] + b[split])
+            new_a = np.concatenate((a[split], mid, new_a))
+            new_b = np.concatenate((mid, b[split], new_b))
+            a = np.delete(a, split)
+            b = np.delete(b, split)
+            val = np.delete(val, split, axis=-1)
+            err = np.delete(err, split, axis=-1)
+            spent += len(split)
         new_val, new_err = _evaluate(f, new_a, new_b)
-        a = np.concatenate((np.delete(a, split), new_a))
-        b = np.concatenate((np.delete(b, split), new_b))
-        val = np.concatenate((np.delete(val, split, axis=-1), new_val), axis=-1)
-        err = np.concatenate((np.delete(err, split, axis=-1), new_err), axis=-1)
+        a = np.concatenate((a, new_a))
+        b = np.concatenate((b, new_b))
+        val = np.concatenate((val, new_val), axis=-1)
+        err = np.concatenate((err, new_err), axis=-1)
         evals += 15 * len(new_a)
-        bisections += len(split)
 
 
 def integrate_propagating(integrand, beta_max: float,
@@ -175,10 +197,8 @@ def integrate_propagating(integrand, beta_max: float,
     if beta_max <= 0.0:
         raise ValueError(f"beta_max must be positive, got {beta_max}")
     n = max(1, math.ceil(beta_max / max_panel_width)) if max_panel_width else 1
-    edges = np.linspace(0.0, beta_max, n + 1)
-    a, b = edges[:-1], edges[1:]
-    val, err = _evaluate(integrand, a, b)
-    return _refine(integrand, a, b, val, err, 15 * len(a), rel_tol, "propagating")
+    return _integrate(integrand, np.linspace(0.0, beta_max, n + 1), rel_tol,
+                      "propagating")
 
 
 def integrate_evanescent(integrand, z_decay: float,
@@ -192,9 +212,9 @@ def integrate_evanescent(integrand, z_decay: float,
     it (a kappa^2 prefactor keeps the first above _TAIL_CUTOFF) and the
     breakpoints: the Green module's ladders toward small kappa and toward
     the sqrt(t) onset of a branch cut, where bisection would spend a
-    round per octave. Further tail panels are probed one per call while
-    the last is not a negligible fraction of the total, which covers a
-    prefactor whose growth delays the decay, such as the amplified waves
+    round per octave. Each refinement round appends one more tail panel
+    while the last is not a negligible fraction of the total, which covers
+    a prefactor whose growth delays the decay, such as the amplified waves
     of a weakly lossy left-handed slab.
     """
     require_distance("z_decay", z_decay)
@@ -210,30 +230,4 @@ def integrate_evanescent(integrand, z_decay: float,
     inner = [b for b in breakpoints if 0.0 < b < kappa0]
     if inner:
         edges = np.unique(np.concatenate((edges, inner)))
-    a, b = edges[:-1], edges[1:]
-    val, err = _evaluate(f, a, b)
-    evals = 15 * len(a)
-
-    # Tail extension: single-panel probes until the last panel is a
-    # negligible fraction of the running total.
-    extensions = 0
-    while True:
-        running = np.sum(val, axis=-1)
-        if np.all(np.abs(val[..., -1])
-                  <= _TAIL_CUTOFF * np.maximum(np.abs(running), _ABS_TOL)):
-            break
-        if extensions == _MAX_SUBDIVISIONS:
-            raise NotConverged(
-                "evanescent tail still contributing after "
-                f"{extensions} extensions (kappa ~ {b[-1]:.3e})",
-                _result(running, np.full(np.shape(running), np.inf), evals, False,
-                        val))
-        lo, hi = b[-1:], b[-1:] + step
-        probe_val, probe_err = _evaluate(f, lo, hi)
-        a, b = np.concatenate((a, lo)), np.concatenate((b, hi))
-        val = np.concatenate((val, probe_val), axis=-1)
-        err = np.concatenate((err, probe_err), axis=-1)
-        evals += 15
-        extensions += 1
-
-    return _refine(f, a, b, val, err, evals, rel_tol, "evanescent")
+    return _integrate(f, edges, rel_tol, "evanescent", step)

@@ -453,6 +453,48 @@ class TestWeaklyLossySlab:
         TestSteepestDescentPath.check_against_quad_vec(geometry, z)
 
 
+class TestAmplifiedTail:
+    """Near-lens slabs, eps = mu = -1 + i delta, amplify evanescent waves:
+    the path's integrand decays late, so the engine's rounds append tail
+    panels past its first call."""
+
+    @staticmethod
+    def round_sizes(monkeypatch):
+        # Nodes per integrand call of each integrate_evanescent call.
+        sizes = []
+        real = planarcp.green.integrate_evanescent
+
+        def recorded(integrand, *args, **kwargs):
+            def f(t):
+                sizes.append(len(t))
+                return integrand(t)
+
+            return real(f, *args, **kwargs)
+
+        monkeypatch.setattr(planarcp.green, "integrate_evanescent", recorded)
+        return sizes
+
+    def test_tail_panel_and_bisections_in_one_round(self, monkeypatch):
+        # The tail needs one panel past the first call and the poles near
+        # the path need bisection.
+        geometry = SlabWithMirror(
+            validate_material(-1 + 1.849e-4j, -1 + 1.849e-4j), 2.4136)
+        sizes = self.round_sizes(monkeypatch)
+        g = green_components(2.4686, 1.0, geometry)
+        # 15 nodes more than whole bisected pairs: a tail panel rode along.
+        assert any(n % 30 == 15 and n > 15 for n in sizes[1:]), sizes
+        ref_xx, ref_zz, ref_err = quad_vec_green(2.4686, 1.0, geometry)
+        assert abs(g.g_xx - ref_xx) <= g.error_xx + ref_err
+        assert abs(g.g_zz - ref_zz) <= g.error_zz + ref_err
+
+    def test_tail_only_round(self, monkeypatch):
+        # lens-sweep's first point: one tail panel, no bisection, and no
+        # round past the one that finds the tail closed.
+        sizes = self.round_sizes(monkeypatch)
+        green_components(5.2, 1.0, LENS_SLAB)
+        assert len(sizes) == 2 and sizes[1] == 15, sizes
+
+
 def dense_count(eps, mu, d, height, n=400_000):
     """Zeros of D_s and D_p in 0 < Re beta < 1, 0 < Im beta < height
     (k0 = 1), from the phase of each on n points per edge: an argument

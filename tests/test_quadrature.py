@@ -5,19 +5,47 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from planarcp import (DomainError, IntegralResult, NotConverged,
                       integrate_evanescent, integrate_propagating)
-from planarcp.quadrature import _MAX_SUBDIVISIONS
+from planarcp.quadrature import _MAX_SUBDIVISIONS, REL_TOL
+
+
+def propagating(f, span, rel_tol=REL_TOL, width=None):
+    return integrate_propagating(f, span, rel_tol, max_panel_width=width)
+
+
+def evanescent(f, span, rel_tol=REL_TOL, width=None):
+    """integrate_evanescent at z_decay = 0.5 (kappa0 = 36.8), with
+    breakpoints where integrate_propagating would put its panel edges."""
+    edges = () if width is None else tuple(
+        np.arange(1, math.ceil(span / width)) * width)
+    return integrate_evanescent(f, 0.5, rel_tol, breakpoints=edges)
+
+
+# Both entry points run the same refinement loop; tests of its budget,
+# partial results, vector integrands and determinism take each in turn.
+ENGINES = (propagating, evanescent)
+
+
+def counted(f):
+    """f, and the list of node counts of its calls."""
+    calls = []
+
+    def g(x):
+        calls.append(len(x))
+        return f(x)
+
+    return g, calls
 
 
 class TestSpecValidation:
     def test_rejects_bad_tolerances(self):
-        for rel_tol in (0.0, -1e-8, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                integrate_propagating(lambda b: b + 0j, 1.0, rel_tol)
-            with pytest.raises(ValueError):
-                integrate_evanescent(lambda k: k + 0j, 1.0, rel_tol)
+        for integrate in ENGINES:
+            for rel_tol in (0.0, -1e-8, math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    integrate(lambda b: b + 0j, 1.0, rel_tol)
 
 
 class TestPropagating:
@@ -47,43 +75,48 @@ class TestPropagating:
             integrate_propagating(lambda b: b, 0.0)
 
     def test_not_converged_carries_partial_result(self):
-        # A needle the subdivision budget cannot resolve.
-
-        def needle(b):
-            return 1.0 / ((b - 0.331) ** 2 + 1e-14)
-
-        with pytest.raises(NotConverged) as exc_info:
-            integrate_propagating(needle, 1.0, 1e-14)
-        partial = exc_info.value.result
-        assert isinstance(partial, IntegralResult)
-        assert not partial.converged
-        assert partial.error_estimate > 0.0
-        # One initial panel; each bisection adds two 15-node panels.
-        assert partial.evaluations <= 15 * (1 + 2 * _MAX_SUBDIVISIONS)
+        # A needle the subdivision budget cannot resolve. The first call
+        # holds one panel, or integrate_evanescent's 37 below kappa0 and
+        # 2 past it.
+        for integrate, first in ((propagating, 1), (evanescent, 39)):
+            needle, calls = counted(lambda b: 1.0 / ((b - 0.331) ** 2 + 1e-14))
+            with pytest.raises(NotConverged) as exc_info:
+                integrate(needle, 1.0, 1e-14)
+            partial = exc_info.value.result
+            assert isinstance(partial, IntegralResult)
+            assert not partial.converged
+            assert 0.0 < partial.error_estimate < math.inf
+            assert calls[0] == 15 * first
+            # Each bisection adds two 15-node panels.
+            assert partial.evaluations <= 15 * (first + 2 * _MAX_SUBDIVISIONS)
 
     def test_budget_caps_bisections_of_many_panels(self):
         # Each of 4096 panels holds several jumps of a square wave, so all
         # are above tolerance and one batched round would bisect more
-        # than the budget allows.
-        with pytest.raises(NotConverged) as exc_info:
-            integrate_propagating(lambda b: np.sign(np.sin(1e5 * b)) + 0j, 1.0,
-                                  1e-15, max_panel_width=1.0 / 4096)
-        partial = exc_info.value.result
-        assert not partial.converged
-        assert partial.evaluations == 15 * (4096 + 2 * _MAX_SUBDIVISIONS)
+        # than the budget allows. integrate_evanescent's first call adds
+        # the 4095 breakpoints to its 39 panels.
+        for integrate, first in ((propagating, 4096), (evanescent, 39 + 4095)):
+            square, calls = counted(lambda b: np.sign(np.sin(1e5 * b)) + 0j)
+            with pytest.raises(NotConverged) as exc_info:
+                integrate(square, 1.0, 1e-15, width=1.0 / 4096)
+            partial = exc_info.value.result
+            assert not partial.converged
+            assert calls[0] == 15 * first
+            assert partial.evaluations == 15 * (first + 2 * _MAX_SUBDIVISIONS)
 
 
 class TestVectorIntegrand:
     def test_components_match_scalar_integrals(self):
         z = 2.3
         parts = (lambda b: np.exp(2j * b * z), lambda b: b * b / (1.0 + b))
-        both = integrate_propagating(lambda b: np.stack([f(b) for f in parts]),
-                                     1.5, max_panel_width=0.2)
-        assert both.value.shape == both.error_estimate.shape == (2,)
-        for k, f in enumerate(parts):
-            single = integrate_propagating(f, 1.5, max_panel_width=0.2)
-            assert abs(both.value[k] - single.value) <= (both.error_estimate[k]
-                                                          + single.error_estimate)
+        for integrate in ENGINES:
+            both = integrate(lambda b: np.stack([f(b) for f in parts]),
+                             1.5, width=0.2)
+            assert both.value.shape == both.error_estimate.shape == (2,)
+            for k, f in enumerate(parts):
+                single = integrate(f, 1.5, width=0.2)
+                assert abs(both.value[k] - single.value) <= (
+                    both.error_estimate[k] + single.error_estimate)
 
     def test_evanescent_components(self):
         # int_0^inf (1, kappa) exp(-2 kappa z) dkappa = (1/(2z), 1/(4z^2)).
@@ -127,7 +160,7 @@ class TestEvanescent:
     def test_growing_prefactor_tail_extension(self):
         # Prefactor exp(+kappa) delays the decay: the effective rate is
         # 2z - 1, so truncation at the bare-exponential point would lose
-        # a visible fraction without the tail-extension loop.
+        # a visible fraction without the tail panels the rounds append.
         z = 0.75
         res = integrate_evanescent(lambda k: np.exp(k) + 0j, z)
         assert res.value == pytest.approx(1.0 / (2.0 * z - 1.0), rel=1e-10)
@@ -148,6 +181,41 @@ class TestEvanescent:
         assert res.value.real == pytest.approx(math.pi * math.exp(-2 * center * z),
                                                rel=1e-3)
 
+    def test_tail_panels_ride_with_bisections(self):
+        # exp(kappa) delays the decay to rate 2z - 1, so the tail needs 7
+        # panels past the first call, while a Lorentzian of width 1e-3 at
+        # kappa = 5 needs bisection: each round does both in one call,
+        # 10 calls in all, where tail panels first and bisection after
+        # take 17.
+        z = 0.75
+        f, calls = counted(lambda k: np.exp(k) + 1e-3 / ((k - 5.0) ** 2 + 1e-6) + 0j)
+        res = integrate_evanescent(f, z)
+
+        def decayed(k):
+            return np.exp((1.0 - 2.0 * z) * k) + 1e-3 * np.exp(-2.0 * z * k) / (
+                (k - 5.0) ** 2 + 1e-6)
+
+        parts = [quad(decayed, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)
+                 for lo, hi in ((0.0, 5.0), (5.0, math.inf))]
+        expected = sum(v for v, _ in parts)
+        assert abs(res.value - expected) <= res.error_estimate + sum(e for _, e in parts)
+        assert res.converged and len(calls) <= 10
+
+    def test_unending_tail_raises_within_budget(self):
+        # A prefactor exp(2 kappa z) cancels the decay, so the tail never
+        # closes; far out it overflows to NaN panels, which the rounds
+        # bisect while appending tail panels, until the one budget is spent.
+        z = 0.75
+        f, calls = counted(lambda k: np.exp(2.0 * z * k) + 0j)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NotConverged) as exc_info:
+            integrate_evanescent(f, z)
+        partial = exc_info.value.result
+        assert not partial.converged
+        assert partial.error_estimate == math.inf
+        assert len(calls) <= 1 + _MAX_SUBDIVISIONS
+        assert partial.evaluations <= calls[0] + 30 * _MAX_SUBDIVISIONS
+
     def test_requires_decay(self):
         with pytest.raises(DomainError):
             integrate_evanescent(lambda k: k, 0.0)
@@ -155,16 +223,26 @@ class TestEvanescent:
             integrate_evanescent(lambda k: k, -1.0)
 
 
+class TestRoundoffFloor:
+    def test_error_at_least_roundoff_of_the_sum(self):
+        # GK15 is exact on a constant, and nearly so on its decay; the
+        # error is still at least 50 eps_mach times the integral of |f|.
+        for res in (integrate_evanescent(np.ones_like, 0.5),
+                    integrate_propagating(np.ones_like, 1.0)):
+            assert res.error_estimate >= 50.0 * np.finfo(float).eps * abs(res.value)
+
+
 class TestDeterminism:
     def test_bit_identical_repeats(self):
         def f(b):
             return np.exp(2j * b * 4.7) / (1.0 + b * b)
 
-        r1 = integrate_propagating(f, 3.0, max_panel_width=0.1)
-        r2 = integrate_propagating(f, 3.0, max_panel_width=0.1)
-        assert r1.value == r2.value
-        assert r1.error_estimate == r2.error_estimate
-        assert r1.evaluations == r2.evaluations
+        for integrate in ENGINES:
+            r1 = integrate(f, 3.0, width=0.1)
+            r2 = integrate(f, 3.0, width=0.1)
+            assert r1.value == r2.value
+            assert r1.error_estimate == r2.error_estimate
+            assert r1.evaluations == r2.evaluations
 
         def g(k):
             return np.exp(1j * k) / (1.0 + k)
@@ -178,8 +256,9 @@ class TestDeterminism:
         def f(b):
             return np.stack((np.exp(2j * b * 40.0), np.cos(b) / (1.0 + b)))
 
-        r1 = integrate_propagating(f, 3.0, max_panel_width=1e-3)
-        r2 = integrate_propagating(f, 3.0, max_panel_width=1e-3)
-        assert r1.value.tobytes() == r2.value.tobytes()
-        assert r1.error_estimate.tobytes() == r2.error_estimate.tobytes()
-        assert r1.evaluations == r2.evaluations
+        for integrate in ENGINES:
+            r1 = integrate(f, 3.0, width=1e-3)
+            r2 = integrate(f, 3.0, width=1e-3)
+            assert r1.value.tobytes() == r2.value.tobytes()
+            assert r1.error_estimate.tobytes() == r2.error_estimate.tobytes()
+            assert r1.evaluations == r2.evaluations
