@@ -1,6 +1,7 @@
 # src/planarcp/cli.py
 """Command-line front end: distance sweeps of the potential, emitted as
-CSV or JSON for external plotting.
+CSV or JSON for external plotting. `compare`'s numeric and closed-form
+columns are the U_norm of `sweep --method` rows at the same distances.
 
 Inputs and outputs are in the library's natural units for a unit
 transition (omega = d^2 = 1): distances in c/omega. The library returns
@@ -17,15 +18,15 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .core import (Atom, DegenerateDenominator, HalfSpace, NotConverged,
                    PerfectLens, SlabWithMirror, Transition, validate_material)
-from .potential import (potential_auto, potential_nonretarded,
-                        potential_numeric, potential_perfect_lens,
-                        potential_retarded)
+from .potential import (PotentialMethod, potential_auto,
+                        potential_nonretarded, potential_numeric,
+                        potential_perfect_lens, potential_retarded)
 from .quadrature import REL_TOL, check_rel_tol
 
 U0_INV = 8.0 * math.pi  # 1 / U0 in natural units with omega = d^2 = 1
@@ -35,7 +36,7 @@ CHOICES = {
     "geometry": ("halfspace", "slab-mirror", "perfect-lens"),
     "spacing": ("lin", "log"),
     "dipole": ("par", "perp", "mixed"),
-    "method": ("auto", "numeric", "nonretarded", "retarded", "closed-form"),
+    "method": ("auto", *(m.value for m in PotentialMethod)),
     "format": ("csv", "json"),
 }
 
@@ -140,30 +141,17 @@ def _eval_point(args):
 
 def _eval_compare(args):
     config, z = args
-    atom = config.build_atom()
-    geometry = config.build_geometry()
-    try:
-        num = potential_numeric(atom, geometry, z, config.rel_tol).value * U0_INV
-    except (NotConverged, DegenerateDenominator):
-        num = float("nan")
-    row = {"z_norm": z, "U_numeric": num}
-    if config.geometry == "halfspace":
-        material = config.material()
-        for name, fn in (("nonretarded", potential_nonretarded),
-                         ("retarded", potential_retarded)):
-            try:
-                u = fn(atom, material, z).value * U0_INV
-            except DegenerateDenominator:
-                u = float("nan")
-            row[f"U_{name}"] = u
-            row[f"dev_{name}"] = _relative_deviation(num, u)
-    else:
-        if z > config.thickness:
-            u = potential_perfect_lens(atom, config.thickness, z).value * U0_INV
-        else:
-            u = float("nan")
-        row["U_closed_form"] = u
-        row["dev_closed_form"] = _relative_deviation(num, u)
+    refs = (("nonretarded", "retarded") if config.geometry == "halfspace"
+            else ("closed-form",))
+    row = {"z_norm": z}
+    for method in ("numeric", *refs):
+        name = method.replace("-", "_")
+        u = float("nan")  # the lens closed form holds beyond the slab only
+        if method != "closed-form" or z > config.thickness:
+            u = _eval_point((replace(config, method=method), z))["U_norm"]
+        row[f"U_{name}"] = u
+        if method != "numeric":
+            row[f"dev_{name}"] = _relative_deviation(row["U_numeric"], u)
     return row
 
 
@@ -181,14 +169,6 @@ def _run_parallel(fn, config, distances):
         return [fn(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return repr(x)
-    return str(x)
 
 
 def _json_value(x):
@@ -212,7 +192,7 @@ def _emit(config: SweepConfig, columns, rows, command: str) -> None:
         lines.append(f"# config: {json.dumps(recorded, sort_keys=True)}")
         lines.append(",".join(columns))
         for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
+            lines.append(",".join(str(row[c]) for c in columns))
         text = "\n".join(lines) + "\n"
     else:
         meta = {"command": command,

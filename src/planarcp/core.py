@@ -141,8 +141,7 @@ class SlabWithMirror:
     thickness: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.thickness) and self.thickness > 0.0):
-            raise ValueError(f"thickness must be positive, got {self.thickness}")
+        require_distance("thickness", self.thickness)
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,7 @@ class PerfectLens:
     thickness: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.thickness) and self.thickness > 0.0):
-            raise ValueError(f"thickness must be positive, got {self.thickness}")
+        require_distance("thickness", self.thickness)
 
 
 Geometry = Union[HalfSpace, SlabWithMirror, PerfectLens]

@@ -117,7 +117,7 @@ def _integrate(f, edges: np.ndarray, rel_tol: float, sector: str,
                step: float = 0.0) -> IntegralResult:
     """Integrate f over the panels between consecutive edges, refining
     until every component's summed error meets its tolerance; raise
-    NotConverged once _MAX_SUBDIVISIONS are spent.
+    NotConverged once _MAX_SUBDIVISIONS are spent or a sum is not finite.
 
     Each round sorts the panels by error relative to the tolerance
     (largest first) and bisects the shortest prefix whose error exceeds
@@ -143,22 +143,25 @@ def _integrate(f, edges: np.ndarray, rel_tol: float, sector: str,
         if tail_open:
             cutoff = _TAIL_CUTOFF * np.maximum(np.abs(total), _ABS_TOL)
             tail_open = not np.all(np.abs(val[..., -1]) <= cutoff)
+        finite = bool(np.isfinite(total).all() and np.isfinite(err_total).all())
         converged = bool(np.all(err_total <= tol))
-        done = converged and not tail_open
-        if done or spent == _MAX_SUBDIVISIONS:
+        done = finite and converged and not tail_open
+        if done or not finite or spent == _MAX_SUBDIVISIONS:
             # The Kronrod-Gauss difference does not see the rounding of
-            # the sum, whose scale is the panels' summed |values|.
-            err_total = np.fmax(np.where(tail_open, np.inf, err_total),
+            # the sum, whose scale is the panels' summed |values|. fmax
+            # drops a NaN, so a non-finite sum's error is set to inf.
+            err_total = np.fmax(np.where(tail_open or not finite, np.inf, err_total),
                                 _ROUNDOFF * np.sum(np.abs(val), axis=-1))
             if np.ndim(total) == 0:
                 total, err_total = complex(total), float(err_total)
             result = IntegralResult(total, err_total, evals, done)
             if done:
                 return result
-            why = (f"tail still contributing at {b[-1]:.3e}" if tail_open
+            why = ("integrand not finite" if not finite
+                   else f"tail still contributing at {b[-1]:.3e}" if tail_open
                    else f"error {np.max(err_total):.3e} above tolerance")
-            raise NotConverged(f"{sector} integral: {why} after "
-                               f"{_MAX_SUBDIVISIONS} subdivisions", result)
+            raise NotConverged(f"{sector} integral: {why} after {spent} "
+                               "subdivisions", result)
         # The next tail panel, if the tail is open, goes last.
         new_a = b[-1:] if tail_open else b[:0]
         new_b = new_a + step

@@ -284,7 +284,51 @@ class TestJsonNonFinite:
             assert math.isfinite(row["U_numeric"])
 
 
+def _csv_rows(tmp_path, *args, name):
+    """The data rows of a --reproducible --workers 1 CSV run, as dicts of
+    the written strings; the run must exit 0."""
+    code, out = run(tmp_path, *args, "--workers", "1", "--reproducible", name=name)
+    assert code == 0
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+HALF = ["--eps-re", "2", "--eps-im", "1e-3", "--zmin", "1e-3", "--zmax", "100",
+        "--points", "5"]
+# Linear in halves, so the lens sweep from 5.5 hits the same z bit for bit.
+SLAB = ["--geometry", "slab-mirror", "--eps-re", "-1", "--eps-im", "1e-4",
+        "--mu-re", "-1", "--mu-im", "1e-4", "--thickness", "5", "--zmin", "4",
+        "--zmax", "8", "--points", "9", "--spacing", "lin"]
+LENS = ["--geometry", "perfect-lens", "--thickness", "1", "--zmin", "1.1",
+        "--zmax", "8", "--points", "5", "--dipole", "mixed", "--w-perp", "0.5"]
+
+
 class TestCompare:
+    @pytest.mark.parametrize("flags, sweeps", [
+        (HALF, {"U_numeric": ["--method", "numeric"],
+                "U_nonretarded": ["--method", "nonretarded"],
+                "U_retarded": ["--method", "retarded"]}),
+        # A slab's closed form is the perfect lens's of its thickness,
+        # which sweep evaluates beyond the slab only; up to z = d the
+        # column is nan.
+        (SLAB, {"U_numeric": ["--method", "numeric"],
+                "U_closed_form": ["--geometry", "perfect-lens", "--zmin", "5.5",
+                                  "--points", "6", "--method", "closed-form"]}),
+        (LENS, {"U_numeric": ["--method", "numeric"],
+                "U_closed_form": ["--method", "closed-form"]}),
+    ], ids=["halfspace", "slab", "lens"])
+    def test_columns_are_sweep_rows(self, tmp_path, flags, sweeps):
+        # Each float is written as its shortest repr, so equal strings are
+        # equal bits.
+        table = _csv_rows(tmp_path, "compare", *flags, name="compare.csv")
+        for column, extra in sweeps.items():
+            swept = {row["z_norm"]: row["U_norm"] for row in _csv_rows(
+                tmp_path, "sweep", *flags, *extra, name=f"{column}.csv")}
+            assert set(swept) <= {row["z_norm"] for row in table}
+            for row in table:
+                assert row[column] == swept.get(row["z_norm"], "nan")
+
     def test_readme_compare_out_to_far_field(self, tmp_path, capsys):
         # README's compare example taken to z = 1e5: the real-axis
         # propagating sector did not converge for z >= 9.4e3, the path

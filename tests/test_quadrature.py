@@ -90,6 +90,20 @@ class TestPropagating:
             # Each bisection adds two 15-node panels.
             assert partial.evaluations <= 15 * (first + 2 * _MAX_SUBDIVISIONS)
 
+    def test_non_finite_integrand_raises_at_once(self):
+        # NaN on 1 < x < 2: the first round's sum is NaN, which no
+        # bisection mends, so that round raises and names the cause. Its
+        # error is inf, not the NaN that the round-off floor's fmax drops.
+        for integrate in ENGINES:
+            f, calls = counted(
+                lambda x: np.where((1.0 < x) & (x < 2.0), np.nan, 1.0) + 0j)
+            with pytest.raises(NotConverged, match="integrand not finite") as exc_info:
+                integrate(f, 3.0)
+            partial = exc_info.value.result
+            assert not partial.converged
+            assert partial.error_estimate == math.inf
+            assert len(calls) == 1
+
     def test_budget_caps_bisections_of_many_panels(self):
         # Each of 4096 panels holds several jumps of a square wave, so all
         # are above tolerance and one batched round would bisect more
@@ -203,17 +217,18 @@ class TestEvanescent:
 
     def test_unending_tail_raises_within_budget(self):
         # A prefactor exp(2 kappa z) cancels the decay, so the tail never
-        # closes; far out it overflows to NaN panels, which the rounds
-        # bisect while appending tail panels, until the one budget is spent.
+        # closes; far out it overflows, and inf * exp(-2 kappa z) = inf * 0
+        # is a NaN panel. The first round whose sum is NaN raises, long
+        # before the budget is spent.
         z = 0.75
         f, calls = counted(lambda k: np.exp(2.0 * z * k) + 0j)
         with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(NotConverged) as exc_info:
+                pytest.raises(NotConverged, match="integrand not finite") as exc_info:
             integrate_evanescent(f, z)
         partial = exc_info.value.result
         assert not partial.converged
         assert partial.error_estimate == math.inf
-        assert len(calls) <= 1 + _MAX_SUBDIVISIONS
+        assert len(calls) <= 80
         assert partial.evaluations <= calls[0] + 30 * _MAX_SUBDIVISIONS
 
     def test_requires_decay(self):
