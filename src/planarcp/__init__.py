@@ -8,7 +8,5 @@ from .green import GreenComponents, green_components
 from .potential import (PotentialMethod, PotentialSample, potential_auto,
                         potential_nonretarded, potential_numeric,
                         potential_perfect_lens, potential_retarded)
-from .quadrature import (IntegralResult, integrate_evanescent,
-                         integrate_propagating)
 
 __version__ = "0.1.0"

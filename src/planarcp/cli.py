@@ -22,8 +22,9 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .core import (Atom, DegenerateDenominator, HalfSpace, NotConverged,
-                   PerfectLens, SlabWithMirror, Transition, validate_material)
+from .core import (Atom, DegenerateDenominator, Geometry, HalfSpace,
+                   NotConverged, PerfectLens, SlabWithMirror, Transition,
+                   validate_material)
 from .potential import (PotentialMethod, potential_auto,
                         potential_nonretarded, potential_numeric,
                         potential_perfect_lens, potential_retarded)
@@ -67,7 +68,7 @@ class SweepConfig:
     reproducible: bool = False
     workers: int = 0
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[Atom, Geometry]:
         for key, allowed in CHOICES.items():
             if getattr(self, key) not in allowed:
                 raise ConfigError(f"{key}: must be {'|'.join(allowed)}, "
@@ -88,8 +89,8 @@ class SweepConfig:
             raise ConfigError(f"method: {self.method} applies to halfspace only")
         if self.method == "closed-form" and self.geometry != "perfect-lens":
             raise ConfigError("method: closed-form applies to perfect-lens only")
-        self.build_atom()  # the model's own checks, before any point is started
-        self.build_geometry()
+        # Built once for all points; the model's own checks, before any point starts.
+        return self.build_atom(), self.build_geometry()
 
     def material(self):
         return validate_material(complex(self.eps_re, self.eps_im),
@@ -119,18 +120,16 @@ class SweepConfig:
 
 
 def _eval_point(args):
-    config, z = args
-    atom = config.build_atom()
-    geometry = config.build_geometry()
+    config, atom, geometry, z = args
     try:
         if config.method == "auto":
             s = potential_auto(atom, geometry, z, config.rel_tol)
         elif config.method == "numeric":
             s = potential_numeric(atom, geometry, z, config.rel_tol)
         elif config.method == "nonretarded":
-            s = potential_nonretarded(atom, config.material(), z)
+            s = potential_nonretarded(atom, geometry.material, z)
         elif config.method == "retarded":
-            s = potential_retarded(atom, config.material(), z)
+            s = potential_retarded(atom, geometry.material, z)
         else:
             s = potential_perfect_lens(atom, config.thickness, z)
         u, err, method = s.value * U0_INV, s.error_estimate * U0_INV, s.method.value
@@ -140,7 +139,7 @@ def _eval_point(args):
 
 
 def _eval_compare(args):
-    config, z = args
+    config, atom, geometry, z = args
     refs = (("nonretarded", "retarded") if config.geometry == "halfspace"
             else ("closed-form",))
     row = {"z_norm": z}
@@ -148,7 +147,7 @@ def _eval_compare(args):
         name = method.replace("-", "_")
         u = float("nan")  # the lens closed form holds beyond the slab only
         if method != "closed-form" or z > config.thickness:
-            u = _eval_point((replace(config, method=method), z))["U_norm"]
+            u = _eval_point((replace(config, method=method), atom, geometry, z))["U_norm"]
         row[f"U_{name}"] = u
         if method != "numeric":
             row[f"dev_{name}"] = _relative_deviation(row["U_numeric"], u)
@@ -161,8 +160,8 @@ def _relative_deviation(num: float, ref: float) -> float:
     return abs(num - ref) / abs(ref)
 
 
-def _run_parallel(fn, config, distances):
-    jobs = [(config, float(z)) for z in distances]
+def _run_parallel(fn, config, atom, geometry, distances):
+    jobs = [(config, atom, geometry, float(z)) for z in distances]
     # The pool starts all its workers at once, so never more than points.
     workers = min(config.workers or os.cpu_count() or 1, len(jobs))
     if workers == 1 or len(jobs) < 4:
@@ -211,11 +210,11 @@ def _emit(config: SweepConfig, columns, rows, command: str) -> None:
 
 def run(command: str, config: SweepConfig) -> int:
     """Evaluate and emit a sweep or compare table; the exit code."""
-    config.validate()
+    atom, geometry = config.validate()
     if command == "compare" and config.method != "auto":
         raise ConfigError("method: compare requires method = auto")
     evaluate = _eval_point if command == "sweep" else _eval_compare
-    rows = _run_parallel(evaluate, config, config.distances())
+    rows = _run_parallel(evaluate, config, atom, geometry, config.distances())
     _emit(config, list(rows[0]), rows, command)
     value = "U_norm" if command == "sweep" else "U_numeric"
     failed = sum(1 for row in rows if math.isnan(row[value]))

@@ -43,22 +43,16 @@ from .quadrature import (_ROUNDOFF, REL_TOL, integrate_evanescent,  # noqa: F401
 class GreenComponents:
     """Diagonal scattered Green components at coincident points.
 
-    g_yy equals g_xx by the planar symmetry and is not stored separately;
+    G_yy equals G_xx by the planar symmetry and is not stored separately;
     off-diagonal components vanish identically. A component that was not
     asked for is None, and so is its error.
     """
 
     g_xx: complex | None
     g_zz: complex | None
-    omega: float
-    z_A: float
     error_xx: float | None
     error_zz: float | None
     evaluations: int = 0
-
-    @property
-    def g_yy(self) -> complex | None:
-        return self.g_xx
 
     @property
     def error_estimate(self) -> float:
@@ -183,15 +177,16 @@ def _count_zeros(fns, corner: complex, wx: float, wy: float, d: float):
         turn = np.angle(nxt[:2] * vals[:2].conj())
         re, re_next = vals[2].real, nxt[2].real
         moved = d * np.minimum(abs(re_next - re), abs(re_next + re))
-        # A zero on the boundary leaves a turn of pi for good.
         split = np.flatnonzero((moved > math.pi / 4.0)
                                | ~(abs(turn) <= math.pi / 4.0).all(axis=0))
-        if not len(split):
-            return np.rint(turn.sum(axis=1) / (2.0 * math.pi)).astype(int)
         width = np.append(u[1:], ends[-1])[split] - u[split]
-        if np.any(width <= 1e-15 * ends[-1]):
+        # A zero between samples leaves a turn of pi for good; one on a
+        # sample turns D by np.angle(0) = 0 on both sides, and is missed.
+        if np.any(width <= 1e-15 * ends[-1]) or not vals[:2].all():
             raise DegenerateDenominator("a slab's reflection pole lies on the "
                                         "strip's edge (guided mode; lossless input)")
+        if not len(split):
+            return np.rint(turn.sum(axis=1) / (2.0 * math.pi)).astype(int)
         # Eight parts per step: a zero 1e-7 off an edge takes seven rounds.
         new = (u[split, None] + width[:, None] * np.arange(1, 8) / 8.0).ravel()
         order = np.argsort(np.append(u, new), kind="stable")
@@ -362,6 +357,5 @@ def green_components(z_A: float, omega: float, geometry: Geometry,
     parts = [(complex(v), float(e)) for v, e in zip(value, error)]
     g_xx, error_xx = parts.pop(0) if xx else (None, None)
     g_zz, error_zz = parts.pop(0) if zz else (None, None)
-    return GreenComponents(g_xx=g_xx, g_zz=g_zz, omega=omega, z_A=z_A,
-                           error_xx=error_xx, error_zz=error_zz,
-                           evaluations=res.evaluations)
+    return GreenComponents(g_xx=g_xx, g_zz=g_zz, error_xx=error_xx,
+                           error_zz=error_zz, evaluations=res.evaluations)

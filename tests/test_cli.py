@@ -7,7 +7,7 @@ import math
 import pytest
 
 import planarcp.cli
-from planarcp.cli import main
+from planarcp.cli import SweepConfig, main
 
 
 def run(tmp_path, *args, name="out.csv"):
@@ -394,6 +394,21 @@ class TestCompare:
             assert row["U_nonretarded"] == "nan"
             assert math.isfinite(float(row["U_numeric"]))
             assert math.isfinite(float(row["U_retarded"]))
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_model_built_once_per_run(tmp_path, monkeypatch, command):
+    # Every point, and each of compare's columns, shares the atom and
+    # geometry that validate builds.
+    calls = []
+    for name in ("build_atom", "build_geometry"):
+        def counted(config, _name=name, _real=getattr(SweepConfig, name)):
+            calls.append(_name)
+            return _real(config)
+
+        monkeypatch.setattr(SweepConfig, name, counted)
+    _csv_rows(tmp_path, command, *HALF, "--points", "9", name="out.csv")
+    assert sorted(calls) == ["build_atom", "build_geometry"]
 
 
 class TestConfigHandling:

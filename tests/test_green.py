@@ -12,7 +12,8 @@ from planarcp import (DegenerateDenominator, DomainError, HalfSpace,
                       PerfectLens, SlabWithMirror, VACUUM, green_components,
                       validate_material)
 import planarcp.green
-from planarcp.green import _coefficients, _strip_height, _strip_poles
+from planarcp.green import (_coefficients, _count_zeros, _strip_height,
+                            _strip_poles)
 from oracle import quad_vec_green, simpson_green
 
 LENS_SLAB = SlabWithMirror(validate_material(-1 + 1e-4j, -1 + 1e-4j), 5.0)
@@ -23,14 +24,9 @@ class TestVacuum:
         g = green_components(1.3, 1.0, HalfSpace(VACUUM))
         assert g.g_xx == 0.0
         assert g.g_zz == 0.0
-        assert g.g_yy == 0.0
 
 
 class TestStructure:
-    def test_yy_equals_xx(self):
-        g = green_components(0.8, 1.0, HalfSpace(validate_material(2 + 0.1j, 1)))
-        assert g.g_yy == g.g_xx
-
     def test_error_estimate_is_max_of_components(self):
         g = green_components(0.8, 1.0, HalfSpace(validate_material(2 + 0.1j, 1)))
         assert g.error_estimate == max(g.error_xx, g.error_zz)
@@ -51,6 +47,10 @@ class TestStructure:
         # Just beyond is fine.
         green_components(0.6, 1.0, PerfectLens(0.5))
 
+    def test_unsupported_geometry(self):
+        with pytest.raises(TypeError):
+            green_components(1.0, 1.0, object())
+
 
 class TestComponentSelection:
     def test_default_computes_both(self):
@@ -63,8 +63,7 @@ class TestComponentSelection:
         only_xx = green_components(6.0, 1.0, LENS_SLAB, zz=False)
         only_zz = green_components(6.0, 1.0, LENS_SLAB, xx=False)
         assert only_xx.g_zz is None and only_xx.error_zz is None
-        assert only_zz.g_xx is None and only_zz.g_yy is None
-        assert only_zz.error_xx is None
+        assert only_zz.g_xx is None and only_zz.error_xx is None
         assert only_xx.error_estimate == only_xx.error_xx
         assert only_zz.error_estimate == only_zz.error_zz
 
@@ -536,6 +535,17 @@ class TestStripPoles:
         assert counts == dense_count(eps, mu, d, height)
         assert expected is None or counts == expected
         assert np.all((beta.real > 0) & (beta.real < 1) & (beta.imag > 0))
+
+    @pytest.mark.parametrize("zero", [0.5, 0.3])
+    def test_zero_on_the_boundary(self, zero):
+        # A zero of D on the unit square's bottom edge: at 0.5 it lies on
+        # a boundary sample, where np.angle turns by 0 on both sides; at
+        # 0.3 it lies between samples, where the turn stays at pi.
+        def fns(beta):
+            return np.stack((beta - zero, np.ones_like(beta), np.ones_like(beta)))
+
+        with pytest.raises(DegenerateDenominator):
+            _count_zeros(fns, 0j, 1.0, 1.0, 1.0)
 
     def test_lossless_guided_mode_on_the_edge(self):
         # The real-q guided modes of a lossless slab lie on Re beta = 0,

@@ -11,10 +11,11 @@ import planarcp.green
 from planarcp import (Atom, DegenerateDenominator, DomainError, HalfSpace,
                       PerfectLens,
                       PotentialMethod, SlabWithMirror, Transition, VACUUM,
-                      green_components, integrate_evanescent, potential_auto,
+                      green_components, potential_auto,
                       potential_nonretarded, potential_numeric,
                       potential_perfect_lens, potential_retarded,
                       validate_material)
+from planarcp.quadrature import integrate_evanescent
 from oracle import simpson_potential
 
 PAR = Atom([Transition(1.0, 1.0, 0.0)])

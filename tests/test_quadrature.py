@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from planarcp import (DomainError, IntegralResult, NotConverged,
-                      integrate_evanescent, integrate_propagating)
-from planarcp.quadrature import _MAX_SUBDIVISIONS, REL_TOL
+from planarcp import DomainError, NotConverged
+from planarcp.quadrature import (_MAX_SUBDIVISIONS, REL_TOL, IntegralResult,
+                                 integrate_evanescent, integrate_propagating)
 
 
 def propagating(f, span, rel_tol=REL_TOL, width=None):
