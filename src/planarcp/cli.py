@@ -69,6 +69,9 @@ class SweepConfig:
     workers: int = 0
 
     def validate(self) -> tuple[Atom, Geometry]:
+        for key, value in asdict(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key}: must be finite, got {value}")
         for key, allowed in CHOICES.items():
             if getattr(self, key) not in allowed:
                 raise ConfigError(f"{key}: must be {'|'.join(allowed)}, "
@@ -194,8 +197,7 @@ def _emit(config: SweepConfig, columns, rows, command: str) -> None:
             lines.append(",".join(str(row[c]) for c in columns))
         text = "\n".join(lines) + "\n"
     else:
-        meta = {"command": command,
-                "config": {k: _json_value(v) for k, v in recorded.items()}}
+        meta = {"command": command, "config": recorded}
         if not config.reproducible:
             meta["generated"] = datetime.datetime.now().isoformat()
         meta["rows"] = [{k: _json_value(v) for k, v in row.items()}

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 
@@ -26,7 +26,7 @@ class DomainError(ValueError):
 class NotConverged(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance.
 
-    Carries the partial result (an IntegralResult with converged=False)
+    Carries the partial result (an IntegralResult short of the tolerance)
     as ``.result`` when available.
     """
 
@@ -160,6 +160,11 @@ class PerfectLens:
 
 Geometry = Union[HalfSpace, SlabWithMirror, PerfectLens]
 
+# Speed of light (m/s, exact by the SI definition) and vacuum permeability
+# (N/A^2, CODATA 2022).
+_C_SI = 299792458.0
+_MU_0_SI = 1.25663706127e-06
+
 
 @dataclass(frozen=True)
 class UnitSystem:
@@ -182,17 +187,9 @@ class UnitSystem:
     @property
     def length_si(self) -> float:
         """SI meters per unit of length, c/omega_ref."""
-        # CODATA values are read here, so importing planarcp loads no scipy.
-        from scipy.constants import c
-        return c / self.omega_ref
-
-    @property
-    def frequency_si(self) -> float:
-        """SI rad/s per unit of angular frequency, omega_ref."""
-        return self.omega_ref
+        return _C_SI / self.omega_ref
 
     @property
     def potential_si(self) -> float:
         """SI joules per unit of potential, mu_0 omega_ref^3 d_sq_ref / c."""
-        from scipy.constants import c, mu_0
-        return mu_0 * self.omega_ref**3 * self.d_sq_ref / c
+        return _MU_0_SI * self.omega_ref**3 * self.d_sq_ref / _C_SI

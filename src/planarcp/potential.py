@@ -42,14 +42,12 @@ class PotentialSample:
     value: float
     method: PotentialMethod
     error_estimate: float
-    per_transition: tuple[float, ...]
     evaluations: int = 0  # Green integrand evaluations; 0 for closed forms
 
 
 def _sample(z_A, contributions, method, error, evaluations=0):
     return PotentialSample(z_A=float(z_A), value=float(sum(contributions)),
                            method=method, error_estimate=float(error),
-                           per_transition=tuple(float(u) for u in contributions),
                            evaluations=evaluations)
 
 

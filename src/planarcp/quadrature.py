@@ -86,7 +86,6 @@ class IntegralResult:
     value: complex | np.ndarray
     error_estimate: float | np.ndarray
     evaluations: int
-    converged: bool
 
 
 def _evaluate(f, a: np.ndarray, b: np.ndarray):
@@ -154,7 +153,7 @@ def _integrate(f, edges: np.ndarray, rel_tol: float, sector: str,
                                 _ROUNDOFF * np.sum(np.abs(val), axis=-1))
             if np.ndim(total) == 0:
                 total, err_total = complex(total), float(err_total)
-            result = IntegralResult(total, err_total, evals, done)
+            result = IntegralResult(total, err_total, evals)
             if done:
                 return result
             why = ("integrand not finite" if not finite

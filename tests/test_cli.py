@@ -49,6 +49,22 @@ class TestSweep:
         _, out2 = run(tmp_path, *BASE)
         assert not any(l.startswith("# generated: ")
                        for l in out2.read_text().splitlines())
+        _, out = run(tmp_path, *args, "--format", "json", name="a.json")
+        assert "generated" in json.loads(out.read_text())
+        _, out2 = run(tmp_path, *BASE, "--format", "json", name="b.json")
+        assert "generated" not in json.loads(out2.read_text())
+
+    def test_perp_dipole_is_the_unit_perpendicular_mix(self, tmp_path):
+        _, perp = run(tmp_path, *BASE, "--dipole", "perp", name="perp.csv")
+        _, mixed = run(tmp_path, *BASE, "--dipole", "mixed", "--w-par", "0",
+                       "--w-perp", "1", name="mixed.csv")
+        _, par = run(tmp_path, *BASE, "--dipole", "par", name="par.csv")
+
+        def rows(out):
+            return out.read_text().splitlines()[2:]
+
+        assert rows(perp) == rows(mixed)
+        assert rows(perp) != rows(par)
 
     def test_vacuum_sweep_is_zero(self, tmp_path):
         code, out = run(tmp_path, "sweep", "--zmin", "0.1", "--zmax", "10",
@@ -434,7 +450,7 @@ class TestConfigHandling:
          "--zmin", "1", "--zmax", "3"],  # starts inside the lens
         ["sweep", "--method", "closed-form"],  # halfspace has none
         ["sweep", "--geometry", "perfect-lens", "--thickness", "0.2",
-         "--method", "nonretarded"],
+         "--zmin", "0.5", "--zmax", "1", "--method", "nonretarded"],
         ["compare", "--method", "numeric"],
         ["sweep", "--eps-im", "-0.5"],  # gain medium
         ["sweep", "--zmin", "1", "--zmax", "inf"],
@@ -447,6 +463,11 @@ class TestConfigHandling:
         ["sweep", "--rel-tol", "nan"],
         ["sweep", "--rel-tol", "0"],
         ["sweep", "--dipole", "mixed", "--w-par", "nan"],
+        ["sweep", "--dipole", "mixed", "--w-par", "0"],  # no weight left
+        # Non-finite numbers in fields the sweep ignores: a par dipole's
+        # w_par, a half space's thickness.
+        ["sweep", "--dipole", "par", "--w-par", "nan"],
+        ["sweep", "--thickness", "nan"],
     ])
     def test_config_errors_exit_1(self, tmp_path, args, capsys):
         code, _ = run(tmp_path, *args)
@@ -454,6 +475,16 @@ class TestConfigHandling:
         assert code == 1
         assert err.startswith("planarcp: error: ")
         assert "Traceback" not in err and "green_components" not in err
+
+    @pytest.mark.parametrize("geometry", [
+        ["perfect-lens", "--thickness", "0.2"],
+        ["slab-mirror", "--thickness", "0.5"],
+    ], ids=["perfect-lens", "slab-mirror"])
+    def test_limit_methods_need_halfspace(self, tmp_path, geometry, capsys):
+        code, _ = run(tmp_path, "sweep", "--geometry", *geometry, "--zmin", "0.5",
+                      "--zmax", "1", "--method", "nonretarded")
+        assert code == 1
+        assert "applies to halfspace only" in capsys.readouterr().err
 
     @pytest.mark.parametrize("values", [
         {"points": "ten"},
@@ -481,6 +512,17 @@ class TestConfigHandling:
         meta = json.loads(out.read_text().splitlines()[1][len("# config: "):])
         assert meta["points"] == 3 and isinstance(meta["points"], int)
         assert meta["eps_re"] == 2.0 and isinstance(meta["eps_re"], float)
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"geometry": "foo"}', "geometry: must be"),
+        ("[1, 2]", "expected a JSON object"),
+    ], ids=["bad-choice", "not-an-object"])
+    def test_bad_config_file_exit_1(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        code, _ = run(tmp_path, "sweep", "--config", str(cfg))
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_unknown_config_key_exit_1(self, tmp_path):
         cfg = tmp_path / "cfg.json"

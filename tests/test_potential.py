@@ -69,7 +69,6 @@ class TestNumeric:
         u1 = potential_numeric(Atom([t1]), geo, 0.9)
         u2 = potential_numeric(Atom([t2]), geo, 0.9)
         assert both.value == pytest.approx(u1.value + u2.value, rel=1e-12)
-        assert both.per_transition == (u1.value, u2.value)
 
     def test_carries_green_evaluations(self):
         geo = HalfSpace(validate_material(2 + 0.3j, 1))

@@ -53,7 +53,7 @@ class TestPropagating:
         # int_0^1 beta dbeta = 1/2, exact for Gauss-Kronrod.
         res = integrate_propagating(lambda b: b + 0j, 1.0)
         assert res.value == pytest.approx(0.5, rel=1e-14)
-        assert res.converged
+        assert res.error_estimate <= REL_TOL * abs(res.value)
 
     def test_oscillatory_closed_form(self):
         # int_0^B exp(2 i beta z) dbeta = (exp(2 i B z) - 1)/(2 i z).
@@ -84,8 +84,7 @@ class TestPropagating:
                 integrate(needle, 1.0, 1e-14)
             partial = exc_info.value.result
             assert isinstance(partial, IntegralResult)
-            assert not partial.converged
-            assert 0.0 < partial.error_estimate < math.inf
+            assert 1e-14 * abs(partial.value) < partial.error_estimate < math.inf
             assert calls[0] == 15 * first
             # Each bisection adds two 15-node panels.
             assert partial.evaluations <= 15 * (first + 2 * _MAX_SUBDIVISIONS)
@@ -100,7 +99,6 @@ class TestPropagating:
             with pytest.raises(NotConverged, match="integrand not finite") as exc_info:
                 integrate(f, 3.0)
             partial = exc_info.value.result
-            assert not partial.converged
             assert partial.error_estimate == math.inf
             assert len(calls) == 1
 
@@ -114,7 +112,7 @@ class TestPropagating:
             with pytest.raises(NotConverged) as exc_info:
                 integrate(square, 1.0, 1e-15, width=1.0 / 4096)
             partial = exc_info.value.result
-            assert not partial.converged
+            assert partial.error_estimate > 1e-15 * abs(partial.value)
             assert calls[0] == 15 * first
             assert partial.evaluations == 15 * (first + 2 * _MAX_SUBDIVISIONS)
 
@@ -213,7 +211,7 @@ class TestEvanescent:
                  for lo, hi in ((0.0, 5.0), (5.0, math.inf))]
         expected = sum(v for v, _ in parts)
         assert abs(res.value - expected) <= res.error_estimate + sum(e for _, e in parts)
-        assert res.converged and len(calls) <= 10
+        assert len(calls) <= 10
 
     def test_unending_tail_raises_within_budget(self):
         # A prefactor exp(2 kappa z) cancels the decay, so the tail never
@@ -226,7 +224,6 @@ class TestEvanescent:
                 pytest.raises(NotConverged, match="integrand not finite") as exc_info:
             integrate_evanescent(f, z)
         partial = exc_info.value.result
-        assert not partial.converged
         assert partial.error_estimate == math.inf
         assert len(calls) <= 80
         assert partial.evaluations <= calls[0] + 30 * _MAX_SUBDIVISIONS
