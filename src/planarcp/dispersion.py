@@ -77,7 +77,7 @@ def beta1_of_beta(beta, omega, material: MaterialResponse):
     beta = np.asarray(beta, dtype=complex)
     shift = (material.epsilon * material.mu - 1.0) * omega ** 2
     i0_sign = _i0_sign(material)
-    if shift != 0.0 or i0_sign < 0.0:
+    if material.epsilon * material.mu != 1.0 or i0_sign < 0.0:
         return _passive_sqrt(beta * beta + shift, i0_sign)
     return beta[()] if beta.ndim == 0 else beta
 

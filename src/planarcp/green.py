@@ -45,21 +45,23 @@ class GreenComponents:
 
     G_yy equals G_xx by the planar symmetry and is not stored separately;
     off-diagonal components vanish identically. A component that was not
-    asked for is None, and so is its error.
+    asked for is None, and so is its error. For an array of transition
+    frequencies each field is an array over them; evaluations counts the
+    path nodes, which all transitions share, once.
     """
 
-    g_xx: complex | None
-    g_zz: complex | None
-    error_xx: float | None
-    error_zz: float | None
+    g_xx: complex | np.ndarray | None
+    g_zz: complex | np.ndarray | None
+    error_xx: float | np.ndarray | None
+    error_zz: float | np.ndarray | None
     evaluations: int = 0
 
     @property
-    def error_estimate(self) -> float:
-        return max(e for e in (self.error_xx, self.error_zz) if e is not None)
+    def error_estimate(self) -> float | np.ndarray:
+        return np.max([e for e in (self.error_xx, self.error_zz) if e is not None], axis=0)
 
 
-def _branch_point(material: MaterialResponse, k0: float) -> complex | None:
+def _branch_point(material: MaterialResponse, k0):
     """The branch point b0 = k0 sqrt(1 - eps mu), Im b0 >= 0, of a half
     space's beta1 if its cut crosses the path Re beta = k0, else None.
 
@@ -67,25 +69,27 @@ def _branch_point(material: MaterialResponse, k0: float) -> complex | None:
     is real and positive: nowhere in the strip if Im(eps mu) > 0 or in
     its limit (real eps mu, positive i0+ direction); otherwise along
     Re beta Im beta = Re b0 Im b0 from b0 to Re beta -> inf, which meets
-    the path if Re b0 < k0.
+    the path if Re b0 < k0. That holds for every k0 or for none, so k0
+    may be an array of transition frequencies.
     """
     eps_mu = material.epsilon * material.mu
     if eps_mu.imag > 0.0 or (eps_mu.imag == 0.0 and _i0_sign(material) > 0.0):
         return None
-    b0 = k0 * complex(_passive_sqrt(1.0 - eps_mu))
-    return b0 if b0.real < k0 else None
+    root = complex(_passive_sqrt(1.0 - eps_mu))
+    return k0 * root if root.real < 1.0 else None
 
 
-def _coefficients(geometry, omega: float):
+def _coefficients(geometry, k0):
     """Return (rs_rp, z_offset, cut, poles): the reflection coefficients
     of the complex vacuum wavenumber beta, the depth of the plane they
-    image, and what the path must add: poles is None or a slab's
-    _strip_poles, and cut is None or a half space's (b0, jump).
+    image, and what the path must add: poles is None or, per transition,
+    a slab's _strip_poles, and cut is None or a half space's (b0, jump).
 
-    b0 is what _branch_point finds. Turning the cut to run up from b0,
-    beta = b0 + i t, flips beta1 on the path above
-    t = Re b0 Im b0 / k0 and adds the integral of jump(t): (r_s, r_p) at
-    beta1 = s minus (r_s, r_p) at -s, where s = sqrt(t (2i b0 - t)).
+    k0 is a transition frequency or a column of them, against which
+    rs_rp, b0 and jump broadcast. b0 is what _branch_point finds. Turning
+    the cut to run up from b0, beta = b0 + i t, flips beta1 on the path
+    above t = Re b0 Im b0 / k0 and adds the integral of jump(t): (r_s, r_p)
+    at beta1 = s minus (r_s, r_p) at -s, where s = sqrt(t (2i b0 - t)).
 
     The ideal eps = mu = -1 slab of the perfect lens images its mirror to
     the focal plane (Pendry, PRL 85, 3966 (2000)): its coefficients
@@ -101,11 +105,11 @@ def _coefficients(geometry, omega: float):
 
     if isinstance(geometry, HalfSpace):
         material = geometry.material
-        b0 = _branch_point(material, omega)
-        flip_above = math.inf if b0 is None else b0.real * b0.imag / omega
+        b0 = _branch_point(material, k0)
+        flip_above = math.inf if b0 is None else b0.real * b0.imag / k0
 
         def half_space(beta):
-            beta1 = beta1_of_beta(beta, omega, material)
+            beta1 = beta1_of_beta(beta, k0, material)
             if b0 is not None:
                 beta1 = np.where(beta.imag > flip_above, -beta1, beta1)
             return halfspace_rs_rp(beta, beta1, material)
@@ -120,8 +124,8 @@ def _coefficients(geometry, omega: float):
     if isinstance(geometry, SlabWithMirror):
         material, d = geometry.material, geometry.thickness
         return (lambda beta: slab_mirror_rs_rp(
-                    beta, beta1_of_beta(beta, omega, material), material, d),
-                0.0, None, _strip_poles(geometry, omega))
+                    beta, beta1_of_beta(beta, k0, material), material, d),
+                0.0, None, [_strip_poles(geometry, k) for k in np.ravel(k0).tolist()])
 
     raise TypeError(f"unsupported geometry {geometry!r}")
 
@@ -281,7 +285,7 @@ def _small_ladder(k0: float, z_decay: float) -> tuple[float, ...]:
     return tuple(edges)
 
 
-def green_components(z_A: float, omega: float, geometry: Geometry,
+def green_components(z_A: float, omega, geometry: Geometry,
                      rel_tol: float = REL_TOL, *, xx: bool = True,
                      zz: bool = True) -> GreenComponents:
     """G_xx and G_zz at the atom, from one integrand for both components.
@@ -291,36 +295,45 @@ def green_components(z_A: float, omega: float, geometry: Geometry,
     each times the round-trip phase, on the path with what _coefficients
     adds. Passing xx=False or zz=False leaves that component out of the
     integrand and out of the convergence test; it is returned as None.
+
+    omega is a transition frequency or a 1-D array of them, which share
+    one path integral (the decay exp(-2 t z) is the same for each) on the
+    union of their ladders; each (transition, component) row meets its own
+    tolerance, and each transition keeps its own cut, poles and phase.
     """
     if not (xx or zz):
         raise ValueError("green_components needs at least one of xx, zz")
-    k0 = omega
-    rs_rp, z_offset, cut, poles = _coefficients(geometry, omega)
+    omegas = np.array(omega, dtype=float, ndmin=1).tolist()
+    # A column of frequencies broadcasts against the nodes; one stays a
+    # float, on which numpy takes its faster scalar paths.
+    k0 = omegas[0] if len(omegas) == 1 else np.array(omegas)[:, None]
+    rs_rp, z_offset, cut, poles = _coefficients(geometry, k0)
     require_distance("z_A", z_A, z_offset)
     z_image = z_A - z_offset
-    ladder = _small_ladder(k0, z_image)
+    ladder = tuple(e for k in omegas for e in _small_ladder(k, z_image))
 
-    def rows(r_s, r_p, b2, q2):
-        # b2 = (beta/k0)^2 and q2 = q^2 = k0^2 - beta^2.
+    def rows(r_s, r_p, b2, q2, k):
+        # b2 = (beta/k0)^2, q2 = q^2 = k0^2 - beta^2; rows precede nodes.
         out = []
         if xx:
             out.append(r_s - b2 * r_p)
         if zz:
-            out.append(2.0 * (q2 / (k0 * k0)) * r_p)
-        return np.stack(out)
+            out.append(2.0 * (q2 / (k * k)) * r_p)
+        return np.stack(out, axis=-2)
 
-    def at(beta, r_s, r_p):
+    def at(beta, r_s, r_p, k=k0):
         # q^2 as a product: k0 - beta = -i t is exact on the path, where
         # k0^2 - beta^2 would lose t^2 to the rounding of k0^2.
-        return rows(r_s, r_p, (beta / k0) ** 2, (k0 - beta) * (k0 + beta))
+        return rows(r_s, r_p, (beta / k) ** 2, (k - beta) * (k + beta), k)
 
     if cut is not None:
         b0, jump = cut
-        cut_phase = cmath.exp(2j * (b0 - k0) * z_image)
+        cut_phase = np.exp(2j * (b0 - k0) * z_image)[..., None]
         # The jump grows like s ~ sqrt(t) from t = 0: grade the first
         # panel toward it, down to 8^-4 of its width.
-        first = min(k0 / 8.0, 0.5 / z_image)
-        ladder += tuple(first / 8.0 ** k for k in range(1, 5))
+        for k in omegas:
+            first = min(k / 8.0, 0.5 / z_image)
+            ladder += tuple(first / 8.0 ** j for j in range(1, 5))
 
     def path(t):
         # beta = k0 + i t; the engine applies the decay exp(-2 t z_image).
@@ -333,28 +346,37 @@ def green_components(z_A: float, omega: float, geometry: Geometry,
         return out + cut_phase * at(b0 + 1j * t, *jump(t))
 
     res = integrate_evanescent(path, z_image, rel_tol, breakpoints=ladder)
-    # The phase at the rounded k0 z_image would be off by up to
-    # 1e-16 k0 z_image, above the path's error at large distances.
-    arg, rounding = _product(k0, z_image)
-    phase = cmath.exp(2j * arg) * cmath.exp(2j * rounding)
-    value = (phase / (8.0 * math.pi)) * res.value
-    error = res.error_estimate / (8.0 * math.pi)
-    if poles is not None:
-        # -(1/4) Res F per pole; its error is what moving the pole by its
-        # last secant step changes, plus the residue's and round-off. A
-        # pole on Re beta = 0 is left out, which its term must allow.
-        beta, residue, dbeta, dresidue, on_edge = poles
-        phase = np.exp(2j * beta * z_image) / 4.0
-        terms = phase * at(beta, *residue)
-        value = value - terms[:, ~on_edge].sum(axis=-1)
-        edge = np.abs(terms[:, on_edge]).sum(axis=-1)
-        if np.any(edge > rel_tol * np.abs(value)):
-            raise DegenerateDenominator("a lossless slab's guided mode on "
-                                        "Re beta = 0 is not negligible here")
-        bound = rows(*dresidue, -abs(beta / k0) ** 2, abs(k0 * k0 - beta * beta))
-        error = error + edge + (np.abs(terms) * (2.0 * z_image * dbeta + _ROUNDOFF)
-                                + abs(phase) * bound).sum(axis=-1)
-    parts = [(complex(v), float(e)) for v, e in zip(value, error)]
+    shape = (len(omegas), -1)
+    values, errors = [], []
+    for k, value, error, pole in zip(omegas, res.value.reshape(shape),
+                                     res.error_estimate.reshape(shape),
+                                     poles or [None] * len(omegas)):
+        # The phase at the rounded k0 z_image would be off by up to
+        # 1e-16 k0 z_image, above the path's error at large distances.
+        arg, rounding = _product(k, z_image)
+        value = (cmath.exp(2j * arg) * cmath.exp(2j * rounding) / (8.0 * math.pi)) * value
+        error = error / (8.0 * math.pi)
+        if pole is not None:
+            # -(1/4) Res F per pole; its error is what moving the pole by its
+            # last secant step changes, plus the residue's and round-off. A
+            # pole on Re beta = 0 is left out, which its term must allow.
+            beta, residue, dbeta, dresidue, on_edge = pole
+            phase = np.exp(2j * beta * z_image) / 4.0
+            terms = phase * at(beta, *residue, k)
+            value = value - terms[:, ~on_edge].sum(axis=-1)
+            edge = np.abs(terms[:, on_edge]).sum(axis=-1)
+            if np.any(edge > rel_tol * np.abs(value)):
+                raise DegenerateDenominator("a lossless slab's guided mode on "
+                                            "Re beta = 0 is not negligible here")
+            bound = rows(*dresidue, -abs(beta / k) ** 2, abs(k * k - beta * beta), k)
+            error = error + edge + (np.abs(terms) * (2.0 * z_image * dbeta + _ROUNDOFF)
+                                    + abs(phase) * bound).sum(axis=-1)
+        values.append(value)
+        errors.append(error)
+    if np.isscalar(omega):
+        parts = list(zip(values[0].tolist(), errors[0].tolist()))
+    else:
+        parts = list(zip(np.array(values).T, np.array(errors).T))
     g_xx, error_xx = parts.pop(0) if xx else (None, None)
     g_zz, error_zz = parts.pop(0) if zz else (None, None)
     return GreenComponents(g_xx=g_xx, g_zz=g_zz, error_xx=error_xx,

@@ -16,6 +16,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (Atom, DegenerateDenominator, DomainError, Geometry,
                    HalfSpace, MaterialResponse, PerfectLens, require_distance)
 from .dispersion import _passive_sqrt
@@ -42,7 +44,7 @@ class PotentialSample:
     value: float
     method: PotentialMethod
     error_estimate: float
-    evaluations: int = 0  # Green integrand evaluations; 0 for closed forms
+    evaluations: int = 0  # the Green integral's path nodes; 0 for closed forms
 
 
 def _sample(z_A, contributions, method, error, evaluations=0):
@@ -53,23 +55,24 @@ def _sample(z_A, contributions, method, error, evaluations=0):
 
 def potential_numeric(atom: Atom, geometry: Geometry, z_A: float,
                       rel_tol: float = REL_TOL) -> PotentialSample:
-    """Potential by direct quadrature of the Green-tensor integral."""
+    """Potential by direct quadrature of the Green-tensor integral: one
+    green_components call for all transitions, of each component that any
+    of them weighs (a weight of 0 multiplies a computed value)."""
+    transitions = atom.transitions
+    xx = any(t.d_par_sq > 0.0 for t in transitions)
+    zz = any(t.d_perp_sq > 0.0 for t in transitions)
+    g = green_components(z_A, np.array([t.omega for t in transitions]),
+                         geometry, rel_tol, xx=xx, zz=zz)
+    none = [0.0] * len(transitions)
+    g_xx, err_xx = (g.g_xx.real.tolist(), g.error_xx.tolist()) if xx else (none, none)
+    g_zz, err_zz = (g.g_zz.real.tolist(), g.error_zz.tolist()) if zz else (none, none)
     contributions = []
     error = 0.0
-    evaluations = 0
-    for t in atom.transitions:
-        # Only the components the dipole weighs are integrated; a skipped
-        # one (weight 0) enters the sums below as 0.
-        g = green_components(z_A, t.omega, geometry, rel_tol,
-                             xx=t.d_par_sq > 0.0, zz=t.d_perp_sq > 0.0)
-        evaluations += g.evaluations
-        g_xx, err_xx = (g.g_xx.real, g.error_xx) if g.g_xx is not None else (0.0, 0.0)
-        g_zz, err_zz = (g.g_zz.real, g.error_zz) if g.g_zz is not None else (0.0, 0.0)
-        contributions.append(
-            -t.omega**2 * (g_xx * t.d_par_sq + g_zz * t.d_perp_sq))
-        error += t.omega**2 * (err_xx * t.d_par_sq + err_zz * t.d_perp_sq)
+    for t, gx, gz, ex, ez in zip(transitions, g_xx, g_zz, err_xx, err_zz):
+        contributions.append(-t.omega**2 * (gx * t.d_par_sq + gz * t.d_perp_sq))
+        error += t.omega**2 * (ex * t.d_par_sq + ez * t.d_perp_sq)
     return _sample(z_A, contributions, PotentialMethod.NUMERIC, error,
-                   evaluations=evaluations)
+                   evaluations=g.evaluations)
 
 
 def potential_nonretarded(atom: Atom, material: MaterialResponse,

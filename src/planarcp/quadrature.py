@@ -3,7 +3,8 @@
 
 The Green module integrates on the steepest-descent path
 beta = omega/c + i t: one integrate_evanescent call in t with the decay
-exp(-2 t z). integrate_propagating integrates over (0, beta_max].
+exp(-2 t z), whose rows are all of an atom's transitions and components.
+integrate_propagating integrates over (0, beta_max].
 
 Each panel is estimated with an embedded Gauss(7)/Kronrod(15) pair.
 Refinement is vectorised in the manner of Shampine's quadgk (J. Comput.
@@ -13,7 +14,7 @@ largest-error panels whose error exceeds the gap to the tolerance, until
 the global estimate meets it. A pole near the path needs no breakpoint:
 its 1/(x - x_p) tail makes the Kronrod-Gauss difference large on every
 panel near it, so bisection homes in on it. The integrand may return
-shape (N,) or (m, N); every component must meet its own tolerance.
+shape (N,) or (m, N) or (m, c, N); every row must meet its own tolerance.
 Identical inputs give bit-identical results. Since each round is one
 integrand call, cost follows the number of rounds. An evanescent
 integral's rounds also extend its tail, in the same call, as Shampine's
@@ -74,12 +75,16 @@ _ROUNDOFF = 50.0 * np.finfo(float).eps
 # Tail panels past kappa0 evaluated with the initial panels of an
 # evanescent integral, before any refinement round appends more.
 _TAIL_PANELS = 2
+# Initial panels of an evanescent integral below kappa0: _FINE_PANELS
+# 1/(2 z_decay) wide, then edges at these values of 2 kappa z_decay.
+_FINE_PANELS = 8
+_COARSE_EDGES = np.array([10.0, 12.0, 14.0, 16.0, 20.0, 24.0, 28.0, 32.0])
 
 
 @dataclass(frozen=True)
 class IntegralResult:
     """value and error_estimate are scalars for an integrand returning
-    shape (N,), and arrays of shape (m,) for one returning (m, N). A
+    shape (N,), and arrays of shape S for one returning S + (N,). A
     partial result whose evanescent tail still contributes has an
     infinite error."""
 
@@ -147,11 +152,13 @@ def _integrate(f, edges: np.ndarray, rel_tol: float, sector: str,
         done = finite and converged and not tail_open
         if done or not finite or spent == _MAX_SUBDIVISIONS:
             # The Kronrod-Gauss difference does not see the rounding of
-            # the sum, whose scale is the panels' summed |values|. fmax
-            # drops a NaN, so a non-finite sum's error is set to inf.
+            # the sum, whose scale is the panels' summed |values|; that
+            # real sum can itself round below |total|. fmax drops a NaN,
+            # so a non-finite sum's error is set to inf.
+            scale = np.maximum(np.sum(np.abs(val), axis=-1), np.abs(total))
             err_total = np.fmax(np.where(tail_open or not finite, np.inf, err_total),
-                                _ROUNDOFF * np.sum(np.abs(val), axis=-1))
-            if np.ndim(total) == 0:
+                                _ROUNDOFF * scale)
+            if total.ndim == 0:
                 total, err_total = complex(total), float(err_total)
             result = IntegralResult(total, err_total, evals)
             if done:
@@ -209,12 +216,14 @@ def integrate_evanescent(integrand, z_decay: float,
     """Integrate integrand(kappa) * exp(-2 kappa z_decay) over kappa > 0.
 
     The caller supplies the prefactor; the decay is applied here. The
-    first call holds 37 uniform panels up to kappa0, where the bare
-    exponential reaches _TAIL_CUTOFF, the first _TAIL_PANELS panels past
-    it (a kappa^2 prefactor keeps the first above _TAIL_CUTOFF) and the
-    breakpoints: the Green module's ladders toward small kappa and toward
-    the sqrt(t) onset of a branch cut, where bisection would spend a
-    round per octave. Each refinement round appends one more tail panel
+    first call holds 17 panels up to kappa0, where the bare exponential
+    reaches _TAIL_CUTOFF: 8 of width 1/(2 z_decay), where the integrand
+    peaks, then 2 and 4 wide in 2 kappa z_decay, once the decay has
+    fallen by e^-8. It also holds the first _TAIL_PANELS panels past
+    kappa0 (a kappa^2 prefactor keeps the first above _TAIL_CUTOFF) and
+    the breakpoints: the Green module's ladders toward small kappa and
+    toward the sqrt(t) onset of a branch cut, where bisection would spend
+    a round per octave. Each refinement round appends one more tail panel
     while the last is not a negligible fraction of the total, which covers
     a prefactor whose growth delays the decay, such as the amplified waves
     of a weakly lossy left-handed slab.
@@ -226,10 +235,12 @@ def integrate_evanescent(integrand, z_decay: float,
 
     kappa0 = -math.log(_TAIL_CUTOFF) / (2.0 * z_decay)
     step = kappa0 / 4.0
-    # Panels at most 1/(2 z_decay) wide: 37 of them.
-    edges = np.concatenate((np.linspace(0.0, kappa0, math.ceil(-math.log(_TAIL_CUTOFF)) + 1),
-                            kappa0 + step * np.arange(1, _TAIL_PANELS + 1)))
-    inner = [b for b in breakpoints if 0.0 < b < kappa0]
+    # The first of 37 panels at most 1/(2 z_decay) wide, at the edges
+    # np.linspace(0, kappa0, 38) would give.
+    fine = np.arange(_FINE_PANELS + 1) * (kappa0 / math.ceil(-math.log(_TAIL_CUTOFF)))
+    edges = np.concatenate((fine, _COARSE_EDGES / (2.0 * z_decay),
+                            kappa0 + step * np.arange(_TAIL_PANELS + 1)))
+    inner = {b for b in breakpoints if 0.0 < b < kappa0}.difference(edges.tolist())
     if inner:
-        edges = np.unique(np.concatenate((edges, inner)))
+        edges = np.sort(np.concatenate((edges, list(inner))))
     return _integrate(f, edges, rel_tol, "evanescent", step)

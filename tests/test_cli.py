@@ -4,9 +4,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import planarcp.cli
+import planarcp.green
 from planarcp.cli import SweepConfig, main
 
 
@@ -196,6 +198,23 @@ class TestSweep:
         assert capsys.readouterr().err == ""
         assert all(math.isfinite(u) and method == "numeric"
                    for u, method in self.values(out))
+
+    def test_pole_search_failure_fails_rows(self, tmp_path, capsys, monkeypatch):
+        # A count that puts a zero in the zero-free slab's strip makes the
+        # pole search raise NotConverged at every point: failed rows with
+        # exit code 2, not a traceback.
+        monkeypatch.setattr(planarcp.green, "_count_zeros",
+                            lambda *args: np.array([1, 0]))
+        planarcp.green._strip_poles.cache_clear()
+        code, out = run(tmp_path, "sweep", "--geometry", "slab-mirror",
+                        "--eps-re", "2", "--eps-im", "0.1", "--thickness", "1",
+                        "--zmin", "1", "--zmax", "2", "--points", "2",
+                        "--workers", "1", "--reproducible")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err and "2/2 points failed" in err
+        assert all(line.endswith(",nan,inf,failed")
+                   for line in out.read_text().splitlines()[-2:])
 
     @pytest.mark.parametrize("mu_re,failed", [
         # A lossless eps = 4 slab's guided modes lie on the strip's edge

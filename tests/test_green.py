@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planarcp import (DegenerateDenominator, DomainError, HalfSpace,
-                      PerfectLens, SlabWithMirror, VACUUM, green_components,
+                      NotConverged, PerfectLens, SlabWithMirror, VACUUM, green_components,
                       validate_material)
 import planarcp.green
 from planarcp.green import (_coefficients, _count_zeros, _strip_height,
@@ -560,6 +560,17 @@ class TestStripPoles:
         lossy = SlabWithMirror(validate_material(2.15 + 1e-9j, 4.44 + 1e-9j), 0.17)
         g, limit = green_components(38.2, 1.0, thin), green_components(38.2, 1.0, lossy)
         assert abs(g.g_xx - limit.g_xx) <= 1e-8 * abs(limit.g_xx)
+
+    def test_count_without_a_pole_raises(self, monkeypatch):
+        # A count that puts a zero in a zero-free slab's strip, at every
+        # halving: the search runs down to rectangles 1e-12 k0 wide and
+        # fails with a typed error, not a missing residue.
+        slab = SlabWithMirror(validate_material(2 + 0.1j, 1), 1.0)
+        monkeypatch.setattr(planarcp.green, "_count_zeros",
+                            lambda *args: np.array([1, 0]))
+        _strip_poles.cache_clear()
+        with pytest.raises(NotConverged, match="no slab pole found"):
+            green_components(1.0, 1.0, slab)
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(kind=st.sampled_from(["right-handed", "eps-negative", "mu-negative",
