@@ -123,6 +123,7 @@ class SweepConfig:
 
 
 def _eval_point(args):
+    """A sweep row and, if the point failed, why."""
     config, atom, geometry, z = args
     try:
         if config.method == "auto":
@@ -135,26 +136,28 @@ def _eval_point(args):
             s = potential_retarded(atom, geometry.material, z)
         else:
             s = potential_perfect_lens(atom, config.thickness, z)
-        u, err, method = s.value * U0_INV, s.error_estimate * U0_INV, s.method.value
-    except (NotConverged, DegenerateDenominator):
-        u, err, method = float("nan"), float("inf"), "failed"
-    return {"z_norm": z, "U_norm": u, "U_err": err, "method": method}
+    except (NotConverged, DegenerateDenominator) as exc:
+        return ({"z_norm": z, "U_norm": float("nan"), "U_err": float("inf"),
+                 "method": "failed"}, f"{type(exc).__name__}: {exc}")
+    return ({"z_norm": z, "U_norm": s.value * U0_INV,
+             "U_err": s.error_estimate * U0_INV, "method": s.method.value}, None)
 
 
 def _eval_compare(args):
+    """A compare row and, if its numeric column failed, why."""
     config, atom, geometry, z = args
     refs = (("nonretarded", "retarded") if config.geometry == "halfspace"
             else ("closed-form",))
-    row = {"z_norm": z}
-    for method in ("numeric", *refs):
+    numeric, cause = _eval_point((replace(config, method="numeric"), atom, geometry, z))
+    row = {"z_norm": z, "U_numeric": numeric["U_norm"]}
+    for method in refs:
         name = method.replace("-", "_")
         u = float("nan")  # the lens closed form holds beyond the slab only
         if method != "closed-form" or z > config.thickness:
-            u = _eval_point((replace(config, method=method), atom, geometry, z))["U_norm"]
+            u = _eval_point((replace(config, method=method), atom, geometry, z))[0]["U_norm"]
         row[f"U_{name}"] = u
-        if method != "numeric":
-            row[f"dev_{name}"] = _relative_deviation(row["U_numeric"], u)
-    return row
+        row[f"dev_{name}"] = _relative_deviation(row["U_numeric"], u)
+    return row, cause
 
 
 def _relative_deviation(num: float, ref: float) -> float:
@@ -216,8 +219,11 @@ def run(command: str, config: SweepConfig) -> int:
     if command == "compare" and config.method != "auto":
         raise ConfigError("method: compare requires method = auto")
     evaluate = _eval_point if command == "sweep" else _eval_compare
-    rows = _run_parallel(evaluate, config, atom, geometry, config.distances())
+    rows, causes = zip(*_run_parallel(evaluate, config, atom, geometry, config.distances()))
     _emit(config, list(rows[0]), rows, command)
+    for row, cause in zip(rows, causes):
+        if cause:
+            print(f"planarcp: z = {row['z_norm']}: {cause}", file=sys.stderr)
     value = "U_norm" if command == "sweep" else "U_numeric"
     failed = sum(1 for row in rows if math.isnan(row[value]))
     if failed:

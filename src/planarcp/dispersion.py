@@ -87,7 +87,7 @@ def _ratio(num, den, what: str):
     DEGENERATE_REL_TOL of |num| (0/0 stays nan and is not flagged)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.divide(num, den)
-    if np.any(np.abs(r) >= 1.0 / DEGENERATE_REL_TOL):
+    if (np.abs(r) >= 1.0 / DEGENERATE_REL_TOL).any():
         raise DegenerateDenominator(
             f"{what} denominator within {DEGENERATE_REL_TOL} of zero "
             "(surface or guided mode, or an amplified wave out of range)")

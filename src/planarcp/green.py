@@ -15,7 +15,8 @@ is added: a half space's branch cut, turned to run up from its branch
 point, with the same decay in the same integrand (no surface-mode pole of
 10^5 random passive half spaces lies in the strip on the path's sheet);
 and -(1/4) Res F, F = exp(2i beta z) R, at each pole of a mirror-backed
-slab, whose coefficients are even in beta1 and so have no cut.
+slab, whose coefficients are even in beta1 and so have no cut; one walk
+per slab and set of transitions counts those poles for all transitions.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def _coefficients(geometry, k0):
         material, d = geometry.material, geometry.thickness
         return (lambda beta: slab_mirror_rs_rp(
                     beta, beta1_of_beta(beta, k0, material), material, d),
-                0.0, None, [_strip_poles(geometry, k) for k in np.ravel(k0).tolist()])
+                0.0, None, _strip_poles(geometry, tuple(np.ravel(k0).tolist())))
 
     raise TypeError(f"unsupported geometry {geometry!r}")
 
@@ -154,108 +155,122 @@ def _strip_height(material: MaterialResponse, d: float, k0: float) -> float:
 def _count_zeros(fns, corner: complex, wx: float, wy: float, d: float):
     """Zeros of D_s and D_p in the rectangle from corner to
     corner + wx + i wy, by the argument principle (Kravanja & Van Barel,
-    LNM 1727 (2000)); fns(beta) stacks D_s, D_p and beta1.
+    LNM 1727 (2000)); fns(x) stacks D_s, D_p and beta1, each one row or
+    one per transition, and each row gets its counts.
 
     Each step along the boundary is split until D turns by at most pi/4
     along it, and so does d Re beta1, the phase of exp(2i beta1 d): a zero
     just outside an edge, such as a weakly lossy slab's guided mode 1e-7
     off Re beta = 0, turns D by nearly pi within 1e-7, and two of them in
-    one step would alias.
+    one step would alias. A step that passes in every row is settled and
+    its turn summed once; a round evaluates only the unsettled steps.
     """
     ends = np.cumsum([0.0, wx, wy, wx, wy])
+    # The boundary runs anticlockwise from corner, through these corners.
     corners = corner + np.array([0, wx, wx + 1j * wy, 1j * wy, 0])
-
-    def f(u):  # the boundary, anticlockwise from corner
-        return fns(np.interp(u, ends, corners))
-
     # Steps of h along the bottom and top, and up the sides steps that
     # grow from h by 1/8 each: far up, D turns slowly.
     h = min(wx, wy, 0.5 * math.pi / d) / 4.0
     ys = 8.0 * h * (1.125 ** np.arange(2 + int(math.log1p(wy / (8.0 * h)) / math.log(1.125))) - 1.0)
     ys = np.append(ys[ys < wy], wy)
-    u = np.sort(np.concatenate((np.arange(0.0, wx, h), wx + ys,
+    a = np.sort(np.concatenate((np.arange(0.0, wx, h), wx + ys,
                                 ends[2] + np.arange(0.0, wx, h), ends[4] - ys[1:])))
-    vals = f(u)
+    b = np.append(a[1:], ends[-1])  # each step runs from a to b
+    va = vals = fns(np.interp(a, ends, corners))
+    vb, turns = np.concatenate((va[..., 1:], va[..., :1]), axis=-1), 0.0
     while True:
-        nxt = np.concatenate((vals[:, 1:], vals[:, :1]), axis=1)
-        turn = np.angle(nxt[:2] * vals[:2].conj())
-        re, re_next = vals[2].real, nxt[2].real
-        moved = d * np.minimum(abs(re_next - re), abs(re_next + re))
-        split = np.flatnonzero((moved > math.pi / 4.0)
-                               | ~(abs(turn) <= math.pi / 4.0).all(axis=0))
-        width = np.append(u[1:], ends[-1])[split] - u[split]
+        # |arg p| <= pi/4 is Re p >= |Im p|: only settled steps need the angle.
+        p = vb[:2] * va[:2].conj()
+        moved = d * np.minimum(abs(vb[2].real - va[2].real), abs(vb[2].real + va[2].real))
+        settled = (p.real >= abs(p.imag)).all(axis=0) & ~(moved > math.pi / 4.0)
+        split = ~settled.reshape(-1, len(a)).all(axis=0)
+        turns = turns + np.angle(p[..., ~split]).sum(axis=-1)
+        a, b, va, vb = a[split], b[split], va[..., split], vb[..., split]
         # A zero between samples leaves a turn of pi for good; one on a
         # sample turns D by np.angle(0) = 0 on both sides, and is missed.
-        if np.any(width <= 1e-15 * ends[-1]) or not vals[:2].all():
+        if (b - a <= 1e-15 * ends[-1]).any() or not vals[:2].all():
             raise DegenerateDenominator("a slab's reflection pole lies on the "
                                         "strip's edge (guided mode; lossless input)")
-        if not len(split):
-            return np.rint(turn.sum(axis=1) / (2.0 * math.pi)).astype(int)
+        if not len(a):
+            return np.rint(turns / (2.0 * math.pi)).astype(int)
         # Eight parts per step: a zero 1e-7 off an edge takes seven rounds.
-        new = (u[split, None] + width[:, None] * np.arange(1, 8) / 8.0).ravel()
-        order = np.argsort(np.append(u, new), kind="stable")
-        u = np.append(u, new)[order]
-        vals = np.concatenate((vals, f(new)), axis=1)[:, order]
+        x = a[:, None] + (b - a)[:, None] * np.arange(1, 8) / 8.0
+        vals = fns(np.interp(x.ravel(), ends, corners)).reshape(va.shape + (7,))
+        a = np.concatenate((a[:, None], x), axis=1).ravel()
+        b = np.concatenate((x, b[:, None]), axis=1).ravel()
+        va = np.concatenate((va[..., None], vals), axis=-1).reshape(*va.shape[:-1], -1)
+        vb = np.concatenate((vals, vb[..., None]), axis=-1).reshape(va.shape)
 
 
 @functools.lru_cache(maxsize=256)
-def _strip_poles(geometry: SlabWithMirror, omega: float):
-    """(beta, res, dbeta, dres, on_edge): the poles of a slab's (r_s, r_p)
-    in the strip 0 <= Re beta < k0, the residues of (r_s, r_p) stacked as
-    rows (one row is 0 at each pole), their errors, and which lie on
-    Re beta = 0; None if there are none. Cached per (geometry, omega): a
-    sweep's points share them.
+def _strip_poles(geometry: SlabWithMirror, omegas: tuple[float, ...]):
+    """Per transition frequency k0 in omegas, (beta, res, dbeta, dres,
+    on_edge): the poles of a slab's (r_s, r_p) in the strip
+    0 <= Re beta < k0, the residues of (r_s, r_p) stacked as rows (one
+    row is 0 at each pole), their errors, and which lie on Re beta = 0;
+    None if there are none. Cached per (geometry, omegas): a sweep's
+    points share them.
 
-    Below _strip_height, a rectangle that holds more than one zero of D_s
-    or D_p is halved until the secant method from its centre finds its
-    one zero inside; dbeta is the last step. res is the mean of
-    (beta - beta_p) r on 8 points of a circle around the pole, and dres
-    its change from the mean on 4 of them.
+    One walk in u = beta/k0, times the largest k0, counts every
+    transition's zeros of D_s and D_p up to the tallest _strip_height/k0,
+    above its own none lies. Then, per transition and in beta, a rectangle
+    that holds more than one zero is halved until the secant method from
+    its centre finds its one zero inside; dbeta is the last step. res is
+    the mean of (beta - beta_p) r on 8 points of a circle around the
+    pole, and dres its change from the mean on 4 of them.
     """
-    material, d, k0 = geometry.material, geometry.thickness, omega
-    fns = functools.partial(slab_mirror_denominators, omega=omega,
-                            material=material, thickness=d)
-
-    def locate(corner, wx, wy, n):
-        if n.sum() == 1:
-            kind = int(np.argmax(n))
-            a, b = corner + 0.6 * (wx + 1j * wy), corner + 0.5 * (wx + 1j * wy)
-            f_a = fns(a)[kind]
-            with np.errstate(all="ignore"):
-                for _ in range(50):
-                    f_b = fns(b)[kind]
-                    a, f_a, b = b, f_b, b - f_b * (b - a) / (f_b - f_a)
-                    if abs(b - a) <= 1e-13 * (abs(b) + k0):
-                        if 0.0 < (b - corner).real < wx and 0.0 < (b - corner).imag < wy:
-                            return [(b, kind, abs(b - a))]
-                        break
-        if not n.any():
-            return []
-        if max(wx, wy) <= 1e-12 * k0:
-            raise NotConverged("no slab pole found where the count puts one")
-        half = (wx / 2.0, wy) if wx > wy else (wx, wy / 2.0)
-        lower = _count_zeros(fns, corner, *half, d)
-        return (locate(corner, *half, lower)
-                + locate(corner + wx + 1j * wy - half[0] - 1j * half[1], *half, n - lower))
-
+    material, d = geometry.material, geometry.thickness
     # A lossless slab's guided modes lie on Re beta = 0, where the i0+
-    # limit decides whether they count: its strip starts at -eta, and
+    # limit decides whether they count: its strip starts at -eta k0, and
     # they come back flagged as on the edge.
-    eta = 1e-9 * k0 if material.is_lossless else 0.0
-    height = _strip_height(material, d, k0)
-    poles = locate(-eta + 0j, k0 + eta, height,
-                   _count_zeros(fns, -eta + 0j, k0 + eta, height, d))
-    if not poles:
-        return None
-    beta, kind, step = map(np.array, zip(*poles))
-    ring = 1e-3 * min(k0, 1.0 / d) * np.exp(0.25j * math.pi * np.arange(8))
-    at = beta[:, None] + ring
-    r = np.stack(slab_mirror_rs_rp(at, beta1_of_beta(at, omega, material), material, d))
-    r = r[kind, np.arange(len(beta))] * ring
-    mine = kind == np.array([[0], [1]])
-    return (beta, np.where(mine, r.mean(axis=-1), 0.0), step,
-            np.where(mine, abs(r.mean(axis=-1) - r[:, ::2].mean(axis=-1)), 0.0),
-            abs(beta.real) < eta)
+    eta = 1e-9 if material.is_lossless else 0.0
+    heights = [_strip_height(material, d, k0) for k0 in omegas]
+    k, top = np.array(omegas)[:, None], max(omegas)
+
+    def poles(k0, height, n):
+        fns = functools.partial(slab_mirror_denominators, omega=k0,
+                                material=material, thickness=d)
+
+        def locate(corner, wx, wy, n):
+            if n.sum() == 1:
+                kind = int(np.argmax(n))
+                a, b = corner + 0.6 * (wx + 1j * wy), corner + 0.5 * (wx + 1j * wy)
+                f_a = fns(a)[kind]
+                with np.errstate(all="ignore"):
+                    for _ in range(50):
+                        f_b = fns(b)[kind]
+                        a, f_a, b = b, f_b, b - f_b * (b - a) / (f_b - f_a)
+                        if abs(b - a) <= 1e-13 * (abs(b) + k0):
+                            if 0.0 < (b - corner).real < wx and 0.0 < (b - corner).imag < wy:
+                                return [(b, kind, abs(b - a))]
+                            break
+            if not n.any():
+                return []
+            if max(wx, wy) <= 1e-12 * k0:
+                raise NotConverged("no slab pole found where the count puts one")
+            half = (wx / 2.0, wy) if wx > wy else (wx, wy / 2.0)
+            lower = _count_zeros(fns, corner, *half, d)
+            return (locate(corner, *half, lower)
+                    + locate(corner + wx + 1j * wy - half[0] - 1j * half[1], *half, n - lower))
+
+        edge = eta * k0
+        found = locate(-edge + 0j, k0 + edge, height, n)
+        if not found:
+            return None
+        beta, kind, step = map(np.array, zip(*found))
+        ring = 1e-3 * min(k0, 1.0 / d) * np.exp(0.25j * math.pi * np.arange(8))
+        at = beta[:, None] + ring
+        r = np.stack(slab_mirror_rs_rp(at, beta1_of_beta(at, k0, material), material, d))
+        r = r[kind, np.arange(len(beta))] * ring
+        mine = kind == np.array([[0], [1]])
+        return (beta, np.where(mine, r.mean(axis=-1), 0.0), step,
+                np.where(mine, abs(r.mean(axis=-1) - r[:, ::2].mean(axis=-1)), 0.0),
+                abs(beta.real) < edge)
+
+    counts = _count_zeros(lambda v: slab_mirror_denominators(k / top * v, k, material, d),
+                          -eta * top + 0j, top + eta * top,
+                          max(h * (top / k0) for h, k0 in zip(heights, omegas)), d)
+    return tuple(map(poles, omegas, heights, counts.T))
 
 
 def _product(a: float, b: float) -> tuple[float, float]:
@@ -365,7 +380,7 @@ def green_components(z_A: float, omega, geometry: Geometry,
             terms = phase * at(beta, *residue, k)
             value = value - terms[:, ~on_edge].sum(axis=-1)
             edge = np.abs(terms[:, on_edge]).sum(axis=-1)
-            if np.any(edge > rel_tol * np.abs(value)):
+            if (edge > rel_tol * np.abs(value)).any():
                 raise DegenerateDenominator("a lossless slab's guided mode on "
                                             "Re beta = 0 is not negligible here")
             bound = rows(*dresidue, -abs(beta / k) ** 2, abs(k * k - beta * beta), k)

@@ -31,8 +31,8 @@ import numpy as np
 
 from .core import NotConverged, require_distance
 
-# Gauss-Kronrod 7/15 nodes on [-1, 1] and weights. Gauss weights are zero
-# at the Kronrod-only nodes.
+# Gauss-Kronrod 7/15 nodes on [-1, 1], and the Kronrod and Gauss weights
+# as rows. Gauss weights are zero at the Kronrod-only nodes.
 _GK_NODES = np.array([
     -0.991455371120813, -0.949107912342759, -0.864864423359769,
     -0.741531185599394, -0.586087235467691, -0.405845151377397,
@@ -41,20 +41,19 @@ _GK_NODES = np.array([
     0.741531185599394, 0.864864423359769, 0.949107912342759,
     0.991455371120813,
 ])
-_GK_WK = np.array([
+_GK_W = np.array([[
     0.022935322010529, 0.063092092629979, 0.104790010322250,
     0.140653259715525, 0.169004726639267, 0.190350578064785,
     0.204432940075298, 0.209482141084728,
     0.204432940075298, 0.190350578064785, 0.169004726639267,
     0.140653259715525, 0.104790010322250, 0.063092092629979,
     0.022935322010529,
-])
-_GK_WG = np.array([
+], [
     0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
     0.381830050505119, 0.0, 0.417959183673469, 0.0,
     0.381830050505119, 0.0, 0.279705391489277, 0.0,
     0.129484966168870, 0.0,
-])
+]])
 
 
 # Default relative tolerance of every integral.
@@ -104,11 +103,10 @@ def _evaluate(f, a: np.ndarray, b: np.ndarray):
     x = 0.5 * (a + b)[:, None] + h[:, None] * _GK_NODES
     y = np.asarray(f(x.ravel()), dtype=complex)
     y = y.reshape(y.shape[:-1] + x.shape)
-    # Sums over the contiguous node axis, not BLAS, keep the bits
-    # independent of alignment and thread count.
-    i15 = h * np.sum(y * _GK_WK, axis=-1)
-    i7 = h * np.sum(y * _GK_WG, axis=-1)
-    return i15, np.abs(i15 - i7)
+    # Both rules in one product, summed over the contiguous node axis,
+    # not BLAS: that keeps the bits independent of alignment and threads.
+    rules = h * (y[..., None, :, :] * _GK_W[:, None]).sum(axis=-1)
+    return rules[..., 0, :], np.abs(rules[..., 0, :] - rules[..., 1, :])
 
 
 def check_rel_tol(rel_tol: float) -> None:
@@ -141,21 +139,22 @@ def _integrate(f, edges: np.ndarray, rel_tol: float, sector: str,
     while True:
         total = val.sum(axis=-1)
         err_total = err.sum(axis=-1)
-        tol = np.maximum(rel_tol * np.abs(total), _ABS_TOL)
+        size = np.abs(total)
+        tol = np.maximum(rel_tol * size, _ABS_TOL)
         # While open, the tail panel is the last one appended. Once
         # negligible it stays so, and is not checked again.
         if tail_open:
-            cutoff = _TAIL_CUTOFF * np.maximum(np.abs(total), _ABS_TOL)
-            tail_open = not np.all(np.abs(val[..., -1]) <= cutoff)
+            cutoff = _TAIL_CUTOFF * np.maximum(size, _ABS_TOL)
+            tail_open = not (np.abs(val[..., -1]) <= cutoff).all()
         finite = bool(np.isfinite(total).all() and np.isfinite(err_total).all())
-        converged = bool(np.all(err_total <= tol))
+        converged = bool((err_total <= tol).all())
         done = finite and converged and not tail_open
         if done or not finite or spent == _MAX_SUBDIVISIONS:
             # The Kronrod-Gauss difference does not see the rounding of
             # the sum, whose scale is the panels' summed |values|; that
             # real sum can itself round below |total|. fmax drops a NaN,
             # so a non-finite sum's error is set to inf.
-            scale = np.maximum(np.sum(np.abs(val), axis=-1), np.abs(total))
+            scale = np.maximum(np.abs(val).sum(axis=-1), size)
             err_total = np.fmax(np.where(tail_open or not finite, np.inf, err_total),
                                 _ROUNDOFF * scale)
             if total.ndim == 0:
@@ -176,7 +175,7 @@ def _integrate(f, edges: np.ndarray, rel_tol: float, sector: str,
             scaled = np.reshape(err / tol[..., None], (-1, err.shape[-1]))
             order = np.argsort(-scaled.max(axis=0), kind="stable")
             excess = np.reshape(err_total / tol - 1.0, (-1, 1))
-            covered = np.all(np.cumsum(scaled[:, order], axis=-1) > excess, axis=0)
+            covered = (np.cumsum(scaled[:, order], axis=-1) > excess).all(axis=0)
             split = order[:min(int(np.argmax(covered)) + 1, _MAX_SUBDIVISIONS - spent)]
             mid = 0.5 * (a[split] + b[split])
             new_a = np.concatenate((a[split], mid, new_a))

@@ -4,7 +4,6 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 import planarcp.cli
@@ -16,6 +15,14 @@ def run(tmp_path, *args, name="out.csv"):
     out = tmp_path / name
     code = main(list(args) + ["--output", str(out)])
     return code, out
+
+
+def false_zero_count(*args, count_zeros=planarcp.green._count_zeros):
+    """_count_zeros with one D_s zero added to each row: a count that puts
+    a zero where there is none, at every halving."""
+    counts = count_zeros(*args)
+    counts[0] += 1
+    return counts
 
 
 BASE = ["sweep", "--geometry", "halfspace", "--eps-re", "2", "--eps-im", "0.1",
@@ -116,6 +123,7 @@ class TestSweep:
         assert code == 2
         assert "Traceback" not in err
         assert "1/3 points failed" in err
+        assert err.count("guided mode") == 1
         assert out.read_text().splitlines()[-3].endswith(",nan,inf,failed")
 
     @staticmethod
@@ -203,8 +211,7 @@ class TestSweep:
         # A count that puts a zero in the zero-free slab's strip makes the
         # pole search raise NotConverged at every point: failed rows with
         # exit code 2, not a traceback.
-        monkeypatch.setattr(planarcp.green, "_count_zeros",
-                            lambda *args: np.array([1, 0]))
+        monkeypatch.setattr(planarcp.green, "_count_zeros", false_zero_count)
         planarcp.green._strip_poles.cache_clear()
         code, out = run(tmp_path, "sweep", "--geometry", "slab-mirror",
                         "--eps-re", "2", "--eps-im", "0.1", "--thickness", "1",
@@ -213,6 +220,9 @@ class TestSweep:
         err = capsys.readouterr().err
         assert code == 2
         assert "Traceback" not in err and "2/2 points failed" in err
+        # One line per failed point names its z and its cause.
+        assert err.count("NotConverged: no slab pole found") == 2
+        assert "z = 1.0:" in err and "z = 2.0:" in err
         assert all(line.endswith(",nan,inf,failed")
                    for line in out.read_text().splitlines()[-2:])
 
@@ -235,9 +245,23 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert code == (2 if failed else 0)
+        assert err.count("guided mode") == failed
         rows = self.values(out)
         assert sum(method == "failed" for _, method in rows) == failed
         assert all(math.isfinite(u) for u, method in rows if method != "failed")
+
+    def test_failure_causes_come_back_from_the_pool(self, tmp_path, capsys):
+        # Each failed row's cause reaches stderr from the worker that
+        # evaluated it, in the order of the rows.
+        code, out = run(tmp_path, "sweep", "--geometry", "slab-mirror",
+                        "--eps-re", "4", "--thickness", "3", "--zmin", "0.05",
+                        "--zmax", "20", "--points", "4", "--workers", "2")
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and lines[-1] == "planarcp: 4/4 points failed"
+        zs = [row.split(",")[0] for row in out.read_text().splitlines()[-4:]]
+        assert lines[:-1] == [f"planarcp: z = {z}: DegenerateDenominator: a lossless "
+                              "slab's guided mode on Re beta = 0 is not negligible here"
+                              for z in zs]
 
     def test_pool_never_larger_than_points(self, tmp_path, monkeypatch):
         # A fake pool that records its size and runs the jobs in this

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from planarcp import (DegenerateDenominator, DomainError, HalfSpace,
                       NotConverged, PerfectLens, SlabWithMirror, VACUUM, green_components,
@@ -494,13 +494,15 @@ class TestAmplifiedTail:
         assert len(sizes) == 2 and sizes[1] == 15, sizes
 
 
-def dense_count(eps, mu, d, height, n=400_000):
-    """Zeros of D_s and D_p in 0 < Re beta < 1, 0 < Im beta < height
+def dense_count(eps, mu, d, height, left=0.0, n=400_000):
+    """Zeros of D_s and D_p in left < Re beta < 1, 0 < Im beta < height
     (k0 = 1), from the phase of each on n points per edge: an argument
-    principle with no adaptivity, sharing no code with the engine."""
+    principle with no adaptivity, sharing no code with the engine. At
+    k0 != 1 the zeros in beta/k0 are those of k0 = 1 with d k0 for d."""
     t = np.arange(n) / n
-    beta = np.concatenate((t, 1 + 1j * height * t, 1 - t + 1j * height,
-                           1j * height * (1 - t)))
+    width = 1 - left
+    beta = np.concatenate((left + width * t, 1 + 1j * height * t,
+                           1 - width * t + 1j * height, left + 1j * height * (1 - t)))
     w = np.sqrt(beta * beta + eps * mu - 1)
     # cos(w d) and sin(w d) times exp(-|Im w| d), which keeps the phase.
     up, down = (np.exp(s * 1j * w * d - abs(w.imag) * d) for s in (1, -1))
@@ -508,6 +510,14 @@ def dense_count(eps, mu, d, height, n=400_000):
     return [round(np.angle(f / np.roll(f, 1)).sum() / (2 * math.pi))
             for f in (cos - 1j * mu * beta * sin / w,
                       eps * beta * cos - 1j * w * sin)]
+
+
+def false_zero_count(*args):
+    """_count_zeros with one D_s zero added to each row: a count that puts
+    a zero where there is none, at every halving."""
+    counts = _count_zeros(*args)
+    counts[0] += 1
+    return counts
 
 
 class TestStripPoles:
@@ -529,7 +539,7 @@ class TestStripPoles:
     ])
     def test_count_matches_dense_boundary_count(self, eps, mu, d, expected):
         geometry = SlabWithMirror(validate_material(eps, mu), d)
-        beta, res, _, _, _ = _strip_poles(geometry, 1.0) or (np.zeros(0),) * 5
+        beta, res, _, _, _ = _strip_poles(geometry, (1.0,))[0] or (np.zeros(0),) * 5
         counts = [int(np.count_nonzero(row)) for row in res] or [0, 0]
         height = _strip_height(geometry.material, d, 1.0)
         assert counts == dense_count(eps, mu, d, height)
@@ -554,7 +564,7 @@ class TestStripPoles:
         slab = SlabWithMirror(validate_material(4, 1), 3.0)
         with pytest.raises(DegenerateDenominator):
             green_components(1.0, 1.0, slab)
-        beta, _, _, _, on_edge = _strip_poles(slab, 1.0)
+        beta, _, _, _, on_edge = _strip_poles(slab, (1.0,))[0]
         assert on_edge.all() and np.all(beta.real == pytest.approx(0, abs=1e-12))
         thin = SlabWithMirror(validate_material(2.15, 4.44), 0.17)
         lossy = SlabWithMirror(validate_material(2.15 + 1e-9j, 4.44 + 1e-9j), 0.17)
@@ -566,11 +576,71 @@ class TestStripPoles:
         # halving: the search runs down to rectangles 1e-12 k0 wide and
         # fails with a typed error, not a missing residue.
         slab = SlabWithMirror(validate_material(2 + 0.1j, 1), 1.0)
-        monkeypatch.setattr(planarcp.green, "_count_zeros",
-                            lambda *args: np.array([1, 0]))
+        monkeypatch.setattr(planarcp.green, "_count_zeros", false_zero_count)
         _strip_poles.cache_clear()
         with pytest.raises(NotConverged, match="no slab pole found"):
             green_components(1.0, 1.0, slab)
+
+    @staticmethod
+    def walks(monkeypatch):
+        """The counts that each _count_zeros call returns, in call order."""
+        counts, count_zeros = [], planarcp.green._count_zeros
+
+        def spy(*args):
+            counts.append(count_zeros(*args))
+            return counts[-1]
+
+        monkeypatch.setattr(planarcp.green, "_count_zeros", spy)
+        _strip_poles.cache_clear()
+        return counts
+
+    def test_zero_free_atom_walks_once(self, monkeypatch):
+        # Two transitions of a slab with no strip zero: one walk counts
+        # both, and no rectangle is halved.
+        counts = self.walks(monkeypatch)
+        slab = SlabWithMirror(validate_material(2 + 0.1j, 1), 1.0)
+        green_components(1.0, np.array([1.0, 0.8]), slab)
+        assert len(counts) == 1 and counts[0].shape == (2, 2) and not counts[0].any()
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(["right-handed", "eps-negative", "mu-negative",
+                                 "left-handed"]),
+           eps_re=st.floats(0.01, 6.0), mu_re=st.floats(0.01, 6.0),
+           eps_loss=st.floats(-4.0, 0.0), mu_loss=st.floats(-4.0, 0.0),
+           lossless=st.booleans(), log_d=st.floats(math.log10(0.05), math.log10(20.0)),
+           omegas=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=3, unique=True))
+    # A thin film's plasmon at beta = (0.025 + 4.66i) k0 for the second
+    # transition, above the first one's own height of 1.03 k0.
+    @example(kind="left-handed", eps_re=0.2755, mu_re=4.54, eps_loss=-3.854,
+             mu_loss=-0.4225, lossless=False, log_d=-0.923, omegas=[8.12, 0.514])
+    def test_one_walk_counts_every_transition(self, kind, eps_re, mu_re, eps_loss,
+                                              mu_loss, lossless, log_d, omegas):
+        # Each transition's count from the atom's one walk is that of its
+        # own walk and of a dense count, and its poles keep their bits.
+        if kind in ("eps-negative", "left-handed"):
+            eps_re = -eps_re
+        if kind in ("mu-negative", "left-handed"):
+            mu_re = -mu_re
+        eps, mu = (complex(eps_re, 0.0 if lossless else 10.0 ** eps_loss),
+                   complex(mu_re, 0.0 if lossless else 10.0 ** mu_loss))
+        d = 10.0 ** log_d
+        geometry = SlabWithMirror(validate_material(eps, mu), d)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            counts = self.walks(monkeypatch)
+            atom = _strip_poles(geometry, tuple(omegas))
+            walk = counts[0]
+            for i, k0 in enumerate(omegas):
+                del counts[:]
+                _strip_poles.cache_clear()
+                alone = _strip_poles(geometry, (k0,))[0]
+                assert walk[:, i].tolist() == counts[0][:, 0].tolist()
+                height = _strip_height(geometry.material, d, k0) / k0
+                # A lossless slab's guided modes lie on Re beta = 0.
+                assert walk[:, i].tolist() == dense_count(
+                    eps, mu, d * k0, height, -1e-5 if lossless else 0.0, n=200_000)
+                assert (atom[i] is None) == (alone is None)
+                assert all(np.asarray(x).tobytes() == np.asarray(y).tobytes()
+                           for x, y in zip(atom[i] or (), alone or ()))
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(kind=st.sampled_from(["right-handed", "eps-negative", "mu-negative",
