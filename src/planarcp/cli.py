@@ -15,7 +15,6 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -66,7 +65,7 @@ class SweepConfig:
     format: str = "csv"
     output: str = "-"
     reproducible: bool = False
-    workers: int = 0
+    workers: int = 1  # N > 1: first point here, a pool of min(N, points - 1)
 
     def validate(self) -> tuple[Atom, Geometry]:
         for key, value in asdict(self).items():
@@ -81,8 +80,8 @@ class SweepConfig:
                               f"{self.zmin} and {self.zmax}")
         if self.points < 2:
             raise ConfigError(f"points: need >= 2, got {self.points}")
-        if self.workers < 0:
-            raise ConfigError(f"workers: need >= 0 (0: one per CPU), got {self.workers}")
+        if self.workers < 1:
+            raise ConfigError(f"workers: need >= 1, got {self.workers}")
         check_rel_tol(self.rel_tol)
         if self.dipole == "mixed" and self.w_par + self.w_perp <= 0.0:
             raise ConfigError("w_par/w_perp: mixed dipole needs a positive total weight")
@@ -123,7 +122,7 @@ class SweepConfig:
 
 
 def _eval_point(args):
-    """A sweep row and, if the point failed, why."""
+    """A sweep row and the causes of its failure: none, or one."""
     config, atom, geometry, z = args
     try:
         if config.method == "auto":
@@ -138,26 +137,28 @@ def _eval_point(args):
             s = potential_perfect_lens(atom, config.thickness, z)
     except (NotConverged, DegenerateDenominator) as exc:
         return ({"z_norm": z, "U_norm": float("nan"), "U_err": float("inf"),
-                 "method": "failed"}, f"{type(exc).__name__}: {exc}")
+                 "method": "failed"}, [f"{type(exc).__name__}: {exc}"])
     return ({"z_norm": z, "U_norm": s.value * U0_INV,
-             "U_err": s.error_estimate * U0_INV, "method": s.method.value}, None)
+             "U_err": s.error_estimate * U0_INV, "method": s.method.value}, [])
 
 
 def _eval_compare(args):
-    """A compare row and, if its numeric column failed, why."""
+    """A compare row and, for each of its failed columns, its method and why."""
     config, atom, geometry, z = args
     refs = (("nonretarded", "retarded") if config.geometry == "halfspace"
             else ("closed-form",))
-    numeric, cause = _eval_point((replace(config, method="numeric"), atom, geometry, z))
-    row = {"z_norm": z, "U_numeric": numeric["U_norm"]}
-    for method in refs:
+    row, causes = {"z_norm": z}, []
+    for method in ("numeric", *refs):
         name = method.replace("-", "_")
         u = float("nan")  # the lens closed form holds beyond the slab only
         if method != "closed-form" or z > config.thickness:
-            u = _eval_point((replace(config, method=method), atom, geometry, z))[0]["U_norm"]
+            cell, why = _eval_point((replace(config, method=method), atom, geometry, z))
+            u = cell["U_norm"]
+            causes += [f"{method}: {cause}" for cause in why]
         row[f"U_{name}"] = u
-        row[f"dev_{name}"] = _relative_deviation(row["U_numeric"], u)
-    return row, cause
+        if method != "numeric":
+            row[f"dev_{name}"] = _relative_deviation(row["U_numeric"], u)
+    return row, causes
 
 
 def _relative_deviation(num: float, ref: float) -> float:
@@ -168,12 +169,12 @@ def _relative_deviation(num: float, ref: float) -> float:
 
 def _run_parallel(fn, config, atom, geometry, distances):
     jobs = [(config, atom, geometry, float(z)) for z in distances]
-    # The pool starts all its workers at once, so never more than points.
-    workers = min(config.workers or os.cpu_count() or 1, len(jobs))
-    if workers == 1 or len(jobs) < 4:
+    if config.workers == 1:  # the default: this process, no pool
         return [fn(j) for j in jobs]
+    first, rest = fn(jobs[0]), jobs[1:]  # before the fork: workers inherit its poles
+    workers = min(config.workers, len(rest))  # all start at once: none idle
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+        return [first, *pool.map(fn, rest, chunksize=max(1, len(rest) // (4 * workers)))]
 
 
 def _json_value(x):
@@ -221,8 +222,8 @@ def run(command: str, config: SweepConfig) -> int:
     evaluate = _eval_point if command == "sweep" else _eval_compare
     rows, causes = zip(*_run_parallel(evaluate, config, atom, geometry, config.distances()))
     _emit(config, list(rows[0]), rows, command)
-    for row, cause in zip(rows, causes):
-        if cause:
+    for row, why in zip(rows, causes):
+        for cause in why:
             print(f"planarcp: z = {row['z_norm']}: {cause}", file=sys.stderr)
     value = "U_norm" if command == "sweep" else "U_numeric"
     failed = sum(1 for row in rows if math.isnan(row[value]))

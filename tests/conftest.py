@@ -8,8 +8,33 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import planarcp.cli
 from planarcp import HalfSpace, green_components, validate_material
 from oracle import simpson_green_with_error
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of each process pool the CLI constructs, in order. A
+    RecordingPool stands in for the pool and runs the jobs in this
+    process, so no worker is started."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(planarcp.cli, "ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 @pytest.fixture(scope="session")

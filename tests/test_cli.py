@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-import planarcp.cli
 import planarcp.green
 from planarcp.cli import SweepConfig, main
 
@@ -263,29 +262,30 @@ class TestSweep:
                               "slab's guided mode on Re beta = 0 is not negligible here"
                               for z in zs]
 
-    def test_pool_never_larger_than_points(self, tmp_path, monkeypatch):
-        # A fake pool that records its size and runs the jobs in this
-        # process, so no worker is started.
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(planarcp.cli, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_never_larger_than_points(self, tmp_path, pool_sizes):
+        # The first point is evaluated here, the other three in the pool.
         args = [a for a in BASE if a not in ("--workers", "1")]
         code, _ = run(tmp_path, *args, "--points", "4", "--workers", "64")
         assert code == 0
-        assert sizes == [4]
+        assert pool_sizes == [3]
+
+    def test_one_process_unless_asked(self, tmp_path, pool_sizes, capsys):
+        # No --workers evaluates in this process; 0 workers is a config error.
+        args = [a for a in BASE if a not in ("--workers", "1")]
+        code, _ = run(tmp_path, *args)
+        assert code == 0 and pool_sizes == []
+        code, _ = run(tmp_path, *args, "--workers", "0")
+        assert code == 1 and pool_sizes == []
+        assert capsys.readouterr().err.startswith("planarcp: error: workers: ")
+
+    def test_two_workers_start_a_pool_however_few_points(self, tmp_path, pool_sizes):
+        # No size cut-off: beside the first point, evaluated here, a pool
+        # of two for the other two points and of one for the last of two.
+        args = [a for a in BASE if a not in ("--workers", "1")]
+        for points in ("3", "2"):
+            code, _ = run(tmp_path, *args, "--points", points, "--workers", "2")
+            assert code == 0
+        assert pool_sizes == [2, 1]
 
     def test_overflowing_distance_exits_1(self, tmp_path, capsys):
         # The 1/z^3 term of the short-distance form overflows at 1e-300.
@@ -438,6 +438,23 @@ class TestCompare:
         for row in rows:
             assert math.isfinite(float(row["U_numeric"]))
 
+    def test_failed_column_states_its_cause(self, tmp_path, capsys):
+        # Each failed cell's method and cause reach stderr in row order,
+        # also through the pool; the exit code follows U_numeric alone.
+        args = ["compare", "--eps-re", "1", "--mu-re", "-1", "--zmin", "0.01",
+                "--zmax", "1", "--points", "3", "--reproducible"]
+        outputs = []
+        for workers in ("1", "2"):
+            code, out = run(tmp_path, *args, "--workers", workers,
+                            name=f"{workers}.csv")
+            assert code == 0
+            zs = [row.split(",")[0] for row in out.read_text().splitlines()[3:]]
+            assert capsys.readouterr().err.splitlines() == [
+                f"planarcp: z = {z}: nonretarded: DegenerateDenominator: "
+                "mu + 1 = 0j too close to zero" for z in zs]
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_closed_form_pole_gives_nan_column(self, tmp_path, capsys):
         # eps = 1, mu = -1: the short-distance form's (mu - 1)/(mu + 1)
         # has no finite value; the other columns are still computed.
@@ -511,6 +528,7 @@ class TestConfigHandling:
         # w_par, a half space's thickness.
         ["sweep", "--dipole", "par", "--w-par", "nan"],
         ["sweep", "--thickness", "nan"],
+        ["sweep", "--workers", "0"],
     ])
     def test_config_errors_exit_1(self, tmp_path, args, capsys):
         code, _ = run(tmp_path, *args)

@@ -1,8 +1,12 @@
 # tests/test_readme.py
-"""The README's library example runs as documented."""
+"""The README's library example and CLI commands run as documented."""
 
+import json
 import re
+import shlex
 from pathlib import Path
+
+from planarcp.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -13,3 +17,44 @@ def test_library_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def cli_examples():
+    """The planarcp commands of the sh block under "Command line", each
+    joined over its continuation lines, as argument lists for main."""
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```",
+                      README.read_text(encoding="utf-8"), re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("planarcp ")]
+
+
+def data_rows(argv, capsys):
+    """Run argv through main in the working directory: its exit code and
+    its data rows, the CSV lines that do not start with '#' or the JSON
+    rows, read from stdout or from the -o file."""
+    code = main(argv)
+    text = capsys.readouterr().out
+    if "-o" in argv:
+        text = Path(argv[argv.index("-o") + 1]).read_text(encoding="utf-8")
+    if "json" in argv:
+        return code, json.loads(text)["rows"]
+    return code, [line for line in text.splitlines() if not line.startswith("#")]
+
+
+def test_cli_examples_run_as_documented(tmp_path, monkeypatch, capsys):
+    # The pool changes no row: each command's rows equal those of the
+    # same command with --workers 2, which starts two processes.
+    monkeypatch.chdir(tmp_path)
+    examples = cli_examples()
+    assert len(examples) == 3
+    for argv in examples:
+        code, rows = data_rows(argv, capsys)
+        assert code == 0 and rows
+        assert data_rows(argv + ["--workers", "2"], capsys) == (0, rows)
+
+
+def test_cli_examples_start_no_process(tmp_path, monkeypatch, pool_sizes):
+    monkeypatch.chdir(tmp_path)
+    for argv in cli_examples():
+        assert main(argv) == 0
+    assert pool_sizes == []
