@@ -304,7 +304,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return run(args.command, _build_config(args))
-    except ValueError as exc:  # ConfigError, DomainError and model checks
+    except (ValueError, OSError) as exc:  # also an -o that cannot be written
         print(f"planarcp: error: {exc}", file=sys.stderr)
         return 1
 

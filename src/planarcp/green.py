@@ -89,8 +89,9 @@ def _coefficients(geometry, k0):
     k0 is a transition frequency or a column of them, against which
     rs_rp, b0 and jump broadcast. b0 is what _branch_point finds. Turning
     the cut to run up from b0, beta = b0 + i t, flips beta1 on the path
-    above t = Re b0 Im b0 / k0 and adds the integral of jump(t): (r_s, r_p)
-    at beta1 = s minus (r_s, r_p) at -s, where s = sqrt(t (2i b0 - t)).
+    above t = Re b0 Im b0 / k0 and adds the integral of jump(t): each
+    r = (a beta - beta1)/(a beta + beta1), a = mu or eps, at beta1 = s minus
+    at -s, s^2 = beta^2 - b0^2 = t (2i b0 - t): -4 a beta s / (a^2 beta^2 - s^2).
 
     The ideal eps = mu = -1 slab of the perfect lens images its mirror to
     the focal plane (Pendry, PRL 85, 3966 (2000)): its coefficients
@@ -116,9 +117,12 @@ def _coefficients(geometry, k0):
             return halfspace_rs_rp(beta, beta1, material)
 
         def jump(t):
-            s = _passive_sqrt(t * (2j * b0 - t))
-            r_s, r_p = halfspace_rs_rp(b0 + 1j * t, np.stack((s, -s)), material)
-            return r_s[0] - r_s[1], r_p[0] - r_p[1]
+            beta, s2 = b0 + 1j * t, t * (2j * b0 - t)
+            a = np.reshape((material.mu, material.epsilon), (2,) + (1,) * beta.ndim)
+            den = a * a * beta * beta - s2
+            if (abs(den) <= 1e-15 * abs(s2)).any():  # zero to rounding
+                raise DegenerateDenominator("a surface mode lies on the branch cut")
+            return -4.0 * a * beta * _passive_sqrt(s2) / den
 
         return half_space, 0.0, None if b0 is None else (b0, jump), None
 
@@ -284,20 +288,20 @@ def _product(a: float, b: float) -> tuple[float, float]:
     return p, e if math.isfinite(e) else 0.0
 
 
-def _small_ladder(k0: float, z_decay: float) -> tuple[float, ...]:
-    """Panel edges k0/8, k0/4, k0/2, ... below the first uniform edge.
+def _small_ladder(k0: float, z_decay: float, cut: bool) -> list[float]:
+    """Panel edges k0/8, k0/4, k0/2, ... below the first uniform edge,
+    and with cut four more, down to 8^-4 of the first panel's width.
 
     The uniform panels of integrate_evanescent are 1/(2 z_decay) wide,
-    which at small z_decay puts all of the coefficients' structure at
-    t ~ k0 into the first panel; halving it toward 0 would take one
-    refinement round per octave.
-    """
-    edges = []
-    kappa = k0 / 8.0
-    while kappa < 0.5 / z_decay:
-        edges.append(kappa)
-        kappa *= 2.0
-    return tuple(edges)
+    which at small z_decay puts the coefficients' structure at t ~ k0, and
+    a cut's sqrt(t) onset, into the first panel; bisection would take one
+    round per octave. The lowest k0's ladder covers every higher one's."""
+    first = min(k0 / 8.0, 0.5 / z_decay)
+    edges = [first / 8.0 ** j for j in range(4, 0, -1)] if cut else []
+    while first < 0.5 / z_decay:
+        edges.append(first)
+        first *= 2.0
+    return edges
 
 
 def green_components(z_A: float, omega, geometry: Geometry,
@@ -313,7 +317,7 @@ def green_components(z_A: float, omega, geometry: Geometry,
 
     omega is a transition frequency or a 1-D array of them, which share
     one path integral (the decay exp(-2 t z) is the same for each) on the
-    union of their ladders; each (transition, component) row meets its own
+    lowest one's ladder; each (transition, component) row meets its own
     tolerance, and each transition keeps its own cut, poles and phase.
     """
     if not (xx or zz):
@@ -325,7 +329,7 @@ def green_components(z_A: float, omega, geometry: Geometry,
     rs_rp, z_offset, cut, poles = _coefficients(geometry, k0)
     require_distance("z_A", z_A, z_offset)
     z_image = z_A - z_offset
-    ladder = tuple(e for k in omegas for e in _small_ladder(k, z_image))
+    ladder = _small_ladder(min(omegas), z_image, cut is not None)
 
     def rows(r_s, r_p, b2, q2, k):
         # b2 = (beta/k0)^2, q2 = q^2 = k0^2 - beta^2; rows precede nodes.
@@ -344,11 +348,6 @@ def green_components(z_A: float, omega, geometry: Geometry,
     if cut is not None:
         b0, jump = cut
         cut_phase = np.exp(2j * (b0 - k0) * z_image)[..., None]
-        # The jump grows like s ~ sqrt(t) from t = 0: grade the first
-        # panel toward it, down to 8^-4 of its width.
-        for k in omegas:
-            first = min(k / 8.0, 0.5 / z_image)
-            ladder += tuple(first / 8.0 ** j for j in range(1, 5))
 
     def path(t):
         # beta = k0 + i t; the engine applies the decay exp(-2 t z_image).

@@ -165,9 +165,13 @@ def potential_perfect_lens(atom: Atom, thickness: float,
         cos_zt, sin_zt = math.cos(zt), math.sin(zt)
         par = cos_zt + zt * sin_zt - zt * zt * cos_zt
         perp = 2.0 * (cos_zt + zt * sin_zt)
-        contributions.append(
-            -t.omega**3 / (4.0 * math.pi * zt**3)
-            * (par * t.d_par_sq + perp * t.d_perp_sq))
+        try:  # zt**3 raises where it overflows, and 1/zt**3 where it is 0
+            scale = -t.omega**3 / (4.0 * math.pi * zt**3)
+        except (OverflowError, ZeroDivisionError):
+            scale = math.inf
+        contributions.append(scale * (par * t.d_par_sq + perp * t.d_perp_sq))
+    if not math.isfinite(sum(contributions)):
+        raise DomainError(f"perfect-lens potential not finite at z_A = {z_A}")
     return _sample(z_A, contributions, PotentialMethod.PERFECT_LENS, 0.0)
 
 

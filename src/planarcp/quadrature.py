@@ -220,12 +220,12 @@ def integrate_evanescent(integrand, z_decay: float,
     peaks, then 2 and 4 wide in 2 kappa z_decay, once the decay has
     fallen by e^-8. It also holds the first _TAIL_PANELS panels past
     kappa0 (a kappa^2 prefactor keeps the first above _TAIL_CUTOFF) and
-    the breakpoints: the Green module's ladders toward small kappa and
-    toward the sqrt(t) onset of a branch cut, where bisection would spend
-    a round per octave. Each refinement round appends one more tail panel
-    while the last is not a negligible fraction of the total, which covers
-    a prefactor whose growth delays the decay, such as the amplified waves
-    of a weakly lossy left-handed slab.
+    the breakpoints: the Green module's one ladder toward small kappa,
+    graded toward a branch cut's sqrt(t) onset, where bisection would
+    spend a round per octave. Each refinement round appends one more tail
+    panel while the last is not a negligible fraction of the total, which
+    covers a prefactor whose growth delays the decay, such as the amplified
+    waves of a weakly lossy left-handed slab.
     """
     require_distance("z_decay", z_decay)
 

@@ -175,6 +175,7 @@ class TestSweep:
         assert code == 2
         assert "Traceback" not in err
         assert "3/3 points failed" in err
+        assert err.count("a surface mode lies on the branch cut") == 3
         assert all(line.endswith(",nan,inf,failed")
                    for line in out.read_text().splitlines()[-3:])
 
@@ -287,14 +288,33 @@ class TestSweep:
             assert code == 0
         assert pool_sizes == [2, 1]
 
-    def test_overflowing_distance_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command,args", [
         # The 1/z^3 term of the short-distance form overflows at 1e-300.
-        code, _ = run(tmp_path, "sweep", "--eps-re", "2", "--method",
-                      "nonretarded", "--zmin", "1e-300", "--zmax", "1e-299",
-                      "--points", "2", "--workers", "1")
+        ("sweep", ["--eps-re", "2", "--method", "nonretarded",
+                   "--zmin", "1e-300", "--zmax", "1e-299"]),
+        # The lens closed form's zt^3 overflows at z - d = 1e200 and
+        # underflows to 0 at 1e-200.
+        ("sweep", ["--geometry", "perfect-lens", "--thickness", "1",
+                   "--zmin", "2", "--zmax", "1e200"]),
+        ("compare", ["--geometry", "perfect-lens", "--thickness", "1",
+                     "--zmin", "2", "--zmax", "1e200"]),
+        ("sweep", ["--geometry", "perfect-lens", "--thickness", "1e-200",
+                   "--zmin", "2e-200", "--zmax", "3e-200"]),
+    ], ids=["nonretarded", "lens-far", "lens-far-compare", "lens-near"])
+    def test_overflowing_distance_exits_1(self, tmp_path, capsys, command, args):
+        code, _ = run(tmp_path, command, *args, "--points", "2", "--workers", "1")
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("planarcp: error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["missing/out.csv", "."], ids=["missing-dir", "dir"])
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, where):
+        # A missing directory, and a directory, as the output file.
+        code = main(["sweep", "--points", "2", "-o", str(tmp_path / where)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("planarcp: error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_lossless_nonretarded_pole_fails_row(self, tmp_path, capsys):
