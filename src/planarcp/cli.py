@@ -12,6 +12,7 @@ prints them in U0 = mu_0 omega^3 d^2 / (8 pi c), that is, times 8 pi.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import math
@@ -185,33 +186,24 @@ def _json_value(x):
     return x
 
 
-def _emit(config: SweepConfig, columns, rows, command: str) -> None:
+def _emit(fh, config: SweepConfig, columns, rows, command: str) -> None:
     # output path and worker count do not influence the numbers; keeping
     # them out of the metadata makes reproducible runs byte-comparable
     # across destinations.
-    recorded = {k: v for k, v in asdict(config).items()
-                if k not in ("output", "workers")}
-    if config.format == "csv":
-        lines = [f"# planarcp {command}"]
-        if not config.reproducible:
-            lines.append(f"# generated: {datetime.datetime.now().isoformat()}")
-        lines.append(f"# config: {json.dumps(recorded, sort_keys=True)}")
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(str(row[c]) for c in columns))
-        text = "\n".join(lines) + "\n"
-    else:
-        meta = {"command": command, "config": recorded}
-        if not config.reproducible:
-            meta["generated"] = datetime.datetime.now().isoformat()
-        meta["rows"] = [{k: _json_value(v) for k, v in row.items()}
-                        for row in rows]
-        text = json.dumps(meta, indent=2, allow_nan=False) + "\n"
-    if config.output in ("-", ""):
-        sys.stdout.write(text)
-    else:
-        with open(config.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    meta = {"command": command, "config": {k: v for k, v in asdict(config).items()
+                                           if k not in ("output", "workers")}}
+    if not config.reproducible:
+        meta["generated"] = datetime.datetime.now().isoformat()
+    if config.format == "json":
+        meta["rows"] = [{k: _json_value(v) for k, v in row.items()} for row in rows]
+        fh.write(json.dumps(meta, indent=2, allow_nan=False) + "\n")
+        return
+    lines = [f"# planarcp {command}"]
+    if "generated" in meta:
+        lines.append(f"# generated: {meta['generated']}")
+    lines += [f"# config: {json.dumps(meta['config'], sort_keys=True)}", ",".join(columns)]
+    lines += [",".join(str(row[c]) for c in columns) for row in rows]
+    fh.write("\n".join(lines) + "\n")
 
 
 def run(command: str, config: SweepConfig) -> int:
@@ -220,8 +212,12 @@ def run(command: str, config: SweepConfig) -> int:
     if command == "compare" and config.method != "auto":
         raise ConfigError("method: compare requires method = auto")
     evaluate = _eval_point if command == "sweep" else _eval_compare
-    rows, causes = zip(*_run_parallel(evaluate, config, atom, geometry, config.distances()))
-    _emit(config, list(rows[0]), rows, command)
+    # Opened first, as a shell redirection is: an -o that cannot be written
+    # fails before any point, and one that exits 1 later is left empty.
+    with (contextlib.nullcontext(sys.stdout) if config.output in ("-", "")
+          else open(config.output, "w", encoding="utf-8", newline="\n")) as fh:
+        rows, causes = zip(*_run_parallel(evaluate, config, atom, geometry, config.distances()))
+        _emit(fh, config, list(rows[0]), rows, command)
     for row, why in zip(rows, causes):
         for cause in why:
             print(f"planarcp: z = {row['z_norm']}: {cause}", file=sys.stderr)

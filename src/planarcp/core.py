@@ -78,12 +78,8 @@ class MaterialResponse:
 VACUUM = MaterialResponse(1.0 + 0.0j, 1.0 + 0.0j)
 
 
-def validate_material(epsilon: complex, mu: complex) -> MaterialResponse:
-    """Validate (eps, mu) and return a MaterialResponse.
-
-    Raises PassivityViolation or NonFinite on bad input.
-    """
-    return MaterialResponse(complex(epsilon), complex(mu))
+# The constructor converts, and raises PassivityViolation or NonFinite.
+validate_material = MaterialResponse
 
 
 @dataclass(frozen=True)

@@ -360,16 +360,15 @@ def green_components(z_A: float, omega, geometry: Geometry,
         return out + cut_phase * at(b0 + 1j * t, *jump(t))
 
     res = integrate_evanescent(path, z_image, rel_tol, breakpoints=ladder)
-    shape = (len(omegas), -1)
-    values, errors = [], []
-    for k, value, error, pole in zip(omegas, res.value.reshape(shape),
-                                     res.error_estimate.reshape(shape),
-                                     poles or [None] * len(omegas)):
+    # (transition, component) rows, completed in place one transition at a
+    # time; `*=` and `+=` would reorder the operands below, and the rounding.
+    value = res.value.reshape(len(omegas), -1)
+    error = res.error_estimate.reshape(len(omegas), -1) / (8.0 * math.pi)
+    for k, v, e, pole in zip(omegas, value, error, poles or [None] * len(omegas)):
         # The phase at the rounded k0 z_image would be off by up to
         # 1e-16 k0 z_image, above the path's error at large distances.
         arg, rounding = _product(k, z_image)
-        value = (cmath.exp(2j * arg) * cmath.exp(2j * rounding) / (8.0 * math.pi)) * value
-        error = error / (8.0 * math.pi)
+        v[:] = (cmath.exp(2j * arg) * cmath.exp(2j * rounding) / (8.0 * math.pi)) * v
         if pole is not None:
             # -(1/4) Res F per pole; its error is what moving the pole by its
             # last secant step changes, plus the residue's and round-off. A
@@ -377,20 +376,18 @@ def green_components(z_A: float, omega, geometry: Geometry,
             beta, residue, dbeta, dresidue, on_edge = pole
             phase = np.exp(2j * beta * z_image) / 4.0
             terms = phase * at(beta, *residue, k)
-            value = value - terms[:, ~on_edge].sum(axis=-1)
+            v -= terms[:, ~on_edge].sum(axis=-1)
             edge = np.abs(terms[:, on_edge]).sum(axis=-1)
-            if (edge > rel_tol * np.abs(value)).any():
+            if (edge > rel_tol * np.abs(v)).any():
                 raise DegenerateDenominator("a lossless slab's guided mode on "
                                             "Re beta = 0 is not negligible here")
             bound = rows(*dresidue, -abs(beta / k) ** 2, abs(k * k - beta * beta), k)
-            error = error + edge + (np.abs(terms) * (2.0 * z_image * dbeta + _ROUNDOFF)
-                                    + abs(phase) * bound).sum(axis=-1)
-        values.append(value)
-        errors.append(error)
+            e[:] = e + edge + (np.abs(terms) * (2.0 * z_image * dbeta + _ROUNDOFF)
+                               + abs(phase) * bound).sum(axis=-1)
     if np.isscalar(omega):
-        parts = list(zip(values[0].tolist(), errors[0].tolist()))
+        parts = list(zip(value[0].tolist(), error[0].tolist()))
     else:
-        parts = list(zip(np.array(values).T, np.array(errors).T))
+        parts = list(zip(value.T, error.T))
     g_xx, error_xx = parts.pop(0) if xx else (None, None)
     g_zz, error_zz = parts.pop(0) if zz else (None, None)
     return GreenComponents(g_xx=g_xx, g_zz=g_zz, error_xx=error_xx,

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import planarcp.cli
 import planarcp.green
 from planarcp.cli import SweepConfig, main
 
@@ -308,14 +309,44 @@ class TestSweep:
         assert err.startswith("planarcp: error:")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("where", ["missing/out.csv", "."], ids=["missing-dir", "dir"])
-    def test_unwritable_output_exits_1(self, tmp_path, capsys, where):
-        # A missing directory, and a directory, as the output file.
-        code = main(["sweep", "--points", "2", "-o", str(tmp_path / where)])
+    @pytest.mark.parametrize("where,args", [
+        pytest.param(where, args, id=place + suffix)
+        for where, place in (("missing/out.csv", "missing-dir"), (".", "dir"))
+        for args, suffix in ((["sweep"], ""), (["compare"], "-compare"),
+                             (["sweep", "--format", "json"], "-json"),
+                             (["sweep", "--workers", "2"], "-workers-2"))])
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, monkeypatch,
+                                       pool_sizes, where, args):
+        # A missing directory, and a directory, as the output file: refused
+        # when the run starts, as a shell redirection is, before any point
+        # is evaluated and before any pool is started.
+        calls = []
+
+        def spy(name, fn):
+            def counted(*a, **kw):
+                calls.append(name)
+                return fn(*a, **kw)
+            return counted
+
+        for name in dir(planarcp.cli):
+            if name.startswith("potential_"):
+                monkeypatch.setattr(planarcp.cli, name,
+                                    spy(name, getattr(planarcp.cli, name)))
+        code = main([*args, "--points", "2000", "-o", str(tmp_path / where)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("planarcp: error:") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert calls == [] and pool_sizes == []
+
+    @pytest.mark.parametrize("args", [
+        BASE, [*BASE, "--format", "json"], ["compare", *BASE[1:]]],
+        ids=["csv", "json", "compare"])
+    def test_output_file_holds_the_stdout_bytes(self, tmp_path, capsysbinary, args):
+        assert main(args) == 0
+        printed = capsysbinary.readouterr().out
+        code, out = run(tmp_path, *args)
+        assert code == 0 and printed and out.read_bytes() == printed
 
     def test_lossless_nonretarded_pole_fails_row(self, tmp_path, capsys):
         code, out = run(tmp_path, "sweep", "--geometry", "halfspace",
