@@ -131,7 +131,7 @@ def slab_mirror_denominators(beta, omega, material: MaterialResponse,
     beta = np.asarray(beta, dtype=complex)
     w2 = beta * beta + (eps * mu - 1.0) * omega ** 2
     w = _passive_sqrt(w2)
-    turn, em1 = np.exp(-1j * w.real * d), np.expm1(2j * w * d)
+    turn, em1 = np.exp(w.real * (-1j * d)), np.expm1(w * (2j * d))
     cos = turn * (1.0 + 0.5 * em1)
     sinc = np.divide(turn * em1, 2j * w, out=np.full_like(w, d), where=w != 0.0)
     d_p = (eps * cos - 1j * beta * sinc if eps * mu == 1.0

@@ -158,52 +158,119 @@ def _strip_height(material: MaterialResponse, d: float, k0: float) -> float:
 
 def _count_zeros(fns, corner: complex, wx: float, wy: float, d: float):
     """Zeros of D_s and D_p in the rectangle from corner to
-    corner + wx + i wy, by the argument principle (Kravanja & Van Barel,
+    corner + wx + i wy, and their power sums s_k = (1/2 pi i) closed int
+    x^k D'/D dx, k = 0...3 on a last axis, by the argument principle
+    (Delves & Lyness, Math. Comp. 21, 543 (1967); Kravanja & Van Barel,
     LNM 1727 (2000)); fns(x) stacks D_s, D_p and beta1, each one row or
-    one per transition, and each row gets its counts.
-
-    Each step along the boundary is split until D turns by at most pi/4
-    along it, and so does d Re beta1, the phase of exp(2i beta1 d): a zero
-    just outside an edge, such as a weakly lossy slab's guided mode 1e-7
-    off Re beta = 0, turns D by nearly pi within 1e-7, and two of them in
-    one step would alias. A step that passes in every row is settled and
-    its turn summed once; a round evaluates only the unsettled steps.
+    one per transition. Each step along the boundary is split until D
+    turns by at most pi/4 along it, and so does d Re beta1, the phase of
+    exp(2i beta1 d): a zero just outside an edge, such as a weakly lossy
+    slab's guided mode 1e-7 off Re beta = 0, turns D by nearly pi within
+    1e-7, and two of them in one step would alias. A round evaluates only
+    the unsettled steps.
     """
     ends = np.cumsum([0.0, wx, wy, wx, wy])
     # The boundary runs anticlockwise from corner, through these corners.
     corners = corner + np.array([0, wx, wx + 1j * wy, 1j * wy, 0])
     # Steps of h along the bottom and top, and up the sides steps that
     # grow from h by 1/8 each: far up, D turns slowly.
-    h = min(wx, wy, 0.5 * math.pi / d) / 4.0
+    h = min(wx, wy, 0.5 * math.pi / d) / 16.0
     ys = 8.0 * h * (1.125 ** np.arange(2 + int(math.log1p(wy / (8.0 * h)) / math.log(1.125))) - 1.0)
-    ys = np.append(ys[ys < wy], wy)
-    a = np.sort(np.concatenate((np.arange(0.0, wx, h), wx + ys,
-                                ends[2] + np.arange(0.0, wx, h), ends[4] - ys[1:])))
-    b = np.append(a[1:], ends[-1])  # each step runs from a to b
-    va = vals = fns(np.interp(a, ends, corners))
-    vb, turns = np.concatenate((va[..., 1:], va[..., :1]), axis=-1), 0.0
+    ys, across = np.append(ys[ys < wy], wy), np.arange(0.0, wx, h)
+    # Each step runs from a node to the next; the last node is the first.
+    t = np.concatenate((across, wx + ys, ends[2] + across, ends[4] - ys[:0:-1], ends[4:]))
+    f = vals = fns(np.interp(t, ends, corners))
     while True:
-        # |arg p| <= pi/4 is Re p >= |Im p|: only settled steps need the angle.
-        p = vb[:2] * va[:2].conj()
-        moved = d * np.minimum(abs(vb[2].real - va[2].real), abs(vb[2].real + va[2].real))
-        settled = (p.real >= abs(p.imag)).all(axis=0) & ~(moved > math.pi / 4.0)
-        split = ~settled.reshape(-1, len(a)).all(axis=0)
-        turns = turns + np.angle(p[..., ~split]).sum(axis=-1)
-        a, b, va, vb = a[split], b[split], va[..., split], vb[..., split]
+        # |arg p| <= pi/4 is Re p >= |Im p|, and min(|b - a|, |b + a|) is
+        # ||b| - |a||.
+        p = (f[:2, ..., 1:] * f[:2, ..., :-1].conj()).reshape(-1, len(t) - 1)
+        phase = abs(f[2].real).reshape(-1, len(t))
+        moved = d * abs(phase[:, 1:] - phase[:, :-1]) > math.pi / 4.0
+        split = np.flatnonzero(~(p.real >= abs(p.imag)).all(axis=0) | moved.any(axis=0))
+        a, b = t[split], t[split + 1]
         # A zero between samples leaves a turn of pi for good; one on a
         # sample turns D by np.angle(0) = 0 on both sides, and is missed.
         if (b - a <= 1e-15 * ends[-1]).any() or not vals[:2].all():
             raise DegenerateDenominator("a slab's reflection pole lies on the "
                                         "strip's edge (guided mode; lossless input)")
-        if not len(a):
-            return np.rint(turns / (2.0 * math.pi)).astype(int)
+        if not len(split):
+            break
         # Eight parts per step: a zero 1e-7 off an edge takes seven rounds.
-        x = a[:, None] + (b - a)[:, None] * np.arange(1, 8) / 8.0
-        vals = fns(np.interp(x.ravel(), ends, corners)).reshape(va.shape + (7,))
-        a = np.concatenate((a[:, None], x), axis=1).ravel()
-        b = np.concatenate((x, b[:, None]), axis=1).ravel()
-        va = np.concatenate((va[..., None], vals), axis=-1).reshape(*va.shape[:-1], -1)
-        vb = np.concatenate((vals, vb[..., None]), axis=-1).reshape(va.shape)
+        x = (a[:, None] + (b - a)[:, None] * np.arange(1, 8) / 8.0).ravel()
+        vals = fns(np.interp(x, ends, corners))
+        order = np.argsort(np.concatenate((t, x)), kind="stable")
+        t, f = np.concatenate((t, x))[order], np.concatenate((f, vals), axis=-1)[..., order]
+    turn = np.angle(p).reshape(2, *f.shape[1:-1], -1)
+    n = np.rint(turn.sum(axis=-1) / (2.0 * math.pi)).astype(int)
+    if not n.any():
+        return n, np.zeros(n.shape + (4,), complex)
+    # By parts, s_k = n x_0^k - (k/2 pi i) closed int x^(k-1) log D dx, by
+    # Simpson's rule on each step with one more node in its middle; log D
+    # is continued from the first node and takes out exp(-d Im beta1) > 0.
+    # Each row is summed in its own order (cumsum), whatever the others.
+    mid = np.stack((t[:-1], 0.5 * (t[:-1] + t[1:])), axis=-1).ravel()
+    x = np.interp(np.append(mid, t[-1]), ends, corners)
+    g = np.insert(f, np.arange(1, len(t)), fns(x[1::2]), axis=-1)
+    log = np.log(abs(g[:2])) + d * g[2].imag + 1j * np.unwrap(np.angle(g[:2]))
+    q, k = log[..., None, :] * x ** np.arange(3)[:, None], np.arange(1, 4)
+    s = ((x[2::2] - x[:-2:2]) * (q[..., :-2:2] + 4.0 * q[..., 1::2] + q[..., 2::2])).cumsum(axis=-1)
+    s = n[..., None] * x[0] ** k - k * s[..., -1] / (12j * math.pi)
+    return n, np.concatenate((n[..., None], s), axis=-1)
+
+
+def _locate(fns, corner: complex, wx: float, wy: float, d: float, n, s, top: float):
+    """(x, kind, row, dx), dx a bound on x's error, for each of the
+    n[kind, row] zeros with power sums s that _count_zeros counts on fns
+    in the rectangle: for n <= 3 the roots of x^n + c_1 x^(n-1) + ... + c_n,
+    j c_j = -(s_j + c_1 s_(j-1) + ... + c_(j-1) s_1) (Newton's identities),
+    polished by secant steps on the row's D down to 1e-13 (|x| + top). A
+    row with more zeros, two roots within the walk's first step of each
+    other or a polish that does not settle inside is found in the halves.
+    """
+    step, seeds = min(wx, wy, 0.5 * math.pi / d) / 16.0, []
+    rows = list(zip(*np.nonzero((n > 0) & (n <= 3))))
+    for kind, i in rows:
+        c = [1.0]
+        for j in range(1, n[kind, i] + 1):
+            c.append(-np.dot(c, s[kind, i, j:0:-1]) / j)
+        seeds += [(x, kind, i) for x in np.roots(c)]
+    found, rest = [], n.copy()
+    if seeds:
+        b, kind, row = map(np.array, zip(*seeds))
+        a, dx, slope, pick = b + 1e-3 * step, np.inf, 1.0, (kind, row, np.arange(len(b)))
+        f_a = fns(a)[pick]
+        with np.errstate(all="ignore"):
+            for _ in range(10):
+                live = ~(dx <= 1e-13 * (abs(b) + top))
+                if not live.any():
+                    break
+                f_b = fns(b)[pick]
+                slope = np.where(live, (f_b - f_a) / (b - a), slope)
+                a, f_a, b = (np.where(live, b, a), np.where(live, f_b, f_a),
+                             np.where(live, b - f_b / slope, b))
+                dx = np.where(live, abs(b - a), dx)
+            # No less than the polish's tolerance, or than how far rounding
+            # D's terms of order one moves a zero where D is flat.
+            claim = np.maximum(dx, np.maximum(1e-13 * (abs(b) + top), 1e-15 / abs(slope)))
+        off = b - corner
+        good = ((dx <= 1e-13 * (abs(b) + top)) & (0.0 < off.real) & (off.real < wx)
+                & (0.0 < off.imag) & (off.imag < wy))
+        for r in rows:
+            mine = (kind == r[0]) & (row == r[1])
+            x = b[mine]
+            if good[mine].all() and (n[r] == 1 or (abs(x - np.roll(x, 1)) > step).all()):
+                found += zip(x, kind[mine], row[mine], claim[mine])
+                rest[r] = 0
+    if not rest.any():
+        return found
+    if max(wx, wy) <= 1e-12 * top:
+        raise NotConverged("no slab pole found where the count puts one")
+    half = (wx / 2.0, wy) if wx > wy else (wx, wy / 2.0)
+    lower, s_lower = _count_zeros(fns, corner, *half, d)
+    lower *= rest > 0
+    return (found + _locate(fns, corner, *half, d, lower, s_lower, top)
+            + _locate(fns, corner + wx + 1j * wy - half[0] - 1j * half[1], *half, d,
+                      rest - lower, s - s_lower, top))
 
 
 @functools.lru_cache(maxsize=256)
@@ -215,66 +282,40 @@ def _strip_poles(geometry: SlabWithMirror, omegas: tuple[float, ...]):
     None if there are none. Cached per (geometry, omegas): a sweep's
     points share them.
 
-    One walk in u = beta/k0, times the largest k0, counts every
-    transition's zeros of D_s and D_p up to the tallest _strip_height/k0,
-    above its own none lies. Then, per transition and in beta, a rectangle
-    that holds more than one zero is halved until the secant method from
-    its centre finds its one zero inside; dbeta is the last step. res is
-    the mean of (beta - beta_p) r on 8 points of a circle around the
-    pole, and dres its change from the mean on 4 of them.
+    One walk in v = (top/k0) beta, top the largest k0, counts and sums
+    every transition's zeros of D_s and D_p up to the tallest
+    _strip_height, above its own none lies; _locate finds them. res is
+    the mean of (beta - beta_p) r on 8 points of a circle around the pole;
+    dres, its change from the mean on 4 of them, plus 1e-9 |res| for the
+    rounding of r where D is flat.
     """
     material, d = geometry.material, geometry.thickness
     # A lossless slab's guided modes lie on Re beta = 0, where the i0+
     # limit decides whether they count: its strip starts at -eta k0, and
     # they come back flagged as on the edge.
     eta = 1e-9 if material.is_lossless else 0.0
-    heights = [_strip_height(material, d, k0) for k0 in omegas]
-    k, top = np.array(omegas)[:, None], max(omegas)
+    top, k = max(omegas), np.array(omegas)[:, None]
 
-    def poles(k0, height, n):
-        fns = functools.partial(slab_mirror_denominators, omega=k0,
-                                material=material, thickness=d)
+    def fns(v):
+        return slab_mirror_denominators(k / top * v, k, material, d)
 
-        def locate(corner, wx, wy, n):
-            if n.sum() == 1:
-                kind = int(np.argmax(n))
-                a, b = corner + 0.6 * (wx + 1j * wy), corner + 0.5 * (wx + 1j * wy)
-                f_a = fns(a)[kind]
-                with np.errstate(all="ignore"):
-                    for _ in range(50):
-                        f_b = fns(b)[kind]
-                        a, f_a, b = b, f_b, b - f_b * (b - a) / (f_b - f_a)
-                        if abs(b - a) <= 1e-13 * (abs(b) + k0):
-                            if 0.0 < (b - corner).real < wx and 0.0 < (b - corner).imag < wy:
-                                return [(b, kind, abs(b - a))]
-                            break
-            if not n.any():
-                return []
-            if max(wx, wy) <= 1e-12 * k0:
-                raise NotConverged("no slab pole found where the count puts one")
-            half = (wx / 2.0, wy) if wx > wy else (wx, wy / 2.0)
-            lower = _count_zeros(fns, corner, *half, d)
-            return (locate(corner, *half, lower)
-                    + locate(corner + wx + 1j * wy - half[0] - 1j * half[1], *half, n - lower))
-
-        edge = eta * k0
-        found = locate(-edge + 0j, k0 + edge, height, n)
-        if not found:
-            return None
-        beta, kind, step = map(np.array, zip(*found))
-        ring = 1e-3 * min(k0, 1.0 / d) * np.exp(0.25j * math.pi * np.arange(8))
-        at = beta[:, None] + ring
-        r = np.stack(slab_mirror_rs_rp(at, beta1_of_beta(at, k0, material), material, d))
-        r = r[kind, np.arange(len(beta))] * ring
-        mine = kind == np.array([[0], [1]])
-        return (beta, np.where(mine, r.mean(axis=-1), 0.0), step,
-                np.where(mine, abs(r.mean(axis=-1) - r[:, ::2].mean(axis=-1)), 0.0),
-                abs(beta.real) < edge)
-
-    counts = _count_zeros(lambda v: slab_mirror_denominators(k / top * v, k, material, d),
-                          -eta * top + 0j, top + eta * top,
-                          max(h * (top / k0) for h, k0 in zip(heights, omegas)), d)
-    return tuple(map(poles, omegas, heights, counts.T))
+    height = max(_strip_height(material, d, k0) * (top / k0) for k0 in omegas)
+    box = (-eta * top + 0j, top + eta * top, height, d)
+    counts, sums = _count_zeros(fns, *box)
+    if not counts.any():
+        return (None,) * len(omegas)
+    v, kind, row, dv = map(np.array, zip(*_locate(fns, *box, counts, sums, top)))
+    k0 = k[row]
+    beta = k0[:, 0] / top * v
+    ring = 1e-3 * np.minimum(k0, 1.0 / d) * np.exp(0.25j * math.pi * np.arange(8))
+    at = beta[:, None] + ring
+    r = np.stack(slab_mirror_rs_rp(at, beta1_of_beta(at, k0, material), material, d))
+    r = r[kind, np.arange(len(beta))] * ring
+    mine, res = kind == np.array([[0], [1]]), r.mean(axis=-1)
+    dres = np.where(mine, abs(res - r[:, ::2].mean(axis=-1)) + 1e-9 * abs(res), 0.0)
+    return tuple((beta[i], np.where(mine, res, 0.0)[:, i], k0[i, 0] / top * dv[i], dres[:, i],
+                  abs(beta[i].real) < eta * k0[i, 0]) if i.any() else None
+                 for i in (row == j for j in range(len(omegas))))
 
 
 def _product(a: float, b: float) -> tuple[float, float]:
@@ -341,9 +382,9 @@ def green_components(z_A: float, omega, geometry: Geometry,
         return np.stack(out, axis=-2)
 
     def at(beta, r_s, r_p, k=k0):
-        # q^2 as a product: k0 - beta = -i t is exact on the path, where
-        # k0^2 - beta^2 would lose t^2 to the rounding of k0^2.
-        return rows(r_s, r_p, (beta / k) ** 2, (k - beta) * (k + beta), k)
+        # Each factor only for a row asked for; q^2 as a product: k0 - beta
+        # = -i t is exact on the path, where k0^2 - beta^2 would lose t^2.
+        return rows(r_s, r_p, xx and (beta / k) ** 2, zz and (k - beta) * (k + beta), k)
 
     if cut is not None:
         b0, jump = cut
@@ -371,8 +412,8 @@ def green_components(z_A: float, omega, geometry: Geometry,
         v[:] = (cmath.exp(2j * arg) * cmath.exp(2j * rounding) / (8.0 * math.pi)) * v
         if pole is not None:
             # -(1/4) Res F per pole; its error is what moving the pole by its
-            # last secant step changes, plus the residue's and round-off. A
-            # pole on Re beta = 0 is left out, which its term must allow.
+            # dbeta changes, plus the residue's and round-off. A pole on
+            # Re beta = 0 is left out, which its term must allow.
             beta, residue, dbeta, dresidue, on_edge = pole
             phase = np.exp(2j * beta * z_image) / 4.0
             terms = phase * at(beta, *residue, k)
@@ -381,7 +422,8 @@ def green_components(z_A: float, omega, geometry: Geometry,
             if (edge > rel_tol * np.abs(v)).any():
                 raise DegenerateDenominator("a lossless slab's guided mode on "
                                             "Re beta = 0 is not negligible here")
-            bound = rows(*dresidue, -abs(beta / k) ** 2, abs(k * k - beta * beta), k)
+            bound = rows(*dresidue, xx and -abs(beta / k) ** 2,
+                         zz and abs(k * k - beta * beta), k)
             e[:] = e + edge + (np.abs(terms) * (2.0 * z_image * dbeta + _ROUNDOFF)
                                + abs(phase) * bound).sum(axis=-1)
     if np.isscalar(omega):

@@ -20,9 +20,9 @@ def run(tmp_path, *args, name="out.csv"):
 def false_zero_count(*args, count_zeros=planarcp.green._count_zeros):
     """_count_zeros with one D_s zero added to each row: a count that puts
     a zero where there is none, at every halving."""
-    counts = count_zeros(*args)
+    counts, sums = count_zeros(*args)
     counts[0] += 1
-    return counts
+    return counts, sums
 
 
 BASE = ["sweep", "--geometry", "halfspace", "--eps-re", "2", "--eps-im", "0.1",

@@ -2,7 +2,9 @@
 """Scattered Green components against limits, symmetries and the
 dense-grid reference."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +15,11 @@ from planarcp import (DegenerateDenominator, DomainError, HalfSpace,
                       validate_material)
 import planarcp.green
 from planarcp.dispersion import _passive_sqrt, halfspace_rs_rp
-from planarcp.green import (_coefficients, _count_zeros, _strip_height,
+from planarcp.green import (_coefficients, _count_zeros, _locate, _strip_height,
                             _strip_poles)
 from oracle import quad_vec_green, simpson_green
 
+EPS = np.finfo(float).eps
 LENS_SLAB = SlabWithMirror(validate_material(-1 + 1e-4j, -1 + 1e-4j), 5.0)
 
 
@@ -576,14 +579,98 @@ def dense_count(eps, mu, d, height, left=0.0, n=400_000):
 def false_zero_count(*args):
     """_count_zeros with one D_s zero added to each row: a count that puts
     a zero where there is none, at every halving."""
-    counts = _count_zeros(*args)
+    counts, sums = _count_zeros(*args)
     counts[0] += 1
-    return counts
+    return counts, sums
+
+
+def assert_same_poles(got, want):
+    """Two searches' poles of one slab at one k0, each (beta, res, dbeta,
+    dres, on_edge) or None, agree within what they claim: the same number
+    of each kind, each beta within max(dbeta) + 8 ulp |beta| of the other's
+    nearest pole of its kind, its residue within the sum of the two dres."""
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    beta, res, dbeta, dres, on_edge = got
+    assert np.count_nonzero(res, axis=1).tolist() == np.count_nonzero(want[1], axis=1).tolist()
+    for j, b in enumerate(want[0]):
+        kind = int(want[1][0, j] == 0)
+        i = min(np.flatnonzero(res[kind]), key=lambda i: abs(beta[i] - b))
+        assert abs(beta[i] - b) <= max(dbeta[i], want[2][j]) + 8 * EPS * abs(b)
+        assert abs(res[kind, i] - want[1][kind, j]) <= dres[kind, i] + want[3][kind, j]
+        assert on_edge[i] == want[4][j]
+
+
+def polynomial(*zeros):
+    """fns for one transition: D_s = prod (x - zeros), D_p = 1, beta1 = 1."""
+    def fns(x):
+        ones = np.ones_like(x)
+        return np.stack((np.prod([x - z for z in zeros], axis=0), ones, ones))[:, None]
+
+    return fns
 
 
 class TestStripPoles:
     """The poles of a mirror-backed slab's coefficients in the strip
     0 < Re beta < k0, whose residues the path adds."""
+
+    # Poles stored by tests/make_strip_poles.py from the earlier search,
+    # which halved each rectangle down to one zero and ran the secant
+    # method from its centre.
+    PINNED = json.loads((Path(__file__).parent / "strip_poles.json").read_text())
+
+    @pytest.mark.parametrize("medium", PINNED, ids=lambda m: f"{complex(*m['eps'])}-{m['d']}")
+    def test_poles_pinned(self, medium):
+        # The poles that the walk's power sums seed and the secant method
+        # polishes are those the halving search found, within both claims.
+        slab = SlabWithMirror(validate_material(complex(*medium["eps"]),
+                                                complex(*medium["mu"])), medium["d"])
+        for got, stored in zip(_strip_poles(slab, tuple(medium["omegas"])), medium["poles"]):
+            want = None
+            if stored:
+                kind, beta, dbeta, res, dres = zip(*stored)
+                rows = np.zeros((2, len(kind)), complex)
+                rows[kind, np.arange(len(kind))] = [complex(*r) for r in res]
+                drows = np.zeros((2, len(kind)))
+                drows[kind, np.arange(len(kind))] = dres
+                want = ([complex(*b) for b in beta], rows, dbeta, drows, [False] * len(kind))
+            assert_same_poles(got, want)
+
+    @pytest.mark.parametrize("zeros", [[0.31 + 0.42j], [0.31 + 0.42j, 0.73 + 0.61j],
+                                       [0.31 + 0.42j, 0.73 + 0.61j, 0.46 + 0.23j]])
+    def test_power_sums_seed_the_polish(self, zeros):
+        # Newton's identities turn the walk's power sums into seeds within
+        # 1e-3 of the zeros; the secant steps take them to 1e-13, with no
+        # second walk. _locate evaluates near the seeds first, then at them.
+        fns, calls, walks = polynomial(*zeros), [], []
+        n, s = _count_zeros(fns, 0j, 1.0, 1.0, 1.0)
+        assert n.tolist() == [[len(zeros)], [0]]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(planarcp.green, "_count_zeros",
+                                lambda *args: walks.append(args) or _count_zeros(*args))
+            found = _locate(lambda x: calls.append(x) or fns(x), 0j, 1.0, 1.0, 1.0, n, s, 1.0)
+        assert not walks
+        assert all(min(abs(calls[1] - z)) < 1e-3 for z in zeros)
+        assert len(found) == len(zeros)
+        assert all(min(abs(x - z) for x, *_ in found) < 1e-13 for z in zeros)
+
+    @pytest.mark.parametrize("zeros", [
+        [0.37 + 0.41j, 0.37 + 0.41j + 1e-6],                       # a close pair
+        [0.21 + 0.18j, 0.83 + 0.29j, 0.57 + 0.44j, 0.29 + 0.81j, 0.71 + 0.77j],
+    ])
+    def test_halving_fallback(self, zeros, monkeypatch):
+        # Two roots within the walk's first step, or more than 3 zeros in a
+        # row, send the row to the rectangle's halves, each walked again;
+        # every zero still comes back, within its claimed step.
+        fns, walks = polynomial(*zeros), []
+        n, s = _count_zeros(fns, 0j, 1.0, 1.0, 1.0)
+        monkeypatch.setattr(planarcp.green, "_count_zeros",
+                            lambda *args: walks.append(args) or _count_zeros(*args))
+        found = _locate(fns, 0j, 1.0, 1.0, 1.0, n, s, 1.0)
+        assert walks
+        assert len(found) == len(zeros)
+        assert all(min(abs(x - z) - dx for x, _, _, dx in found) <= 0.0 for z in zeros)
 
     @pytest.mark.parametrize("eps,mu,d,expected", [
         (-1 + 1e-4j, -1 + 1e-4j, 5.0, [1, 2]),        # lens-sweep's slab
@@ -648,8 +735,9 @@ class TestStripPoles:
         counts, count_zeros = [], planarcp.green._count_zeros
 
         def spy(*args):
-            counts.append(count_zeros(*args))
-            return counts[-1]
+            out = count_zeros(*args)
+            counts.append(out[0])
+            return out
 
         monkeypatch.setattr(planarcp.green, "_count_zeros", spy)
         _strip_poles.cache_clear()
@@ -677,7 +765,9 @@ class TestStripPoles:
     def test_one_walk_counts_every_transition(self, kind, eps_re, mu_re, eps_loss,
                                               mu_loss, lossless, log_d, omegas):
         # Each transition's count from the atom's one walk is that of its
-        # own walk and of a dense count, and its poles keep their bits.
+        # own walk and of a dense count, and its poles agree with those of
+        # its own walk within their claims (each walk's sums seed the
+        # polish, so the last bits differ).
         if kind in ("eps-negative", "left-handed"):
             eps_re = -eps_re
         if kind in ("mu-negative", "left-handed"):
@@ -699,9 +789,7 @@ class TestStripPoles:
                 # A lossless slab's guided modes lie on Re beta = 0.
                 assert walk[:, i].tolist() == dense_count(
                     eps, mu, d * k0, height, -1e-5 if lossless else 0.0, n=200_000)
-                assert (atom[i] is None) == (alone is None)
-                assert all(np.asarray(x).tobytes() == np.asarray(y).tobytes()
-                           for x, y in zip(atom[i] or (), alone or ()))
+                assert_same_poles(atom[i], alone)
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(kind=st.sampled_from(["right-handed", "eps-negative", "mu-negative",
