@@ -24,15 +24,7 @@ class DomainError(ValueError):
 
 
 class NotConverged(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance.
-
-    Carries the partial result (an IntegralResult short of the tolerance)
-    as ``.result`` when available.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
+    """A quadrature or pole search that stopped short; the message says why."""
 
 
 def require_distance(name: str, z: float, floor: float = 0.0) -> None:

@@ -45,7 +45,7 @@ def _passive_sqrt(w, i0_sign=1.0):
     if i0_sign < 0.0:
         real_pos = (w.imag == 0.0) & (w.real > 0.0)
         r = np.where(real_pos, -r, r)
-    return r[()] if r.ndim == 0 else r
+    return r
 
 
 def vacuum_beta(q, omega):
@@ -79,7 +79,7 @@ def beta1_of_beta(beta, omega, material: MaterialResponse):
     i0_sign = _i0_sign(material)
     if material.epsilon * material.mu != 1.0 or i0_sign < 0.0:
         return _passive_sqrt(beta * beta + shift, i0_sign)
-    return beta[()] if beta.ndim == 0 else beta
+    return beta
 
 
 def _ratio(num, den, what: str):

@@ -36,8 +36,8 @@ from .core import (DegenerateDenominator, Geometry, HalfSpace,
 from .dispersion import (_i0_sign, _passive_sqrt, beta1_of_beta,  # noqa: F401
                          halfspace_rs_rp, medium_beta1, slab_mirror_rs_rp,
                          slab_mirror_denominators, vacuum_beta)
-from .quadrature import (_ROUNDOFF, REL_TOL, integrate_evanescent,  # noqa: F401
-                         integrate_propagating)
+from .quadrature import (_ROUNDOFF, REL_TOL, _first_width,  # noqa: F401
+                         integrate_evanescent, integrate_propagating)
 
 
 @dataclass(frozen=True)
@@ -329,17 +329,16 @@ def _product(a: float, b: float) -> tuple[float, float]:
     return p, e if math.isfinite(e) else 0.0
 
 
-def _small_ladder(k0: float, z_decay: float, cut: bool) -> list[float]:
-    """Panel edges k0/8, k0/4, k0/2, ... below the first uniform edge,
-    and with cut four more, down to 8^-4 of the first panel's width.
-
-    The uniform panels of integrate_evanescent are 1/(2 z_decay) wide,
-    which at small z_decay puts the coefficients' structure at t ~ k0, and
-    a cut's sqrt(t) onset, into the first panel; bisection would take one
-    round per octave. The lowest k0's ladder covers every higher one's."""
-    first = min(k0 / 8.0, 0.5 / z_decay)
+def _small_ladder(k0: float, width: float, cut: bool) -> list[float]:
+    """Panel edges k0/8, k0/4, k0/2, ... below width, the first edge of
+    integrate_evanescent (one past it would leave a sliver panel), and
+    with cut four more, down to 8^-4 of the first panel's width. A first
+    panel wider than k0 would hold the coefficients' structure at t ~ k0,
+    and a cut's sqrt(t) onset, where bisection would take one round per
+    octave. The lowest k0's ladder covers every higher one's."""
+    first = min(k0 / 8.0, width)
     edges = [first / 8.0 ** j for j in range(4, 0, -1)] if cut else []
-    while first < 0.5 / z_decay:
+    while first < width:
         edges.append(first)
         first *= 2.0
     return edges
@@ -370,7 +369,7 @@ def green_components(z_A: float, omega, geometry: Geometry,
     rs_rp, z_offset, cut, poles = _coefficients(geometry, k0)
     require_distance("z_A", z_A, z_offset)
     z_image = z_A - z_offset
-    ladder = _small_ladder(min(omegas), z_image, cut is not None)
+    ladder = _small_ladder(min(omegas), _first_width(z_image), cut is not None)
 
     def rows(r_s, r_p, b2, q2, k):
         # b2 = (beta/k0)^2, q2 = q^2 = k0^2 - beta^2; rows precede nodes.

@@ -75,20 +75,17 @@ _ROUNDOFF = 50.0 * np.finfo(float).eps
 # evanescent integral, before any refinement round appends more.
 _TAIL_PANELS = 2
 # Initial panels of an evanescent integral below kappa0: _FINE_PANELS
-# 1/(2 z_decay) wide, then edges at these values of 2 kappa z_decay.
+# _first_width wide, then edges at these values of 2 kappa z_decay.
 _FINE_PANELS = 8
 _COARSE_EDGES = np.array([10.0, 12.0, 14.0, 16.0, 20.0, 24.0, 28.0, 32.0])
 
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """value and error_estimate are scalars for an integrand returning
-    shape (N,), and arrays of shape S for one returning S + (N,). A
-    partial result whose evanescent tail still contributes has an
-    infinite error."""
+    """A converged integral: for an integrand of shape S + (N,), arrays S."""
 
-    value: complex | np.ndarray
-    error_estimate: float | np.ndarray
+    value: np.ndarray
+    error_estimate: np.ndarray
     evaluations: int
 
 
@@ -152,21 +149,15 @@ def _integrate(f, edges: np.ndarray, rel_tol: float, sector: str,
         if done or not finite or spent == _MAX_SUBDIVISIONS:
             # The Kronrod-Gauss difference does not see the rounding of
             # the sum, whose scale is the panels' summed |values|; that
-            # real sum can itself round below |total|. fmax drops a NaN,
-            # so a non-finite sum's error is set to inf.
+            # real sum can itself round below |total|.
             scale = np.maximum(np.abs(val).sum(axis=-1), size)
-            err_total = np.fmax(np.where(tail_open or not finite, np.inf, err_total),
-                                _ROUNDOFF * scale)
-            if total.ndim == 0:
-                total, err_total = complex(total), float(err_total)
-            result = IntegralResult(total, err_total, evals)
+            err_total = np.maximum(err_total, _ROUNDOFF * scale)
             if done:
-                return result
+                return IntegralResult(total, err_total, evals)
             why = ("integrand not finite" if not finite
                    else f"tail still contributing at {b[-1]:.3e}" if tail_open
                    else f"error {np.max(err_total):.3e} above tolerance")
-            raise NotConverged(f"{sector} integral: {why} after {spent} "
-                               "subdivisions", result)
+            raise NotConverged(f"{sector} integral: {why} after {spent} subdivisions")
         # The next tail panel, if the tail is open, goes last.
         new_a = b[-1:] if tail_open else b[:0]
         new_b = new_a + step
@@ -209,6 +200,11 @@ def integrate_propagating(integrand, beta_max: float,
                       "propagating")
 
 
+def _first_width(z_decay: float) -> float:
+    """integrate_evanescent's first panel width: kappa0/37, below 1/(2 z_decay)."""
+    return -math.log(_TAIL_CUTOFF) / (2.0 * z_decay) / math.ceil(-math.log(_TAIL_CUTOFF))
+
+
 def integrate_evanescent(integrand, z_decay: float,
                          rel_tol: float = REL_TOL,
                          breakpoints=()) -> IntegralResult:
@@ -216,11 +212,11 @@ def integrate_evanescent(integrand, z_decay: float,
 
     The caller supplies the prefactor; the decay is applied here. The
     first call holds 17 panels up to kappa0, where the bare exponential
-    reaches _TAIL_CUTOFF: 8 of width 1/(2 z_decay), where the integrand
-    peaks, then 2 and 4 wide in 2 kappa z_decay, once the decay has
-    fallen by e^-8. It also holds the first _TAIL_PANELS panels past
-    kappa0 (a kappa^2 prefactor keeps the first above _TAIL_CUTOFF) and
-    the breakpoints: the Green module's one ladder toward small kappa,
+    reaches _TAIL_CUTOFF: 8 _first_width wide, where the integrand peaks,
+    then 2 and 4 wide in 2 kappa z_decay, once the decay has fallen by
+    e^-8. It also holds the first _TAIL_PANELS panels past kappa0 (a
+    kappa^2 prefactor keeps the first above _TAIL_CUTOFF) and the
+    breakpoints: the Green module's one ladder toward small kappa,
     graded toward a branch cut's sqrt(t) onset, where bisection would
     spend a round per octave. Each refinement round appends one more tail
     panel while the last is not a negligible fraction of the total, which
@@ -234,9 +230,7 @@ def integrate_evanescent(integrand, z_decay: float,
 
     kappa0 = -math.log(_TAIL_CUTOFF) / (2.0 * z_decay)
     step = kappa0 / 4.0
-    # The first of 37 panels at most 1/(2 z_decay) wide, at the edges
-    # np.linspace(0, kappa0, 38) would give.
-    fine = np.arange(_FINE_PANELS + 1) * (kappa0 / math.ceil(-math.log(_TAIL_CUTOFF)))
+    fine = np.arange(_FINE_PANELS + 1) * _first_width(z_decay)
     edges = np.concatenate((fine, _COARSE_EDGES / (2.0 * z_decay),
                             kappa0 + step * np.arange(_TAIL_PANELS + 1)))
     inner = {b for b in breakpoints if 0.0 < b < kappa0}.difference(edges.tolist())

@@ -227,6 +227,19 @@ class TestSweep:
         assert all(line.endswith(",nan,inf,failed")
                    for line in out.read_text().splitlines()[-2:])
 
+    def test_quadrature_failure_states_its_cause(self, tmp_path, capsys):
+        # A tolerance below the round-off floor: the path integral spends
+        # its whole budget at every point, and stderr names the error it
+        # reached.
+        code, _ = run(tmp_path, "sweep", "--eps-re", "2", "--eps-im", "0.1",
+                      "--zmin", "0.5", "--zmax", "1", "--points", "2",
+                      "--workers", "1", "--reproducible", "--rel-tol", "1e-20")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err[0] == ("planarcp: z = 0.5: NotConverged: evanescent integral: "
+                          "error 1.078e-14 above tolerance after 2000 subdivisions")
+        assert err[-1] == "planarcp: 2/2 points failed"
+
     @pytest.mark.parametrize("mu_re,failed", [
         # A lossless eps = 4 slab's guided modes lie on the strip's edge
         # Re beta = 0 and matter at every one of these distances: typed

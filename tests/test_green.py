@@ -17,6 +17,7 @@ import planarcp.green
 from planarcp.dispersion import _passive_sqrt, halfspace_rs_rp
 from planarcp.green import (_coefficients, _count_zeros, _locate, _strip_height,
                             _strip_poles)
+from planarcp.quadrature import _first_width
 from oracle import quad_vec_green, simpson_green
 
 EPS = np.finfo(float).eps
@@ -381,8 +382,17 @@ class TestSteepestDescentPath:
         z, first = 1e-2, 0.8 / 8.0
         green_components(z, np.array([1.0, 0.8]), geometry)
         ladder = [first * 2.0 ** j for j in range(9)]
-        assert ladder[-1] < 0.5 / z <= 2.0 * ladder[-1]
+        assert ladder[-1] < _first_width(z) <= 2.0 * ladder[-1]
         assert seen == [[first / 8.0 ** j for j in (4, 3, 2, 1)] + ladder]
+
+    def test_ladder_leaves_no_sliver(self):
+        # At z = 0.4995 the rung k0 = 1 lies between the engine's first
+        # edge, 0.4978/z, and 0.5/z. The ladder ends below that edge, so
+        # no sliver panel costs a round: 330 nodes, as at z = 0.5045.
+        geometry = HalfSpace(validate_material(-3 + 1e-3j, 1))
+        assert _first_width(0.4995) < 1.0 < 0.5 / 0.4995
+        for z in (0.4995, 0.5045):
+            assert green_components(z, 1.0, geometry, zz=False).evaluations == 330
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(eps_re=st.floats(-6.0, 6.0), mu_re=st.floats(-6.0, 6.0),
