@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DegenerateDenominator, Geometry, HalfSpace,
+from .core import (DegenerateDenominator, DomainError, Geometry, HalfSpace,
                    MaterialResponse, NotConverged, PerfectLens,
                    SlabWithMirror, require_distance)
 # vacuum_beta, medium_beta1 and integrate_propagating are not called here;
@@ -191,8 +191,8 @@ def _count_zeros(fns, corner: complex, wx: float, wy: float, d: float):
         # A zero between samples leaves a turn of pi for good; one on a
         # sample turns D by np.angle(0) = 0 on both sides, and is missed.
         if (b - a <= 1e-15 * ends[-1]).any() or not vals[:2].all():
-            raise DegenerateDenominator("a slab's reflection pole lies on the "
-                                        "strip's edge (guided mode; lossless input)")
+            raise DegenerateDenominator("a slab's reflection pole lies on the strip's "
+                                        "boundary or nearer to it than the walk resolves")
         if not len(split):
             break
         # Eight parts per step: a zero 1e-7 off an edge takes seven rounds.
@@ -290,6 +290,13 @@ def _strip_poles(geometry: SlabWithMirror, omegas: tuple[float, ...]):
     rounding of r where D is flat.
     """
     material, d = geometry.material, geometry.thickness
+    # The walk resolves no step under 1e-15 of its perimeter, about
+    # 2e-15/(d k0) of the strip's width, and takes about 10 d k0 steps
+    # along its base: these bounds keep the first under 1/500 and the
+    # second under 10^5.
+    if not (1e-12 <= d * min(omegas) and d * max(omegas) <= 1e4):
+        raise DomainError(f"slab thickness {d} times omega = {', '.join(map(str, omegas))} "
+                          "is outside the pole search's range [1e-12, 1e4]")
     # A lossless slab's guided modes lie on Re beta = 0, where the i0+
     # limit decides whether they count: its strip starts at -eta k0, and
     # they come back flagged as on the edge.
@@ -355,14 +362,19 @@ def green_components(z_A: float, omega, geometry: Geometry,
     adds. Passing xx=False or zz=False leaves that component out of the
     integrand and out of the convergence test; it is returned as None.
 
-    omega is a transition frequency or a 1-D array of them, which share
-    one path integral (the decay exp(-2 t z) is the same for each) on the
-    lowest one's ladder; each (transition, component) row meets its own
-    tolerance, and each transition keeps its own cut, poles and phase.
+    omega is a positive finite transition frequency or a non-empty 1-D
+    array of them, which share one path integral (the decay exp(-2 t z)
+    is the same for each) on the lowest one's ladder; each (transition,
+    component) row meets its own tolerance, and each transition keeps its
+    own cut, poles and phase. Any other omega raises ValueError.
     """
     if not (xx or zz):
         raise ValueError("green_components needs at least one of xx, zz")
-    omegas = np.array(omega, dtype=float, ndmin=1).tolist()
+    omegas = np.array(omega, dtype=float, ndmin=1)
+    if not (omegas.ndim == 1 and omegas.size and ((0.0 < omegas) & (omegas < math.inf)).all()):
+        raise ValueError("omega must be a positive finite number or a non-empty "
+                         f"1-D array of them, got {omega!r}")
+    omegas = omegas.tolist()
     # A column of frequencies broadcasts against the nodes; one stays a
     # float, on which numpy takes its faster scalar paths.
     k0 = omegas[0] if len(omegas) == 1 else np.array(omegas)[:, None]
@@ -425,7 +437,7 @@ def green_components(z_A: float, omega, geometry: Geometry,
                          zz and abs(k * k - beta * beta), k)
             e[:] = e + edge + (np.abs(terms) * (2.0 * z_image * dbeta + _ROUNDOFF)
                                + abs(phase) * bound).sum(axis=-1)
-    if np.isscalar(omega):
+    if np.ndim(omega) == 0:
         parts = list(zip(value[0].tolist(), error[0].tolist()))
     else:
         parts = list(zip(value.T, error.T))

@@ -18,8 +18,9 @@ shape (N,) or (m, N) or (m, c, N); every row must meet its own tolerance.
 Identical inputs give bit-identical results. Since each round is one
 integrand call, cost follows the number of rounds. An evanescent
 integral's rounds also extend its tail, in the same call, as Shampine's
-loop handles an infinite interval. Every error is floored at the
-round-off of the sum, as QUADPACK's (Piessens et al., 1983) is.
+loop handles an infinite interval. The error tested and returned is
+the Kronrod-Gauss difference floored at the round-off of the sum, as
+QUADPACK's (Piessens et al., 1983) is, which no bisection lowers.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ _GK_W = np.array([[
 
 # Default relative tolerance of every integral.
 REL_TOL = 1e-8
-# Absolute error floor, under which a component counts as converged.
-_ABS_TOL = 1e-30
 # Most subdivisions one integral may spend, from one budget: a bisection
 # and an appended tail panel each spend one.
 _MAX_SUBDIVISIONS = 2000
@@ -115,8 +114,9 @@ def check_rel_tol(rel_tol: float) -> None:
 def _integrate(f, edges: np.ndarray, rel_tol: float, sector: str,
                step: float = 0.0) -> IntegralResult:
     """Integrate f over the panels between consecutive edges, refining
-    until every component's summed error meets its tolerance; raise
-    NotConverged once _MAX_SUBDIVISIONS are spent or a sum is not finite.
+    until every component's error meets rel_tol |total|. Raise NotConverged
+    once a sum is not finite, _MAX_SUBDIVISIONS are spent, or bisection
+    cannot help: a total is 0, or an error is at its floor above tolerance.
 
     Each round sorts the panels by error relative to the tolerance
     (largest first) and bisects the shortest prefix whose error exceeds
@@ -135,27 +135,26 @@ def _integrate(f, edges: np.ndarray, rel_tol: float, sector: str,
     tail_open = step > 0.0
     while True:
         total = val.sum(axis=-1)
-        err_total = err.sum(axis=-1)
         size = np.abs(total)
-        tol = np.maximum(rel_tol * size, _ABS_TOL)
+        tol = rel_tol * size
+        # The Kronrod-Gauss difference does not see the rounding of the
+        # sum, whose scale is the panels' summed |values|; that real sum
+        # can itself round below |total|.
+        kronrod = err.sum(axis=-1)
+        floor = _ROUNDOFF * np.maximum(np.abs(val).sum(axis=-1), size)
+        err_total = np.maximum(kronrod, floor)
         # While open, the tail panel is the last one appended. Once
         # negligible it stays so, and is not checked again.
         if tail_open:
-            cutoff = _TAIL_CUTOFF * np.maximum(size, _ABS_TOL)
-            tail_open = not (np.abs(val[..., -1]) <= cutoff).all()
+            tail_open = not (np.abs(val[..., -1]) <= _TAIL_CUTOFF * size).all()
         finite = bool(np.isfinite(total).all() and np.isfinite(err_total).all())
         converged = bool((err_total <= tol).all())
-        done = finite and converged and not tail_open
-        if done or not finite or spent == _MAX_SUBDIVISIONS:
-            # The Kronrod-Gauss difference does not see the rounding of
-            # the sum, whose scale is the panels' summed |values|; that
-            # real sum can itself round below |total|.
-            scale = np.maximum(np.abs(val).sum(axis=-1), size)
-            err_total = np.maximum(err_total, _ROUNDOFF * scale)
-            if done:
-                return IntegralResult(total, err_total, evals)
+        if finite and converged and not tail_open:
+            return IntegralResult(total, err_total, evals)
+        stuck = bool((((kronrod <= floor) & (floor > tol)) | (tol == 0.0)).any())
+        if not finite or stuck or spent == _MAX_SUBDIVISIONS:
             why = ("integrand not finite" if not finite
-                   else f"tail still contributing at {b[-1]:.3e}" if tail_open
+                   else f"tail still contributing at {b[-1]:.3e}" if tail_open and not stuck
                    else f"error {np.max(err_total):.3e} above tolerance")
             raise NotConverged(f"{sector} integral: {why} after {spent} subdivisions")
         # The next tail panel, if the tail is open, goes last.
@@ -165,7 +164,7 @@ def _integrate(f, edges: np.ndarray, rel_tol: float, sector: str,
         if not converged:
             scaled = np.reshape(err / tol[..., None], (-1, err.shape[-1]))
             order = np.argsort(-scaled.max(axis=0), kind="stable")
-            excess = np.reshape(err_total / tol - 1.0, (-1, 1))
+            excess = np.reshape(kronrod / tol - 1.0, (-1, 1))
             covered = (np.cumsum(scaled[:, order], axis=-1) > excess).all(axis=0)
             split = order[:min(int(np.argmax(covered)) + 1, _MAX_SUBDIVISIONS - spent)]
             mid = 0.5 * (a[split] + b[split])

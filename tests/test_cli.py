@@ -228,16 +228,16 @@ class TestSweep:
                    for line in out.read_text().splitlines()[-2:])
 
     def test_quadrature_failure_states_its_cause(self, tmp_path, capsys):
-        # A tolerance below the round-off floor: the path integral spends
-        # its whole budget at every point, and stderr names the error it
-        # reached.
+        # A tolerance below the round-off floor: the path integral stops
+        # at every point once bisection has brought its error down to the
+        # floor, and stderr names that error.
         code, _ = run(tmp_path, "sweep", "--eps-re", "2", "--eps-im", "0.1",
                       "--zmin", "0.5", "--zmax", "1", "--points", "2",
                       "--workers", "1", "--reproducible", "--rel-tol", "1e-20")
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert err[0] == ("planarcp: z = 0.5: NotConverged: evanescent integral: "
-                          "error 1.078e-14 above tolerance after 2000 subdivisions")
+                          "error 1.076e-14 above tolerance after 18 subdivisions")
         assert err[-1] == "planarcp: 2/2 points failed"
 
     @pytest.mark.parametrize("mu_re,failed", [
@@ -593,6 +593,10 @@ class TestConfigHandling:
         ["sweep", "--dipole", "par", "--w-par", "nan"],
         ["sweep", "--thickness", "nan"],
         ["sweep", "--workers", "0"],
+        # A slab too thick for the pole search's walk, refused before it
+        # is built.
+        ["sweep", "--geometry", "slab-mirror", "--eps-re", "2", "--eps-im", "0.1",
+         "--thickness", "1e12"],
     ])
     def test_config_errors_exit_1(self, tmp_path, args, capsys):
         code, _ = run(tmp_path, *args)

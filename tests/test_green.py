@@ -4,6 +4,11 @@ dense-grid reference."""
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +20,8 @@ from planarcp import (DegenerateDenominator, DomainError, HalfSpace,
                       validate_material)
 import planarcp.green
 from planarcp.dispersion import _passive_sqrt, halfspace_rs_rp
-from planarcp.green import (_coefficients, _count_zeros, _locate, _strip_height,
-                            _strip_poles)
+from planarcp.green import (_coefficients, _count_zeros, _locate, _product,
+                            _strip_height, _strip_poles)
 from planarcp.quadrature import _first_width
 from oracle import quad_vec_green, simpson_green
 
@@ -43,6 +48,34 @@ class TestStructure:
             green_components(0.0, 1.0, geo)
         with pytest.raises(DomainError):
             green_components(-1.0, 1.0, geo)
+
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, [], [[1.0, 0.8]]])
+    def test_omega_validation(self, omega):
+        with pytest.raises(ValueError, match="omega must be"):
+            green_components(1.0, omega, HalfSpace(validate_material(2 + 0.1j, 1)))
+
+    def test_omega_zero_or_negative_raises(self):
+        # In a child process with a timeout and a memory cap: from k0 <= 0
+        # a half space's ladder toward small kappa would grow without end.
+        code = ("import resource\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+                "from planarcp import HalfSpace, green_components, validate_material\n"
+                "for omega in (0.0, -1.0, [1.0, -0.8]):\n"
+                "    try:\n"
+                "        green_components(1.0, omega, HalfSpace(validate_material(2 + 0.1j, 1)))\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(planarcp.__file__).resolve().parent.parent))
+        out = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                             capture_output=True, text=True).stdout.splitlines()
+        assert len(out) == 3 and all(line.startswith("omega must be") for line in out)
+
+    def test_zero_dimensional_omega_gives_numbers(self):
+        geo = HalfSpace(validate_material(2 + 0.1j, 1))
+        g, ref = green_components(1.0, np.array(1.0), geo), green_components(1.0, 1.0, geo)
+        assert type(g.g_xx) is complex and type(g.error_zz) is float
+        assert (g.g_xx, g.g_zz, g.error_xx, g.error_zz) == (ref.g_xx, ref.g_zz,
+                                                             ref.error_xx, ref.error_zz)
 
     def test_lens_requires_atom_beyond_focal_plane(self):
         with pytest.raises(DomainError):
@@ -729,6 +762,30 @@ class TestStripPoles:
         g, limit = green_components(38.2, 1.0, thin), green_components(38.2, 1.0, lossy)
         assert abs(g.g_xx - limit.g_xx) <= 1e-8 * abs(limit.g_xx)
 
+    @pytest.mark.parametrize("d", [1e-310, 1e-30, 1e6, 1e12, 1e300])
+    def test_thickness_outside_the_walk_range(self, d, monkeypatch):
+        # Refused before the walk's height or nodes are worked out: 1/d
+        # overflows at 1e-310, and 1e6 would take 2e7 nodes.
+        def built(*args):
+            raise AssertionError("walk built")
+
+        monkeypatch.setattr(planarcp.green, "_strip_height", built)
+        monkeypatch.setattr(planarcp.green, "_count_zeros", built)
+        slab = SlabWithMirror(validate_material(2 + 0.1j, 1), d)
+        with pytest.raises(DomainError, match=re.escape(
+                f"slab thickness {d} times omega = 1.0, 0.8 is outside")):
+            green_components(1.0, [1.0, 0.8], slab)
+
+    def test_lossy_pole_beyond_the_walk_resolution(self):
+        # A thin lossy slab's D_p has a zero near (i - 0.05) d / 2, which
+        # the walk cannot tell from the strip's edge; the cause blames no
+        # lossless input.
+        slab = SlabWithMirror(validate_material(2 + 0.1j, 1), 1e-7)
+        with pytest.raises(DegenerateDenominator) as info:
+            green_components(1.0, 1.0, slab)
+        assert str(info.value) == ("a slab's reflection pole lies on the strip's "
+                                   "boundary or nearer to it than the walk resolves")
+
     def test_count_without_a_pole_raises(self, monkeypatch):
         # A count that puts a zero in a zero-free slab's strip, at every
         # halving: the search runs down to rectangles 1e-12 k0 wide and
@@ -884,3 +941,17 @@ class TestStripPoles:
         for value, claimed, exact in ((g.g_xx, g.error_xx, exact_xx),
                                       (g.g_zz, g.error_zz, exact_zz)):
             assert abs(value - complex(exact)) <= claimed
+
+
+class TestProduct:
+    def test_exact_on_seeded_pairs(self):
+        # The phase's argument k0 z, as p + e, is a b exactly.
+        rng = np.random.default_rng(0)
+        k0 = 10.0 ** rng.uniform(-3.0, 1.0, 20_000)
+        z = 10.0 ** rng.uniform(-3.0, 5.0, 20_000)
+        for a, b in zip(k0.tolist(), z.tolist()):
+            p, e = _product(a, b)
+            assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
+
+    def test_no_error_where_the_split_overflows(self):
+        assert _product(1.0, 1e301) == (1e301, 0.0)

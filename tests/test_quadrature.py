@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from planarcp import DomainError, NotConverged
+from planarcp import (Atom, DomainError, HalfSpace, NotConverged, Transition,
+                      potential_numeric, validate_material)
 from planarcp.quadrature import (_MAX_SUBDIVISIONS, REL_TOL, integrate_evanescent,
                                  integrate_propagating)
 
@@ -251,6 +252,31 @@ class TestRoundoffFloor:
         results.append(integrate_propagating(np.ones_like, 1.0))
         for res in results:
             assert res.error_estimate >= 50.0 * np.finfo(float).eps * abs(res.value)
+
+    def test_error_tested_is_error_returned(self):
+        # The Kronrod-Gauss difference of a decaying constant is under
+        # rel_tol 5e-15, but its floored error 1.11e-14 is not: no result.
+        with pytest.raises(NotConverged, match=re.escape(
+                "error 1.110e-14 above tolerance after 0 subdivisions")):
+            integrate_evanescent(lambda k: np.ones_like(k) + 0j, 0.5, 5e-15)
+
+    def test_tolerance_below_floor_stops_at_floor(self):
+        # Once bisection brings the error down to the floor, the round
+        # raises instead of spending the budget.
+        atom = Atom([Transition(1.0, 1.0, 0.0)])
+        half_space = HalfSpace(validate_material(2 + 0.1j, 1))
+        with pytest.raises(NotConverged, match="above tolerance after") as info:
+            potential_numeric(atom, half_space, 0.5, 1e-20)
+        assert int(re.search(r"after (\d+) subdivisions", str(info.value))[1]) <= 20
+
+    def test_zero_integral_raises_at_once(self):
+        # No relative tolerance of an integral that is 0 can be met; its
+        # total rounds to 0 or to far below the floor. RuntimeWarnings are
+        # errors in this suite, so a division by a zero tolerance fails.
+        for f in (lambda b: b - 0.5 + 0j, lambda b: np.sin(2.0 * np.pi * b) + 0j):
+            with pytest.raises(NotConverged, match="above tolerance after") as info:
+                integrate_propagating(f, 1.0)
+            assert int(re.search(r"after (\d+) subdivisions", str(info.value))[1]) <= 10
 
 
 class TestDeterminism:
