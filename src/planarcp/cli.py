@@ -18,7 +18,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class SweepConfig:
     workers: int = 1  # N > 1: first point here, a pool of min(N, points - 1)
 
     def validate(self) -> tuple[Atom, Geometry]:
-        for key, value in asdict(self).items():
+        for key, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{key}: must be finite, got {value}")
         for key, allowed in CHOICES.items():
@@ -190,7 +190,7 @@ def _emit(fh, config: SweepConfig, columns, rows, command: str) -> None:
     # output path and worker count do not influence the numbers; keeping
     # them out of the metadata makes reproducible runs byte-comparable
     # across destinations.
-    meta = {"command": command, "config": {k: v for k, v in asdict(config).items()
+    meta = {"command": command, "config": {k: v for k, v in vars(config).items()
                                            if k not in ("output", "workers")}}
     if not config.reproducible:
         meta["generated"] = datetime.datetime.now().isoformat()
@@ -202,7 +202,7 @@ def _emit(fh, config: SweepConfig, columns, rows, command: str) -> None:
     if "generated" in meta:
         lines.append(f"# generated: {meta['generated']}")
     lines += [f"# config: {json.dumps(meta['config'], sort_keys=True)}", ",".join(columns)]
-    lines += [",".join(str(row[c]) for c in columns) for row in rows]
+    lines += [",".join(map(str, row.values())) for row in rows]
     fh.write("\n".join(lines) + "\n")
 
 
@@ -294,9 +294,11 @@ def main(argv=None) -> int:
         description="Resonant Casimir-Polder potential sweeps near planar "
                     "magneto-electric media (natural units).")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common_flags(common)
     for name, help_text in (("sweep", "potential vs distance"),
                             ("compare", "numeric vs closed-form columns")):
-        _add_common_flags(sub.add_parser(name, help=help_text))
+        sub.add_parser(name, help=help_text, parents=[common])
     try:
         args = parser.parse_args(argv)
         return run(args.command, _build_config(args))

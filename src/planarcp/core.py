@@ -99,7 +99,8 @@ class Transition:
 
 @dataclass(frozen=True)
 class Atom:
-    """Excited atom described by its downward transitions (summed linearly)."""
+    """Excited atom described by its downward transitions (summed linearly),
+    the lowest of whose frequencies is omega_min."""
 
     transitions: tuple[Transition, ...]
 
@@ -108,10 +109,7 @@ class Atom:
         if not transitions:
             raise ValueError("an atom needs at least one transition")
         object.__setattr__(self, "transitions", transitions)
-
-    @property
-    def omega_min(self) -> float:
-        return min(t.omega for t in self.transitions)
+        object.__setattr__(self, "omega_min", min(t.omega for t in transitions))
 
 
 @dataclass(frozen=True)

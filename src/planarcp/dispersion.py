@@ -41,11 +41,10 @@ def _passive_sqrt(w, i0_sign=1.0):
     """
     w = np.asarray(w, dtype=complex)
     r = np.sqrt(w)
-    r = np.where(r.imag < 0.0, -r, r)
+    flip = r.imag < 0.0
     if i0_sign < 0.0:
-        real_pos = (w.imag == 0.0) & (w.real > 0.0)
-        r = np.where(real_pos, -r, r)
-    return r
+        flip |= (w.imag == 0.0) & (w.real > 0.0)
+    return np.where(flip, -r, r) if flip.any() else np.asarray(r)
 
 
 def vacuum_beta(q, omega):
@@ -82,38 +81,48 @@ def beta1_of_beta(beta, omega, material: MaterialResponse):
     return beta
 
 
-def _ratio(num, den, what: str):
-    """num / den, raising DegenerateDenominator where |den| is below
+def _ratio(num, den, what: tuple[str, str]):
+    """num / den of stacked (s, p) rows, raising DegenerateDenominator,
+    which names the rows what[i] concerned, where |den| is below
     DEGENERATE_REL_TOL of |num| (0/0 stays nan and is not flagged)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.divide(num, den)
-    if (np.abs(r) >= 1.0 / DEGENERATE_REL_TOL).any():
-        raise DegenerateDenominator(
-            f"{what} denominator within {DEGENERATE_REL_TOL} of zero "
-            "(surface or guided mode, or an amplified wave out of range)")
+        r = num / den
+    size = np.abs(r)
+    # fmax, as >= does, passes over a nan.
+    if np.fmax.reduce(size, axis=None, initial=0.0) >= 1.0 / DEGENERATE_REL_TOL:
+        near = (size >= 1.0 / DEGENERATE_REL_TOL).reshape(2, -1).any(axis=-1)
+        which = " and ".join(w for w, hit in zip(what, near) if hit)
+        raise DegenerateDenominator(f"{which} denominator within {DEGENERATE_REL_TOL} of zero "
+                                    "(surface or guided mode, or an amplified wave out of range)")
     return r
 
 
+def _fresnel(material: MaterialResponse, beta, beta1):
+    """a beta - beta1 and a beta + beta1, with a = mu and a = eps stacked first."""
+    a_beta = np.array((material.mu, material.epsilon),
+                      ndmin=max(np.ndim(beta), np.ndim(beta1)) + 1).T * beta
+    return a_beta - beta1, a_beta + beta1
+
+
 def halfspace_rs_rp(beta, beta1, material: MaterialResponse):
-    """Half-space Fresnel coefficients (r_s, r_p) from the wavenumbers."""
-    eps, mu = material.epsilon, material.mu
-    return (_ratio(mu * beta - beta1, mu * beta + beta1, "r_s"),
-            _ratio(eps * beta - beta1, eps * beta + beta1, "r_p"))
+    """Half-space Fresnel coefficients r_s and r_p from the wavenumbers,
+    stacked on a first axis of 2."""
+    return _ratio(*_fresnel(material, beta, beta1), ("r_s", "r_p"))
 
 
 def slab_mirror_rs_rp(beta, beta1, material: MaterialResponse, thickness: float):
-    """Reflection coefficients of a slab backed by a perfect mirror.
+    """Reflection coefficients r_s and r_p of a slab backed by a perfect
+    mirror, stacked on a first axis of 2.
 
     On the Im beta1 > 0 branch |exp(2i beta1 d)| <= 1, so the phase
     factor never overflows.
     """
-    eps, mu = material.epsilon, material.mu
     phase = np.exp(2j * np.asarray(beta1, dtype=complex) * thickness)
-    num_s = mu * beta - beta1 - (mu * beta + beta1) * phase
-    den_s = mu * beta + beta1 - (mu * beta - beta1) * phase
-    num_p = eps * beta - beta1 + (eps * beta + beta1) * phase
-    den_p = eps * beta + beta1 + (eps * beta - beta1) * phase
-    return _ratio(num_s, den_s, "slab r_s"), _ratio(num_p, den_p, "slab r_p")
+    minus, plus = _fresnel(material, beta, beta1)
+    # r_s subtracts what r_p adds; x - y is x + (-y) bit for bit.
+    num, den = plus * phase, minus * phase
+    num[0], den[0] = -num[0], -den[0]
+    return _ratio(minus + num, plus + den, ("slab r_s", "slab r_p"))
 
 
 def slab_mirror_denominators(beta, omega, material: MaterialResponse,

@@ -101,7 +101,7 @@ def _coefficients(geometry, k0):
     if isinstance(geometry, PerfectLens):
         def mirror(beta):
             ones = np.ones_like(beta, dtype=complex)
-            return -ones, ones
+            return np.stack((-ones, ones))
 
         return mirror, geometry.thickness, None, None
 
@@ -316,7 +316,7 @@ def _strip_poles(geometry: SlabWithMirror, omegas: tuple[float, ...]):
     beta = k0[:, 0] / top * v
     ring = 1e-3 * np.minimum(k0, 1.0 / d) * np.exp(0.25j * math.pi * np.arange(8))
     at = beta[:, None] + ring
-    r = np.stack(slab_mirror_rs_rp(at, beta1_of_beta(at, k0, material), material, d))
+    r = slab_mirror_rs_rp(at, beta1_of_beta(at, k0, material), material, d)
     r = r[kind, np.arange(len(beta))] * ring
     mine, res = kind == np.array([[0], [1]]), r.mean(axis=-1)
     dres = np.where(mine, abs(res - r[:, ::2].mean(axis=-1)) + 1e-9 * abs(res), 0.0)
@@ -370,11 +370,12 @@ def green_components(z_A: float, omega, geometry: Geometry,
     """
     if not (xx or zz):
         raise ValueError("green_components needs at least one of xx, zz")
-    omegas = np.array(omega, dtype=float, ndmin=1)
-    if not (omegas.ndim == 1 and omegas.size and ((0.0 < omegas) & (omegas < math.inf)).all()):
+    omegas = np.array(omega, dtype=float)
+    single = omegas.ndim == 0
+    omegas = omegas.ravel().tolist() if omegas.ndim < 2 else []
+    if not (omegas and all(0.0 < w < math.inf for w in omegas)):
         raise ValueError("omega must be a positive finite number or a non-empty "
                          f"1-D array of them, got {omega!r}")
-    omegas = omegas.tolist()
     # A column of frequencies broadcasts against the nodes; one stays a
     # float, on which numpy takes its faster scalar paths.
     k0 = omegas[0] if len(omegas) == 1 else np.array(omegas)[:, None]
@@ -384,64 +385,63 @@ def green_components(z_A: float, omega, geometry: Geometry,
     ladder = _small_ladder(min(omegas), _first_width(z_image), cut is not None)
 
     def rows(r_s, r_p, b2, q2, k):
-        # b2 = (beta/k0)^2, q2 = q^2 = k0^2 - beta^2; rows precede nodes.
-        out = []
-        if xx:
-            out.append(r_s - b2 * r_p)
+        # b2 = (beta/k0)^2, q2 = q^2 = k0^2 - beta^2. Rows come first, and a
+        # lone row has no axis of its own.
+        out = [r_s - b2 * r_p] if xx else []
         if zz:
             out.append(2.0 * (q2 / (k * k)) * r_p)
-        return np.stack(out, axis=-2)
+        return np.stack(out) if len(out) == 2 else out[0]
 
-    def at(beta, r_s, r_p, k=k0):
-        # Each factor only for a row asked for; q^2 as a product: k0 - beta
-        # = -i t is exact on the path, where k0^2 - beta^2 would lose t^2.
-        return rows(r_s, r_p, xx and (beta / k) ** 2, zz and (k - beta) * (k + beta), k)
+    def at(beta, r, k=k0):
+        # r = (r_s, r_p). Each factor only for a row asked for; q^2 as a product:
+        # k0 - beta = -i t is exact on the path, where k0^2 - beta^2 would lose t^2.
+        return rows(r[0], r[1], xx and (beta / k) ** 2, zz and (k - beta) * (k + beta), k)
 
     if cut is not None:
         b0, jump = cut
-        cut_phase = np.exp(2j * (b0 - k0) * z_image)[..., None]
+        cut_phase = np.exp(2j * (b0 - k0) * z_image)
 
     def path(t):
-        # beta = k0 + i t; the engine applies the decay exp(-2 t z_image).
-        beta = k0 + 1j * t
-        out = at(beta, *rs_rp(beta))
+        # beta = k0 + i t, set by parts: k0 + 1j * t bit for bit, without its
+        # complex product. The engine applies the decay exp(-2 t z_image).
+        beta = np.empty(np.shape(k0)[:1] + t.shape, complex)
+        beta.real, beta.imag = k0, t
+        out = at(beta, rs_rp(beta))
         if cut is None:
             return out
         # The cut's beta = b0 + i t has the same decay, and its phase
         # relative to exp(2i k0 z_image) has modulus <= 1.
-        return out + cut_phase * at(b0 + 1j * t, *jump(t))
+        return out + cut_phase * at(b0 + 1j * t, jump(t))
 
     res = integrate_evanescent(path, z_image, rel_tol, breakpoints=ladder)
-    # (transition, component) rows, completed in place one transition at a
-    # time; `*=` and `+=` would reorder the operands below, and the rounding.
-    value = res.value.reshape(len(omegas), -1)
-    error = res.error_estimate.reshape(len(omegas), -1) / (8.0 * math.pi)
-    for k, v, e, pole in zip(omegas, value, error, poles or [None] * len(omegas)):
-        # The phase at the rounded k0 z_image would be off by up to
-        # 1e-16 k0 z_image, above the path's error at large distances.
-        arg, rounding = _product(k, z_image)
-        v[:] = (cmath.exp(2j * arg) * cmath.exp(2j * rounding) / (8.0 * math.pi)) * v
+    # (transition, component) rows. The phase at the rounded k0 z_image
+    # would be off by up to 1e-16 k0 z_image, above the path's error at
+    # large distances.
+    phase = [cmath.exp(2j * arg) * cmath.exp(2j * rounding) / (8.0 * math.pi)
+             for arg, rounding in (_product(k, z_image) for k in omegas)]
+    value = np.array(phase)[:, None] * res.value.reshape(-1, len(omegas)).T
+    error = res.error_estimate.reshape(-1, len(omegas)).T / (8.0 * math.pi)
+    for pole, k, v, e in zip(poles or (), omegas, value, error):
         if pole is not None:
             # -(1/4) Res F per pole; its error is what moving the pole by its
             # dbeta changes, plus the residue's and round-off. A pole on
-            # Re beta = 0 is left out, which its term must allow.
+            # Re beta = 0 is left out, which its term must allow. `-=` and
+            # `+=` would reorder the operands below, and the rounding.
             beta, residue, dbeta, dresidue, on_edge = pole
-            phase = np.exp(2j * beta * z_image) / 4.0
-            terms = phase * at(beta, *residue, k)
-            v -= terms[:, ~on_edge].sum(axis=-1)
-            edge = np.abs(terms[:, on_edge]).sum(axis=-1)
+            turn = np.exp(2j * beta * z_image) / 4.0
+            terms = turn * at(beta, residue, k)
+            v -= terms[..., ~on_edge].sum(axis=-1)
+            edge = np.abs(terms[..., on_edge]).sum(axis=-1)
             if (edge > rel_tol * np.abs(v)).any():
                 raise DegenerateDenominator("a lossless slab's guided mode on "
                                             "Re beta = 0 is not negligible here")
             bound = rows(*dresidue, xx and -abs(beta / k) ** 2,
                          zz and abs(k * k - beta * beta), k)
             e[:] = e + edge + (np.abs(terms) * (2.0 * z_image * dbeta + _ROUNDOFF)
-                               + abs(phase) * bound).sum(axis=-1)
-    if np.ndim(omega) == 0:
-        parts = list(zip(value[0].tolist(), error[0].tolist()))
-    else:
-        parts = list(zip(value.T, error.T))
-    g_xx, error_xx = parts.pop(0) if xx else (None, None)
-    g_zz, error_zz = parts.pop(0) if zz else (None, None)
+                               + abs(turn) * bound).sum(axis=-1)
+    # Per component: numbers for a number omega, else arrays over omegas.
+    value, error = (value[0].tolist(), error[0].tolist()) if single else (value.T, error.T)
+    g_xx, error_xx = (value[0], error[0]) if xx else (None, None)
+    g_zz, error_zz = (value[-1], error[-1]) if zz else (None, None)
     return GreenComponents(g_xx=g_xx, g_zz=g_zz, error_xx=error_xx,
                            error_zz=error_zz, evaluations=res.evaluations)

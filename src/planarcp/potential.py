@@ -16,8 +16,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (Atom, DegenerateDenominator, DomainError, Geometry,
                    HalfSpace, MaterialResponse, PerfectLens, require_distance)
 from .dispersion import _passive_sqrt
@@ -61,8 +59,8 @@ def potential_numeric(atom: Atom, geometry: Geometry, z_A: float,
     transitions = atom.transitions
     xx = any(t.d_par_sq > 0.0 for t in transitions)
     zz = any(t.d_perp_sq > 0.0 for t in transitions)
-    g = green_components(z_A, np.array([t.omega for t in transitions]),
-                         geometry, rel_tol, xx=xx, zz=zz)
+    g = green_components(z_A, [t.omega for t in transitions], geometry, rel_tol,
+                         xx=xx, zz=zz)
     none = [0.0] * len(transitions)
     g_xx, err_xx = (g.g_xx.real.tolist(), g.error_xx.tolist()) if xx else (none, none)
     g_zz, err_zz = (g.g_zz.real.tolist(), g.error_zz.tolist()) if zz else (none, none)

@@ -33,7 +33,7 @@ import numpy as np
 from .core import NotConverged, require_distance
 
 # Gauss-Kronrod 7/15 nodes on [-1, 1], and the Kronrod and Gauss weights
-# as rows. Gauss weights are zero at the Kronrod-only nodes.
+# as rows over an axis of panels; the Gauss row is 0 at the Kronrod-only nodes.
 _GK_NODES = np.array([
     -0.991455371120813, -0.949107912342759, -0.864864423359769,
     -0.741531185599394, -0.586087235467691, -0.405845151377397,
@@ -54,7 +54,7 @@ _GK_W = np.array([[
     0.381830050505119, 0.0, 0.417959183673469, 0.0,
     0.381830050505119, 0.0, 0.279705391489277, 0.0,
     0.129484966168870, 0.0,
-]])
+]])[:, None]
 
 
 # Default relative tolerance of every integral.
@@ -76,7 +76,7 @@ _TAIL_PANELS = 2
 # Initial panels of an evanescent integral below kappa0: _FINE_PANELS
 # _first_width wide, then edges at these values of 2 kappa z_decay.
 _FINE_PANELS = 8
-_COARSE_EDGES = np.array([10.0, 12.0, 14.0, 16.0, 20.0, 24.0, 28.0, 32.0])
+_COARSE_EDGES = (10.0, 12.0, 14.0, 16.0, 20.0, 24.0, 28.0, 32.0)
 
 
 @dataclass(frozen=True)
@@ -89,20 +89,20 @@ class IntegralResult:
 
 
 def _evaluate(f, a: np.ndarray, b: np.ndarray):
-    """GK15 values and errors of the panels [a_j, b_j].
-
-    Both come back with the integrand's component axes first and the panel
-    axis last: shape (P,) or (m, P). All panels go to f as one flat node
-    array.
+    """GK15 values of the panels [a_j, b_j], and their |values| and errors
+    stacked on an axis of 2. Both come back with the integrand's component
+    axes first and the panel axis last: shape (P,) and (2, P), or (m, P)
+    and (m, 2, P). All panels go to f as one flat node array.
     """
     h = 0.5 * (b - a)
     x = 0.5 * (a + b)[:, None] + h[:, None] * _GK_NODES
     y = np.asarray(f(x.ravel()), dtype=complex)
-    y = y.reshape(y.shape[:-1] + x.shape)
     # Both rules in one product, summed over the contiguous node axis,
     # not BLAS: that keeps the bits independent of alignment and threads.
-    rules = h * (y[..., None, :, :] * _GK_W[:, None]).sum(axis=-1)
-    return rules[..., 0, :], np.abs(rules[..., 0, :] - rules[..., 1, :])
+    rules = h * (y.reshape(y.shape[:-1] + (1,) + x.shape) * _GK_W).sum(axis=-1)
+    value = rules[..., 0, :]
+    np.subtract(value, rules[..., 1, :], out=rules[..., 1, :])
+    return value, np.abs(rules)
 
 
 def check_rel_tol(rel_tol: float) -> None:
@@ -129,25 +129,27 @@ def _integrate(f, edges: np.ndarray, rel_tol: float, sector: str,
     check_rel_tol(rel_tol)
     a = edges[:-1]
     b = edges[1:]
-    val, err = _evaluate(f, a, b)
+    val, scale = _evaluate(f, a, b)
     evals = 15 * len(a)
     spent = 0
     tail_open = step > 0.0
     while True:
         total = val.sum(axis=-1)
-        size = np.abs(total)
+        size = abs(total)
         tol = rel_tol * size
         # The Kronrod-Gauss difference does not see the rounding of the
         # sum, whose scale is the panels' summed |values|; that real sum
         # can itself round below |total|.
-        kronrod = err.sum(axis=-1)
-        floor = _ROUNDOFF * np.maximum(np.abs(val).sum(axis=-1), size)
+        sums = scale.sum(axis=-1)
+        kronrod = sums[..., 1]
+        floor = _ROUNDOFF * np.maximum(sums[..., 0], size)
         err_total = np.maximum(kronrod, floor)
         # While open, the tail panel is the last one appended. Once
         # negligible it stays so, and is not checked again.
         if tail_open:
-            tail_open = not (np.abs(val[..., -1]) <= _TAIL_CUTOFF * size).all()
-        finite = bool(np.isfinite(total).all() and np.isfinite(err_total).all())
+            tail_open = not (scale[..., 0, -1] <= _TAIL_CUTOFF * size).all()
+        # err_total >= 50 eps |total|, and np.maximum keeps a nan.
+        finite = bool(err_total.max() < math.inf)
         converged = bool((err_total <= tol).all())
         if finite and converged and not tail_open:
             return IntegralResult(total, err_total, evals)
@@ -162,7 +164,7 @@ def _integrate(f, edges: np.ndarray, rel_tol: float, sector: str,
         new_b = new_a + step
         spent += tail_open
         if not converged:
-            scaled = np.reshape(err / tol[..., None], (-1, err.shape[-1]))
+            scaled = np.reshape(scale[..., 1, :] / tol[..., None], (-1, len(a)))
             order = np.argsort(-scaled.max(axis=0), kind="stable")
             excess = np.reshape(kronrod / tol - 1.0, (-1, 1))
             covered = (np.cumsum(scaled[:, order], axis=-1) > excess).all(axis=0)
@@ -173,13 +175,13 @@ def _integrate(f, edges: np.ndarray, rel_tol: float, sector: str,
             a = np.delete(a, split)
             b = np.delete(b, split)
             val = np.delete(val, split, axis=-1)
-            err = np.delete(err, split, axis=-1)
+            scale = np.delete(scale, split, axis=-1)
             spent += len(split)
-        new_val, new_err = _evaluate(f, new_a, new_b)
+        new_val, new_scale = _evaluate(f, new_a, new_b)
         a = np.concatenate((a, new_a))
         b = np.concatenate((b, new_b))
         val = np.concatenate((val, new_val), axis=-1)
-        err = np.concatenate((err, new_err), axis=-1)
+        scale = np.concatenate((scale, new_scale), axis=-1)
         evals += 15 * len(new_a)
 
 
@@ -224,15 +226,14 @@ def integrate_evanescent(integrand, z_decay: float,
     """
     require_distance("z_decay", z_decay)
 
-    def f(kappa):
-        return np.asarray(integrand(kappa), dtype=complex) * np.exp(-2.0 * kappa * z_decay)
+    def f(kappa):  # kappa (-2 z_decay) is -2 kappa z_decay bit for bit
+        return np.asarray(integrand(kappa), dtype=complex) * np.exp(kappa * (-2.0 * z_decay))
 
     kappa0 = -math.log(_TAIL_CUTOFF) / (2.0 * z_decay)
     step = kappa0 / 4.0
-    fine = np.arange(_FINE_PANELS + 1) * _first_width(z_decay)
-    edges = np.concatenate((fine, _COARSE_EDGES / (2.0 * z_decay),
-                            kappa0 + step * np.arange(_TAIL_PANELS + 1)))
-    inner = {b for b in breakpoints if 0.0 < b < kappa0}.difference(edges.tolist())
-    if inner:
-        edges = np.sort(np.concatenate((edges, list(inner))))
-    return _integrate(f, edges, rel_tol, "evanescent", step)
+    width = _first_width(z_decay)
+    edges = ([j * width for j in range(_FINE_PANELS + 1)]
+             + [c / (2.0 * z_decay) for c in _COARSE_EDGES]
+             + [kappa0 + step * j for j in range(_TAIL_PANELS + 1)])
+    inner = [b for b in breakpoints if 0.0 < b < kappa0 and b not in edges]
+    return _integrate(f, np.array(sorted(edges + inner)), rel_tol, "evanescent", step)

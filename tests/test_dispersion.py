@@ -183,13 +183,47 @@ class TestHalfSpaceReflection:
         assert abs(lo[1] - hi[1]) < 1e-3
 
     def test_degenerate_denominator_guard(self):
-        # eps = -2 with beta = i, beta1 = 2i sits exactly on the
-        # lossless p surface mode (eps beta + beta1 = 0); floating-point
-        # q never lands on the pole, so the guard is fed the exact
-        # wavenumbers directly.
-        m = validate_material(-2, 1)
-        with pytest.raises(DegenerateDenominator):
-            halfspace_rs_rp(1j, 2j, m)
+        # beta = i, beta1 = 2i sits exactly on a lossless surface mode:
+        # the p one for eps = -2 (eps beta + beta1 = 0), the s one for
+        # mu = -2 (mu beta + beta1 = 0). Floating-point q never lands on
+        # the pole, so the guard is fed the exact wavenumbers directly;
+        # its message names the polarisation whose denominator vanished.
+        for eps, mu, which in ((-2, 1, "r_p"), (1, -2, "r_s")):
+            with pytest.raises(DegenerateDenominator, match=f"^{which} denominator"):
+                halfspace_rs_rp(1j, 2j, validate_material(eps, mu))
+
+    def test_stacked_coefficients_equal_each_polarisation(self):
+        # The (r_s, r_p) rows of both geometries, bit for bit, against
+        # each polarisation's own formula. The reference runs on arrays
+        # even for a scalar beta: numpy's scalar arithmetic may round a
+        # complex product differently from its array loops.
+        def reference(beta, beta1, m, d=None):
+            beta, beta1 = np.atleast_1d(beta, beta1)
+            rows = []
+            for a, sign in ((m.mu, -1.0), (m.epsilon, 1.0)):
+                minus, plus = a * beta - beta1, a * beta + beta1
+                if d is None:
+                    rows.append(minus / plus)
+                    continue
+                phase = np.exp(2j * beta1 * d)
+                rows.append((minus - plus * phase) / (plus - minus * phase) if sign < 0
+                            else (minus + plus * phase) / (plus + minus * phase))
+            return np.array(rows)
+
+        rng = np.random.default_rng(26)
+        for _ in range(100):
+            m = validate_material(*(complex(rng.uniform(-5, 5), 10 ** rng.uniform(-6, 0))
+                                    for _ in range(2)))
+            d = 10 ** rng.uniform(-2, 1)
+            for shape in ((), (7,), (2, 9)):
+                beta = 1.0 + 1j * rng.uniform(0.0, 5.0, shape)
+                beta = complex(beta) if shape == () else beta
+                beta1 = beta1_of_beta(beta, 1.0, m)
+                for got, want in ((halfspace_rs_rp(beta, beta1, m), reference(beta, beta1, m)),
+                                  (slab_mirror_rs_rp(beta, beta1, m, d),
+                                   reference(beta, beta1, m, d))):
+                    assert got.shape == (2,) + np.shape(beta)
+                    assert got.reshape(want.shape).tobytes() == want.tobytes(), (m, d, shape)
 
 
 class TestSlabMirrorReflection:
