@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import functools
 import json
 import math
 import sys
@@ -288,7 +289,8 @@ def _build_config(args: argparse.Namespace) -> SweepConfig:
     return SweepConfig(**{k: _typed(k, v) for k, v in values.items()})
 
 
-def main(argv=None) -> int:
+@functools.cache  # built once per process: it costs about what a two-point sweep does
+def _parser() -> _Parser:
     parser = _Parser(
         prog="planarcp",
         description="Resonant Casimir-Polder potential sweeps near planar "
@@ -299,8 +301,12 @@ def main(argv=None) -> int:
     for name, help_text in (("sweep", "potential vs distance"),
                             ("compare", "numeric vs closed-form columns")):
         sub.add_parser(name, help=help_text, parents=[common])
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return run(args.command, _build_config(args))
     except (ValueError, OSError) as exc:  # also an -o that cannot be written
         print(f"planarcp: error: {exc}", file=sys.stderr)

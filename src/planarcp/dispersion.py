@@ -126,14 +126,15 @@ def slab_mirror_rs_rp(beta, beta1, material: MaterialResponse, thickness: float)
 
 
 def slab_mirror_denominators(beta, omega, material: MaterialResponse,
-                             thickness: float):
-    """D_s, D_p and beta1 of a mirror-backed slab, stacked.
+                             thickness: float, slopes: bool = False):
+    """D_s, D_p and beta1 of a mirror-backed slab, stacked; with slopes,
+    then D_s', D_p' and the numerators of r_s = N_s/D_s and r_p = N_p/D_p.
 
     The slab's (r_s, r_p) have the poles of the entire functions
-    D_s = cos(beta1 d) - i mu beta sin(beta1 d)/beta1 and
-    D_p = eps beta cos(beta1 d) - i beta1 sin(beta1 d), which are even in
-    beta1 and come times exp(-|Im beta1| d) > 0: that keeps their phase
-    and stops the overflow. For eps mu = 1, D_p comes divided by
+    D_s = C - i mu beta S and D_p = eps beta C - i beta1^2 S, C = cos(beta1 d),
+    S = sin(beta1 d)/beta1, even in beta1; N_s = D_s - 2C, N_p = 2 eps beta C - D_p.
+    All come times exp(-|Im beta1| d) > 0: that keeps their phase and
+    stops the overflow. For eps mu = 1, D_p and N_p come divided by
     beta = beta1, whose zero cancels in r_p.
     """
     eps, mu, d = material.epsilon, material.mu, thickness
@@ -143,6 +144,13 @@ def slab_mirror_denominators(beta, omega, material: MaterialResponse,
     turn, em1 = np.exp(w.real * (-1j * d)), np.expm1(w * (2j * d))
     cos = turn * (1.0 + 0.5 * em1)
     sinc = np.divide(turn * em1, 2j * w, out=np.full_like(w, d), where=w != 0.0)
-    d_p = (eps * cos - 1j * beta * sinc if eps * mu == 1.0
-           else eps * beta * cos - 1j * w2 * sinc)
-    return np.array((cos - 1j * mu * beta * sinc, d_p, w))
+    unit, d_s = eps * mu == 1.0, cos - 1j * mu * beta * sinc
+    d_p = eps * cos - 1j * beta * sinc if unit else eps * beta * cos - 1j * w2 * sinc
+    if not slopes:
+        return np.array((d_s, d_p, w))
+    # S' = beta (d C - S)/beta1^2, -beta d^3/3 at beta1 = 0; q = (eps C - i beta S)'.
+    ds = np.divide(beta * (d * cos - sinc), w2, out=0.0 * w - beta * d ** 3 / 3.0, where=w != 0.0)
+    q = -eps * d * beta * sinc - 1j * d * cos
+    return np.array((d_s, d_p, w, -d * beta * sinc - 1j * mu * (sinc + beta * ds),
+                     q if unit else eps * cos - 1j * beta * sinc + beta * q, d_s - 2.0 * cos,
+                     2.0 * eps * (cos if unit else beta * cos) - d_p))

@@ -223,9 +223,11 @@ def _locate(fns, corner: complex, wx: float, wy: float, d: float, n, s, top: flo
     n[kind, row] zeros with power sums s that _count_zeros counts on fns
     in the rectangle: for n <= 3 the roots of x^n + c_1 x^(n-1) + ... + c_n,
     j c_j = -(s_j + c_1 s_(j-1) + ... + c_(j-1) s_1) (Newton's identities),
-    polished by secant steps on the row's D down to 1e-13 (|x| + top). A
-    row with more zeros, two roots within the walk's first step of each
-    other or a polish that does not settle inside is found in the halves.
+    polished by Newton's method with fns(x, True)'s D' until a step is below
+    dx = max(1e-13 (|x| + top), 1e-15/|D'|), how far rounding moves a zero
+    where D is flat. A row with more zeros, two roots within the walk's
+    first step of each other or a polish that does not settle inside is
+    found in the halves.
     """
     step, seeds = min(wx, wy, 0.5 * math.pi / d) / 16.0, []
     rows = list(zip(*np.nonzero((n > 0) & (n <= 3))))
@@ -237,29 +239,24 @@ def _locate(fns, corner: complex, wx: float, wy: float, d: float, n, s, top: flo
     found, rest = [], n.copy()
     if seeds:
         b, kind, row = map(np.array, zip(*seeds))
-        a, dx, slope, pick = b + 1e-3 * step, np.inf, 1.0, (kind, row, np.arange(len(b)))
-        f_a = fns(a)[pick]
+        pick, dx, floor = (kind, row, np.arange(len(b))), np.inf, 0.0
         with np.errstate(all="ignore"):
             for _ in range(10):
-                live = ~(dx <= 1e-13 * (abs(b) + top))
-                if not live.any():
+                if np.all(dx <= floor):
                     break
-                f_b = fns(b)[pick]
-                slope = np.where(live, (f_b - f_a) / (b - a), slope)
-                a, f_a, b = (np.where(live, b, a), np.where(live, f_b, f_a),
-                             np.where(live, b - f_b / slope, b))
-                dx = np.where(live, abs(b - a), dx)
-            # No less than the polish's tolerance, or than how far rounding
-            # D's terms of order one moves a zero where D is flat.
-            claim = np.maximum(dx, np.maximum(1e-13 * (abs(b) + top), 1e-15 / abs(slope)))
+                f = fns(b, True)
+                slope = f[3:5][pick]
+                floor = np.maximum(1e-13 * (abs(b) + top), 1e-15 / abs(slope))
+                dx = f[:2][pick] / slope
+                b, dx = b - dx, abs(dx)
         off = b - corner
-        good = ((dx <= 1e-13 * (abs(b) + top)) & (0.0 < off.real) & (off.real < wx)
+        good = ((dx <= floor) & (0.0 < off.real) & (off.real < wx)
                 & (0.0 < off.imag) & (off.imag < wy))
         for r in rows:
             mine = (kind == r[0]) & (row == r[1])
             x = b[mine]
             if good[mine].all() and (n[r] == 1 or (abs(x - np.roll(x, 1)) > step).all()):
-                found += zip(x, kind[mine], row[mine], claim[mine])
+                found += zip(x, kind[mine], row[mine], floor[mine])
                 rest[r] = 0
     if not rest.any():
         return found
@@ -284,10 +281,9 @@ def _strip_poles(geometry: SlabWithMirror, omegas: tuple[float, ...]):
 
     One walk in v = (top/k0) beta, top the largest k0, counts and sums
     every transition's zeros of D_s and D_p up to the tallest
-    _strip_height, above its own none lies; _locate finds them. res is
-    the mean of (beta - beta_p) r on 8 points of a circle around the pole;
-    dres, its change from the mean on 4 of them, plus 1e-9 |res| for the
-    rounding of r where D is flat.
+    _strip_height, above its own none lies; _locate finds them. r = N/D,
+    so res is N/D' at the pole, and dres how far that moves when the pole
+    moves by its dbeta, plus 1e-15 |res| for rounding.
     """
     material, d = geometry.material, geometry.thickness
     # The walk resolves no step under 1e-15 of its perimeter, about
@@ -303,8 +299,10 @@ def _strip_poles(geometry: SlabWithMirror, omegas: tuple[float, ...]):
     eta = 1e-9 if material.is_lossless else 0.0
     top, k = max(omegas), np.array(omegas)[:, None]
 
-    def fns(v):
-        return slab_mirror_denominators(k / top * v, k, material, d)
+    def fns(v, slopes=False):
+        f = slab_mirror_denominators(k / top * v, k, material, d, slopes)
+        f[3:5] *= k / top  # with slopes, D_s' and D_p' by v: d beta/dv = k0/top
+        return f
 
     height = max(_strip_height(material, d, k0) * (top / k0) for k0 in omegas)
     box = (-eta * top + 0j, top + eta * top, height, d)
@@ -313,14 +311,12 @@ def _strip_poles(geometry: SlabWithMirror, omegas: tuple[float, ...]):
         return (None,) * len(omegas)
     v, kind, row, dv = map(np.array, zip(*_locate(fns, *box, counts, sums, top)))
     k0 = k[row]
-    beta = k0[:, 0] / top * v
-    ring = 1e-3 * np.minimum(k0, 1.0 / d) * np.exp(0.25j * math.pi * np.arange(8))
-    at = beta[:, None] + ring
-    r = slab_mirror_rs_rp(at, beta1_of_beta(at, k0, material), material, d)
-    r = r[kind, np.arange(len(beta))] * ring
-    mine, res = kind == np.array([[0], [1]]), r.mean(axis=-1)
-    dres = np.where(mine, abs(res - r[:, ::2].mean(axis=-1)) + 1e-9 * abs(res), 0.0)
-    return tuple((beta[i], np.where(mine, res, 0.0)[:, i], k0[i, 0] / top * dv[i], dres[:, i],
+    beta, dbeta = k0[:, 0] / top * v, k0[:, 0] / top * dv
+    f = slab_mirror_denominators(beta[:, None] + dbeta[:, None] * [0.0, 1.0], k0, material, d, True)
+    r = f[5:][kind, np.arange(len(beta))] / f[3:5][kind, np.arange(len(beta))]
+    mine = kind == np.array([[0], [1]])
+    res, dres = np.where(mine, r[:, 0], 0.0), np.where(mine, abs(r[:, 1] - r[:, 0]), 0.0)
+    return tuple((beta[i], res[:, i], dbeta[i], dres[:, i] + 1e-15 * abs(res[:, i]),
                   abs(beta[i].real) < eta * k0[i, 0]) if i.any() else None
                  for i in (row == j for j in range(len(omegas))))
 

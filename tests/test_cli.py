@@ -62,6 +62,10 @@ class TestSweep:
         assert "generated" in json.loads(out.read_text())
         _, out2 = run(tmp_path, *BASE, "--format", "json", name="b.json")
         assert "generated" not in json.loads(out2.read_text())
+        # The parser serves every call in the process; a --reproducible run
+        # leaves the next one its timestamp.
+        _, out = run(tmp_path, *args, "--format", "json", name="c.json")
+        assert "generated" in json.loads(out.read_text())
 
     def test_perp_dipole_is_the_unit_perpendicular_mix(self, tmp_path):
         _, perp = run(tmp_path, *BASE, "--dipole", "perp", name="perp.csv")
