@@ -17,8 +17,10 @@ import datetime
 import functools
 import json
 import math
+import os
+import pickle
+import signal
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -67,7 +69,7 @@ class SweepConfig:
     format: str = "csv"
     output: str = "-"
     reproducible: bool = False
-    workers: int = 1  # N > 1: first point here, a pool of min(N, points - 1)
+    workers: int = 1  # processes in all, this one among them: min(N, points)
 
     def validate(self) -> tuple[Atom, Geometry]:
         for key, value in vars(self).items():
@@ -84,6 +86,8 @@ class SweepConfig:
             raise ConfigError(f"points: need >= 2, got {self.points}")
         if self.workers < 1:
             raise ConfigError(f"workers: need >= 1, got {self.workers}")
+        if self.workers > 1 and not hasattr(os, "fork"):
+            raise ConfigError(f"workers: need 1 where os.fork does not exist, got {self.workers}")
         check_rel_tol(self.rel_tol)
         if self.dipole == "mixed" and self.w_par + self.w_perp <= 0.0:
             raise ConfigError("w_par/w_perp: mixed dipole needs a positive total weight")
@@ -169,14 +173,69 @@ def _relative_deviation(num: float, ref: float) -> float:
     return abs(num - ref) / abs(ref)
 
 
+def _share(fn, jobs):
+    """[fn(job) for job in jobs] up to the first job that raises, then its exception."""
+    rows = []
+    for job in jobs:
+        try:
+            rows.append(fn(job))
+        except Exception as exc:  # raised by _run_parallel unless an earlier job raised
+            return [*rows, exc]
+    return rows
+
+
+def _fork(task):
+    """Runs task() in a forked child and returns join: join() reaps the
+    child and returns task()'s result, join(stop=True) kills and reaps it.
+    The child pickles the result to a pipe and leaves by os._exit, so it
+    never returns into the caller's code nor flushes the stdio buffers it
+    inherited."""
+    r, w = os.pipe()
+    if (pid := os.fork()) == 0:
+        try:
+            os.close(r)  # so that a write fails, not blocks, once the caller is gone
+            with open(w, "wb") as sink:
+                pickle.dump(task(), sink)
+        except BaseException:  # stated by join as a child without a result
+            os._exit(1)
+        os._exit(0)
+    os.close(w)
+
+    def join(stop=False):
+        if stop:
+            os.kill(pid, signal.SIGKILL)
+        with open(r, "rb") as pipe:
+            data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if not stop and (code or not data):
+            raise ChildProcessError(f"worker process {pid} ended without a result "
+                                    f"({'signal' if code < 0 else 'exit code'} {abs(code)})")
+        return None if stop else pickle.loads(data)
+    return join
+
+
 def _run_parallel(fn, config, atom, geometry, distances):
+    """fn over the jobs in n = min(workers, points) processes, this one
+    among them, process k taking every n-th job from the k-th. This one
+    takes the first before it forks, so that the others inherit a slab's
+    poles. The first job to raise raises here, as in one process."""
     jobs = [(config, atom, geometry, float(z)) for z in distances]
-    if config.workers == 1:  # the default: this process, no pool
-        return [fn(j) for j in jobs]
-    first, rest = fn(jobs[0]), jobs[1:]  # before the fork: workers inherit its poles
-    workers = min(config.workers, len(rest))  # all start at once: none idle
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [first, *pool.map(fn, rest, chunksize=max(1, len(rest) // (4 * workers)))]
+    n, rows, joins = min(config.workers, len(jobs)), [fn(jobs[0])] * len(jobs), []
+    try:
+        for k in range(1, n):
+            joins.append(_fork(functools.partial(_share, fn, jobs[k::n])))
+        shares = [_share(fn, jobs[n::n])]
+        while joins:
+            shares.append(joins.pop(0)())
+    finally:  # after an error, the children not yet joined are killed
+        for join in joins:
+            join(stop=True)
+    for k, share in zip((n, *range(1, n)), shares):
+        rows[k:k + n * len(share):n] = share  # a share that raised ends early
+    for row in rows:
+        if isinstance(row, Exception):
+            raise row
+    return rows
 
 
 def _json_value(x):

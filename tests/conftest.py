@@ -15,25 +15,23 @@ from oracle import simpson_green_with_error
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The size of each process pool the CLI constructs, in order. A
-    RecordingPool stands in for the pool and runs the jobs in this
-    process, so no worker is started."""
+    """The number of processes each sweep runs in, in order: this one and
+    one per child it forks. A child's share of the jobs is evaluated in
+    this process instead, so nothing is forked."""
     sizes = []
+    run_parallel = planarcp.cli._run_parallel
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counted(*args):
+        sizes.append(1)
+        return run_parallel(*args)
 
-        def __enter__(self):
-            return self
+    def in_this_process(task):
+        sizes[-1] += 1
+        result = task()
+        return lambda stop=False: result
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(planarcp.cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(planarcp.cli, "_run_parallel", counted)
+    monkeypatch.setattr(planarcp.cli, "_fork", in_this_process)
     return sizes
 
 

@@ -3,6 +3,12 @@
 
 import json
 import math
+import os
+import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -282,29 +288,38 @@ class TestSweep:
                               for z in zs]
 
     def test_pool_never_larger_than_points(self, tmp_path, pool_sizes):
-        # The first point is evaluated here, the other three in the pool.
+        # 4 points in 4 processes: this one and 3 children, one point each.
         args = [a for a in BASE if a not in ("--workers", "1")]
         code, _ = run(tmp_path, *args, "--points", "4", "--workers", "64")
         assert code == 0
-        assert pool_sizes == [3]
+        assert pool_sizes == [4]
 
     def test_one_process_unless_asked(self, tmp_path, pool_sizes, capsys):
         # No --workers evaluates in this process; 0 workers is a config error.
         args = [a for a in BASE if a not in ("--workers", "1")]
         code, _ = run(tmp_path, *args)
-        assert code == 0 and pool_sizes == []
+        assert code == 0 and pool_sizes == [1]
         code, _ = run(tmp_path, *args, "--workers", "0")
-        assert code == 1 and pool_sizes == []
+        assert code == 1 and pool_sizes == [1]
         assert capsys.readouterr().err.startswith("planarcp: error: workers: ")
 
     def test_two_workers_start_a_pool_however_few_points(self, tmp_path, pool_sizes):
-        # No size cut-off: beside the first point, evaluated here, a pool
-        # of two for the other two points and of one for the last of two.
+        # No size cut-off: min(N, points) processes in all, however few
+        # points there are.
         args = [a for a in BASE if a not in ("--workers", "1")]
         for points in ("3", "2"):
             code, _ = run(tmp_path, *args, "--points", points, "--workers", "2")
             assert code == 0
-        assert pool_sizes == [2, 1]
+        assert pool_sizes == [2, 2]
+
+    def test_workers_need_fork(self, tmp_path, monkeypatch, capsys):
+        # Where os.fork does not exist, one process is all there can be.
+        monkeypatch.delattr(planarcp.cli.os, "fork")
+        args = [a for a in BASE if a not in ("--workers", "1")]
+        assert run(tmp_path, *args, "--workers", "1")[0] == 0
+        assert run(tmp_path, *args, "--workers", "2")[0] == 1
+        assert capsys.readouterr().err == ("planarcp: error: workers: need 1 where "
+                                           "os.fork does not exist, got 2\n")
 
     @pytest.mark.parametrize("command,args", [
         # The 1/z^3 term of the short-distance form overflows at 1e-300.
@@ -376,6 +391,64 @@ class TestSweep:
         assert "3/3 points failed" in err
         assert all(line.endswith(",nan,inf,failed")
                    for line in out.read_text().splitlines()[-3:])
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedChildren:
+    """--workers 2 with a real child: one fork per run."""
+
+    LENS = ["sweep", "--geometry", "perfect-lens", "--thickness", "1",
+            "--zmin", "2", "--points", "4"]
+
+    @pytest.mark.parametrize("zmax", ["1e200", "1e308"])
+    def test_error_in_a_child_exits_as_in_one_process(self, tmp_path, capsys, zmax):
+        # The child takes z_1 and z_3 of the 4 points. The closed form
+        # overflows from z_2 on (this process's) at zmax = 1e200, and from
+        # z_1 on (the child's) at 1e308: the first point's error is raised.
+        errors = []
+        for workers in ("1", "2"):
+            code, out = run(tmp_path, *self.LENS, "--zmax", zmax, "--workers", workers)
+            assert code == 1 and out.read_text() == ""
+            errors.append(capsys.readouterr().err)
+            assert_no_child_left()
+        assert errors[0] == errors[1]
+        assert re.fullmatch(r"planarcp: error: perfect-lens potential not finite at "
+                            rf"z_A = {'2.71441' if zmax == '1e200' else '7.36806'}\S+\n",
+                            errors[0])
+
+    @pytest.mark.parametrize("end,cause", [
+        (lambda: os._exit(3), "exit code 3"),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9")],
+        ids=["exit", "killed"])
+    def test_child_without_a_result_exits_1(self, tmp_path, capsys, monkeypatch,
+                                            end, cause):
+        here, potential_auto = os.getpid(), planarcp.cli.potential_auto
+
+        def ends_in_a_child(*args):
+            if os.getpid() != here:
+                end()
+            return potential_auto(*args)
+
+        monkeypatch.setattr(planarcp.cli, "potential_auto", ends_in_a_child)
+        args = [a for a in BASE if a not in ("--workers", "1")]
+        code, out = run(tmp_path, *args, "--workers", "2")
+        assert code == 1 and out.read_text() == ""
+        assert re.fullmatch(r"planarcp: error: worker process \d+ ended without a "
+                            rf"result \({cause}\)\n", capsys.readouterr().err)
+        assert_no_child_left()
+
+    def test_import_starts_no_pool_machinery(self):
+        # The sweeps' set-up imports planarcp.cli; it loads neither module.
+        code = ("import sys, planarcp.cli; print([m for m in ('concurrent.futures', "
+                "'multiprocessing') if m in sys.modules])")
+        env = {**os.environ, "PYTHONPATH": str(Path(planarcp.__file__).parent.parent)}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"
 
 
 def _strict_json(text):

@@ -11,7 +11,8 @@ from hypothesis import given, strategies as st
 from planarcp import (DegenerateDenominator, PerfectLens, SlabWithMirror,
                       Transition, VACUUM, validate_material)
 from planarcp.dispersion import (beta1_of_beta, halfspace_rs_rp, medium_beta1,
-                                 slab_mirror_rs_rp, vacuum_beta)
+                                 slab_mirror_denominators, slab_mirror_rs_rp,
+                                 vacuum_beta)
 
 
 def upper_sqrt(w):
@@ -270,6 +271,33 @@ class TestSlabMirrorReflection:
             assert r_s == pytest.approx(lens_s, rel=1e-12)
             assert r_p == pytest.approx(lens_p, rel=1e-12)
 
+    @pytest.mark.parametrize("beta,ds,dp", [
+        # beta, then D_s'/D_s and D_p'/D_p to 30 digits (mpmath, 50-digit
+        # arithmetic), for eps = 0.5 + 0.1i, mu = 1, d = 2, omega = 1.
+        (0.7119392000550135 - 0.06923933519104877j,
+         "-0.604092250806557861440761862742-1.44935664935525352348133947826j",
+         "-2.89107146466763794339184428211-7.28343620430351171917396570253j"),
+        (0.7105991599827491 - 0.07036305731195158j,
+         "-0.603951212471123665280279674467-1.4472088414174999537144073976j",
+         "-2.98724863975155728364688113612-7.27286266007293818662506039017j"),
+        (0.7105990259623834 - 0.07036316989771499j,
+         "-0.603951198237541016296689182376-1.44720862636519353776032831725j",
+         "-2.98725829527108847794751382038-7.27286148340327870288863346128j"),
+        (0.742645093392726 - 0.04450802686412155j,
+         "-0.606595141024406361904034357854-1.49731774316630975121322398831j",
+         "-0.993987960461224750773768978712-7.01383898922622505703430128485j"),
+        (0.745298545753887 - 0.04245555256214438j,
+         "-0.606743389084371693120743566476-1.50135722988046902563017556075j",
+         "-0.863237854016676680623795046385-6.95825809966428941064168534581j"),
+    ], ids=["x=1e-1", "x=1e-3", "x=1e-5", "x=0.49", "x=0.51"])
+    def test_slopes_where_beta1_d_is_small(self, beta, ds, dp):
+        # x = |beta1 d| from 1e-5 to either side of the series' switch at
+        # 1/2: S' = beta (d C - S)/beta1^2 loses about 2 log10(1/x) digits
+        # to cancellation, 10 of them at 1e-5.
+        m = validate_material(0.5 + 0.1j, 1.0)
+        f = slab_mirror_denominators(np.array([beta]), 1.0, m, 2.0, slopes=True)[:, 0]
+        for got, want in ((f[3] / f[0], complex(ds)), (f[4] / f[1], complex(dp))):
+            assert abs(got - want) < 1e-15 * abs(want)
 
     def test_thickness_validation(self):
         # slab_mirror_rs_rp and the green module take the thickness from

