@@ -25,9 +25,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import (Atom, DegenerateDenominator, Geometry, HalfSpace,
-                   NotConverged, PerfectLens, SlabWithMirror, Transition,
-                   validate_material)
+from .core import (Atom, DegenerateDenominator, DomainError, Geometry,
+                   HalfSpace, NotConverged, PerfectLens, SlabWithMirror,
+                   Transition, validate_material)
+from .green import check_slab_thickness
 from .potential import (PotentialMethod, potential_auto,
                         potential_nonretarded, potential_numeric,
                         potential_perfect_lens, potential_retarded)
@@ -98,7 +99,10 @@ class SweepConfig:
         if self.method == "closed-form" and self.geometry != "perfect-lens":
             raise ConfigError("method: closed-form applies to perfect-lens only")
         # Built once for all points; the model's own checks, before any point starts.
-        return self.build_atom(), self.build_geometry()
+        atom, geometry = self.build_atom(), self.build_geometry()
+        if isinstance(geometry, SlabWithMirror):  # no distance can mend a thickness
+            check_slab_thickness(geometry.thickness, [t.omega for t in atom.transitions])
+        return atom, geometry
 
     def material(self):
         return validate_material(complex(self.eps_re, self.eps_im),
@@ -141,7 +145,7 @@ def _eval_point(args):
             s = potential_retarded(atom, geometry.material, z)
         else:
             s = potential_perfect_lens(atom, config.thickness, z)
-    except (NotConverged, DegenerateDenominator) as exc:
+    except (NotConverged, DegenerateDenominator, DomainError) as exc:
         return ({"z_norm": z, "U_norm": float("nan"), "U_err": float("inf"),
                  "method": "failed"}, [f"{type(exc).__name__}: {exc}"])
     return ({"z_norm": z, "U_norm": s.value * U0_INV,
@@ -173,29 +177,20 @@ def _relative_deviation(num: float, ref: float) -> float:
     return abs(num - ref) / abs(ref)
 
 
-def _share(fn, jobs):
-    """[fn(job) for job in jobs] up to the first job that raises, then its exception."""
-    rows = []
-    for job in jobs:
-        try:
-            rows.append(fn(job))
-        except Exception as exc:  # raised by _run_parallel unless an earlier job raised
-            return [*rows, exc]
-    return rows
-
-
-def _fork(task):
-    """Runs task() in a forked child and returns join: join() reaps the
-    child and returns task()'s result, join(stop=True) kills and reaps it.
-    The child pickles the result to a pipe and leaves by os._exit, so it
-    never returns into the caller's code nor flushes the stdio buffers it
-    inherited."""
-    r, w = os.pipe()
+def _fork(fn, jobs):
+    """Evaluates [fn(job) for job in jobs] in a forked child and returns
+    join: join() reaps the child and returns its rows, join(stop=True)
+    kills and reaps it. The child pickles its rows to a pipe and leaves by
+    os._exit, so it never returns into the caller's code nor flushes the
+    stdio buffers it inherited. Once its caller is gone (os.getppid()
+    changes), no one reads the rows: it skips the jobs left and exits 1."""
+    caller, (r, w) = os.getpid(), os.pipe()
     if (pid := os.fork()) == 0:
         try:
             os.close(r)  # so that a write fails, not blocks, once the caller is gone
+            rows = [fn(job) for job in jobs if os.getppid() == caller]
             with open(w, "wb") as sink:
-                pickle.dump(task(), sink)
+                pickle.dump(rows, sink)
         except BaseException:  # stated by join as a child without a result
             os._exit(1)
         os._exit(0)
@@ -218,23 +213,19 @@ def _run_parallel(fn, config, atom, geometry, distances):
     """fn over the jobs in n = min(workers, points) processes, this one
     among them, process k taking every n-th job from the k-th. This one
     takes the first before it forks, so that the others inherit a slab's
-    poles. The first job to raise raises here, as in one process."""
+    poles. fn returns a failed row for a distance's error, so an exception
+    here or in a child is a fault, which ends the run."""
     jobs = [(config, atom, geometry, float(z)) for z in distances]
     n, rows, joins = min(config.workers, len(jobs)), [fn(jobs[0])] * len(jobs), []
     try:
         for k in range(1, n):
-            joins.append(_fork(functools.partial(_share, fn, jobs[k::n])))
-        shares = [_share(fn, jobs[n::n])]
-        while joins:
-            shares.append(joins.pop(0)())
+            joins.append(_fork(fn, jobs[k::n]))
+        rows[n::n] = [fn(job) for job in jobs[n::n]]
+        for k in range(1, n):
+            rows[k::n] = joins.pop(0)()
     finally:  # after an error, the children not yet joined are killed
         for join in joins:
             join(stop=True)
-    for k, share in zip((n, *range(1, n)), shares):
-        rows[k:k + n * len(share):n] = share  # a share that raised ends early
-    for row in rows:
-        if isinstance(row, Exception):
-            raise row
     return rows
 
 

@@ -270,6 +270,19 @@ def _locate(fns, corner: complex, wx: float, wy: float, d: float, n, s, top: flo
                       rest - lower, s - s_lower, top))
 
 
+def check_slab_thickness(d: float, omegas) -> None:
+    """Raise DomainError unless 1e-12 <= d omega <= 1e4 for each omega.
+
+    The walk resolves no step under 1e-15 of its perimeter, about
+    2e-15/(d k0) of the strip's width, and takes about 10 d k0 steps
+    along its base: these bounds keep the first under 1/500 and the
+    second under 10^5.
+    """
+    if not (1e-12 <= d * min(omegas) and d * max(omegas) <= 1e4):
+        raise DomainError(f"slab thickness {d} times omega = {', '.join(map(str, omegas))} "
+                          "is outside the pole search's range [1e-12, 1e4]")
+
+
 @functools.lru_cache(maxsize=256)
 def _strip_poles(geometry: SlabWithMirror, omegas: tuple[float, ...]):
     """Per transition frequency k0 in omegas, (beta, res, dbeta, dres,
@@ -286,13 +299,7 @@ def _strip_poles(geometry: SlabWithMirror, omegas: tuple[float, ...]):
     moves by its dbeta, plus 1e-15 |res| for rounding.
     """
     material, d = geometry.material, geometry.thickness
-    # The walk resolves no step under 1e-15 of its perimeter, about
-    # 2e-15/(d k0) of the strip's width, and takes about 10 d k0 steps
-    # along its base: these bounds keep the first under 1/500 and the
-    # second under 10^5.
-    if not (1e-12 <= d * min(omegas) and d * max(omegas) <= 1e4):
-        raise DomainError(f"slab thickness {d} times omega = {', '.join(map(str, omegas))} "
-                          "is outside the pole search's range [1e-12, 1e4]")
+    check_slab_thickness(d, omegas)
     # A lossless slab's guided modes lie on Re beta = 0, where the i0+
     # limit decides whether they count: its strip starts at -eta k0, and
     # they come back flagged as on the edge.

@@ -108,10 +108,10 @@ def potential_nonretarded(atom: Atom, material: MaterialResponse,
             / (16.0 * math.pi * z_A))
         rel_trunc = max(rel_trunc, z_A * t.omega)
     value = sum(contributions)
-    if not math.isfinite(value):
+    error = rel_trunc * abs(value)
+    if not (math.isfinite(value) and math.isfinite(error)):
         raise DomainError(f"short-distance potential not finite at z_A = {z_A}")
-    return _sample(z_A, contributions, PotentialMethod.NONRETARDED,
-                   rel_trunc * abs(value))
+    return _sample(z_A, contributions, PotentialMethod.NONRETARDED, error)
 
 
 def potential_retarded(atom: Atom, material: MaterialResponse,
@@ -123,7 +123,7 @@ def potential_retarded(atom: Atom, material: MaterialResponse,
     passive mirror (|r| <= 1 at normal incidence),
     sum_k c/(z_A omega_k) mu_0 omega_k^2 (|d_par|^2 + |d_perp|^2)/(8 pi z_A),
     so it stays positive where the leading term vanishes (a perpendicular
-    dipole, or eps = mu).
+    dipole, or eps = mu). Where either is not finite it raises DomainError.
     """
     require_distance("z_A", z_A)
     sqrt_eps = _passive_sqrt(material.epsilon)
@@ -131,14 +131,16 @@ def potential_retarded(atom: Atom, material: MaterialResponse,
     den = sqrt_eps + sqrt_mu
     _require_nonzero("sqrt(eps) + sqrt(mu)", den)
     contrast = (sqrt_eps - sqrt_mu) / den
-    contributions = []
-    error = 0.0
+    contributions, error, area = [], 0.0, 8.0 * math.pi * z_A * z_A  # area: 0 below 1e-162
     for t in atom.transitions:
+        require_distance("2 omega z_A", 2.0 * z_A * t.omega)  # else cmath.exp may raise
         phase = cmath.exp(2j * z_A * t.omega)
         contributions.append(
             t.omega**2 * t.d_par_sq
             / (8.0 * math.pi * z_A) * (phase * contrast).real)
-        error += t.omega * (t.d_par_sq + t.d_perp_sq) / (8.0 * math.pi * z_A * z_A)
+        error += t.omega * (t.d_par_sq + t.d_perp_sq) / area if area else math.inf
+    if not (math.isfinite(sum(contributions)) and math.isfinite(error)):
+        raise DomainError(f"long-distance potential not finite at z_A = {z_A}")
     return _sample(z_A, contributions, PotentialMethod.RETARDED, error)
 
 
@@ -154,20 +156,20 @@ def potential_perfect_lens(atom: Atom, thickness: float,
     """Closed-form potential of the ideal mirror-backed superlens.
 
     Valid for z_A > thickness; diverges toward the focal plane at
-    z_A = thickness, where the atom coincides with its image.
+    z_A = thickness, where the atom coincides with its image, and raises
+    DomainError where it is not finite.
     """
     require_distance("z_A", z_A, thickness)
     contributions = []
     for t in atom.transitions:
         zt = 2.0 * t.omega * (z_A - thickness)
-        cos_zt, sin_zt = math.cos(zt), math.sin(zt)
-        par = cos_zt + zt * sin_zt - zt * zt * cos_zt
-        perp = 2.0 * (cos_zt + zt * sin_zt)
-        try:  # zt**3 raises where it overflows, and 1/zt**3 where it is 0
-            scale = -t.omega**3 / (4.0 * math.pi * zt**3)
-        except (OverflowError, ZeroDivisionError):
-            scale = math.inf
-        contributions.append(scale * (par * t.d_par_sq + perp * t.d_perp_sq))
+        require_distance("2 omega (z_A - d)", zt)  # else 1/zt or cos(zt) raises
+        # In q = 1/zt, finite wherever the value is.
+        q, cos_zt, sin_zt = 1.0 / zt, math.cos(zt), math.sin(zt)
+        perp = 2.0 * q * q * (q * cos_zt + sin_zt)
+        par = 0.5 * perp - q * cos_zt
+        contributions.append(-t.omega**3 / (4.0 * math.pi)
+                             * (par * t.d_par_sq + perp * t.d_perp_sq))
     if not math.isfinite(sum(contributions)):
         raise DomainError(f"perfect-lens potential not finite at z_A = {z_A}")
     return _sample(z_A, contributions, PotentialMethod.PERFECT_LENS, 0.0)

@@ -25,9 +25,9 @@ def pool_sizes(monkeypatch):
         sizes.append(1)
         return run_parallel(*args)
 
-    def in_this_process(task):
+    def in_this_process(fn, jobs):
         sizes[-1] += 1
-        result = task()
+        result = [fn(job) for job in jobs]
         return lambda stop=False: result
 
     monkeypatch.setattr(planarcp.cli, "_run_parallel", counted)

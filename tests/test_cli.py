@@ -1,6 +1,7 @@
 # tests/test_cli.py
 """Command-line interface: formats, config handling, exit codes."""
 
+import contextlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -321,25 +323,41 @@ class TestSweep:
         assert capsys.readouterr().err == ("planarcp: error: workers: need 1 where "
                                            "os.fork does not exist, got 2\n")
 
-    @pytest.mark.parametrize("command,args", [
-        # The 1/z^3 term of the short-distance form overflows at 1e-300.
+    @pytest.mark.parametrize("command,args,failed", [
+        # The 1/z^3 term of the short-distance form overflows at 1e-300,
+        # not at 1.
         ("sweep", ["--eps-re", "2", "--method", "nonretarded",
-                   "--zmin", "1e-300", "--zmax", "1e-299"]),
-        # The lens closed form's zt^3 overflows at z - d = 1e200 and
-        # underflows to 0 at 1e-200.
+                   "--zmin", "1e-300", "--zmax", "1"], [True, False]),
+        # The lens closed form, formed in 1/zt, is finite out to
+        # z - d = 1e200, and its 1/zt^3 overflows at 1e-200.
         ("sweep", ["--geometry", "perfect-lens", "--thickness", "1",
-                   "--zmin", "2", "--zmax", "1e200"]),
+                   "--zmin", "2", "--zmax", "1e200"], [False, False]),
         ("compare", ["--geometry", "perfect-lens", "--thickness", "1",
-                     "--zmin", "2", "--zmax", "1e200"]),
+                     "--zmin", "2", "--zmax", "1e200"], [False, False]),
         ("sweep", ["--geometry", "perfect-lens", "--thickness", "1e-200",
-                   "--zmin", "2e-200", "--zmax", "3e-200"]),
+                   "--zmin", "2e-200", "--zmax", "3e-200"], [True, True]),
     ], ids=["nonretarded", "lens-far", "lens-far-compare", "lens-near"])
-    def test_overflowing_distance_exits_1(self, tmp_path, capsys, command, args):
-        code, _ = run(tmp_path, command, *args, "--points", "2", "--workers", "1")
+    def test_overflowing_distance_fails_its_row(self, tmp_path, capsys, command,
+                                                args, failed):
+        # Such a distance fails its row, with its DomainError on stderr;
+        # every other row is the one its distance gets as a sweep's first.
+        code, out = run(tmp_path, command, *args, "--points", "2", "--workers", "1")
         err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("planarcp: error:")
-        assert "Traceback" not in err
+        assert code == (2 if any(failed) else 0) and "Traceback" not in err
+        assert err.count(": DomainError: ") == sum(failed)
+        rows = out.read_text().splitlines()[-2:]
+        assert [row.endswith(",nan,inf,failed") for row in rows] == failed
+        for row in (row for row, bad in zip(rows, failed) if not bad):
+            z = row.split(",")[0]
+            _, first = run(tmp_path, command, *args, "--zmin", z, "--zmax",
+                           repr(2.0 * float(z)), "--points", "2", "--workers", "1",
+                           name="first.csv")
+            assert first.read_text().splitlines()[-2] == row
+        if args[-1] == "1e200":
+            # The last row's closed form against quadrature at z - d = 1e200:
+            # within the 4.4e-216 that potential_numeric claims, times 8 pi.
+            u = float(rows[-1].split(",")[1 if command == "sweep" else 2])
+            assert abs(u - 8.0 * math.pi * 6.788299673822464e-203) <= 8.0 * math.pi * 4.42e-216
 
     @pytest.mark.parametrize("where,args", [
         pytest.param(where, args, id=place + suffix)
@@ -398,32 +416,56 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def raise_type_error():
+    raise TypeError("a fault, not a distance's error")
+
+
+def process_state(pid):
+    """pid's state letter in /proc (Z for a zombie), or None if it is gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+def cli_process(*args):
+    """planarcp.cli ARGS in a fresh interpreter that imports this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(planarcp.__file__).parent.parent)}
+    return subprocess.Popen([sys.executable, "-m", "planarcp.cli", *args], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
 class TestForkedChildren:
     """--workers 2 with a real child: one fork per run."""
 
     LENS = ["sweep", "--geometry", "perfect-lens", "--thickness", "1",
-            "--zmin", "2", "--points", "4"]
+            "--zmin", "2", "--points", "4", "--reproducible"]
 
-    @pytest.mark.parametrize("zmax", ["1e200", "1e308"])
-    def test_error_in_a_child_exits_as_in_one_process(self, tmp_path, capsys, zmax):
-        # The child takes z_1 and z_3 of the 4 points. The closed form
-        # overflows from z_2 on (this process's) at zmax = 1e200, and from
-        # z_1 on (the child's) at 1e308: the first point's error is raised.
-        errors = []
+    @pytest.mark.parametrize("args,failed", [
+        # The child takes z_1 and z_3 of the 4 points: at 1e200 every lens
+        # row is finite, at 1e308 the child's z_3 fails. The short-distance
+        # form fails at z_0 in this process and at z_1 in the child.
+        pytest.param([*LENS, "--zmax", "1e200"], 0, id="1e200"),
+        pytest.param([*LENS, "--zmax", "1e308"], 1, id="1e308"),
+        pytest.param(["sweep", "--eps-re", "2", "--eps-im", "0.1", "--method",
+                      "nonretarded", "--zmin", "1e-300", "--zmax", "1",
+                      "--points", "4", "--reproducible"], 2, id="nonretarded"),
+    ])
+    def test_error_in_a_child_exits_as_in_one_process(self, tmp_path, capsys,
+                                                      args, failed):
+        runs = []
         for workers in ("1", "2"):
-            code, out = run(tmp_path, *self.LENS, "--zmax", zmax, "--workers", workers)
-            assert code == 1 and out.read_text() == ""
-            errors.append(capsys.readouterr().err)
+            code, out = run(tmp_path, *args, "--workers", workers, name=f"{workers}.csv")
+            runs.append((code, out.read_text(), capsys.readouterr().err))
             assert_no_child_left()
-        assert errors[0] == errors[1]
-        assert re.fullmatch(r"planarcp: error: perfect-lens potential not finite at "
-                            rf"z_A = {'2.71441' if zmax == '1e200' else '7.36806'}\S+\n",
-                            errors[0])
+        assert runs[0] == runs[1] and runs[0][0] == (2 if failed else 0)
+        assert runs[0][2].count(": DomainError: ") == failed
 
     @pytest.mark.parametrize("end,cause", [
         (lambda: os._exit(3), "exit code 3"),
-        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9")],
-        ids=["exit", "killed"])
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9"),
+        (raise_type_error, "exit code 1")],
+        ids=["exit", "killed", "raised"])
     def test_child_without_a_result_exits_1(self, tmp_path, capsys, monkeypatch,
                                             end, cause):
         here, potential_auto = os.getpid(), planarcp.cli.potential_auto
@@ -449,6 +491,35 @@ class TestForkedChildren:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, check=True)
         assert done.stdout == "[]\n"
+
+    @pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task").is_dir(),
+                        reason="finds the child in /proc")
+    def test_child_ends_with_its_caller(self, tmp_path):
+        # A child whose caller is killed skips the distances it has left:
+        # within 0.5 s it is gone, or a zombie that no one has reaped yet.
+        # Its share of these 40,000 points would take it seconds.
+        args = [a for a in BASE if a not in ("--workers", "1")]
+        caller = cli_process(*args, "--points", "40000", "--workers", "2",
+                             "-o", str(tmp_path / "out.csv"))
+        children, kids = Path(f"/proc/{caller.pid}/task/{caller.pid}/children"), []
+        try:
+            start = time.monotonic()
+            while not (kids := children.read_text().split()):
+                assert caller.poll() is None and time.monotonic() < start + 60
+                time.sleep(0.01)
+            assert len(kids) == 1  # two planarcp processes: the caller and its child
+            caller.kill()
+            caller.wait()
+            killed = time.monotonic()
+            while process_state(kids[0]) not in (None, "Z"):
+                assert time.monotonic() < killed + 0.5, "the child outlived its caller"
+                time.sleep(0.01)
+        finally:
+            caller.kill()
+            caller.communicate()
+            for kid in kids:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(int(kid), signal.SIGKILL)
 
 
 def _strict_json(text):
@@ -596,6 +667,24 @@ class TestCompare:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_failed_short_distance_column_ends_no_run(self):
+        # At z = 1e-200 every column fails: the short-distance form's 1/z^3
+        # overflows, and so does the retarded form's claimed error, which
+        # would divide by zero below 1e-162. A fresh interpreter, as the
+        # numeric column's overflow warns there.
+        done = cli_process("compare", "--eps-re", "2", "--eps-im", "0.1", "--zmin",
+                           "1e-200", "--zmax", "1", "--points", "3").communicate()
+        assert "Traceback" not in done[1]
+        assert done[1].splitlines()[-4:] == [
+            "planarcp: z = 1e-200: numeric: NotConverged: evanescent integral: "
+            "integrand not finite after 0 subdivisions",
+            "planarcp: z = 1e-200: nonretarded: DomainError: short-distance "
+            "potential not finite at z_A = 1e-200",
+            "planarcp: z = 1e-200: retarded: DomainError: long-distance potential "
+            "not finite at z_A = 1e-200",
+            "planarcp: 1/3 points failed"]
+        assert done[0].splitlines()[-3] == "1e-200,nan,nan,nan,nan,nan"
+
     def test_closed_form_pole_gives_nan_column(self, tmp_path, capsys):
         # eps = 1, mu = -1: the short-distance form's (mu - 1)/(mu + 1)
         # has no finite value; the other columns are still computed.
@@ -671,14 +760,14 @@ class TestConfigHandling:
         ["sweep", "--thickness", "nan"],
         ["sweep", "--workers", "0"],
         # A slab too thick for the pole search's walk, refused before it
-        # is built.
+        # is built and before -o is opened, as no distance can mend it.
         ["sweep", "--geometry", "slab-mirror", "--eps-re", "2", "--eps-im", "0.1",
          "--thickness", "1e12"],
     ])
     def test_config_errors_exit_1(self, tmp_path, args, capsys):
-        code, _ = run(tmp_path, *args)
+        code, out = run(tmp_path, *args)
         err = capsys.readouterr().err
-        assert code == 1
+        assert code == 1 and not out.exists()
         assert err.startswith("planarcp: error: ")
         assert "Traceback" not in err and "green_components" not in err
 

@@ -52,6 +52,20 @@ def test_distance_outside_domain_raises(entry, z):
         DISTANCE_ENTRY_POINTS[entry](z)
 
 
+@pytest.mark.parametrize("z", [5e-324, 1e-300, 1e-160, 1e-100, 1.0, 1e150, 1e300, 1e308])
+@pytest.mark.parametrize("entry", ["nonretarded", "retarded", "perfect_lens"])
+def test_closed_form_is_finite_or_raises(entry, z):
+    # A closed form returns a finite value and a finite error, or raises
+    # DomainError: no nan, no infinite error, no other exception. The
+    # retarded form's error overflows below z ~ 1e-155 (its 8 pi z^2 is 0
+    # below 1e-162), and its phase's argument 2 omega z at 1e308.
+    try:
+        got = DISTANCE_ENTRY_POINTS[entry](z)
+    except DomainError:
+        return
+    assert math.isfinite(got.value) and math.isfinite(got.error_estimate)
+
+
 class TestNumeric:
     def test_matches_reference(self):
         geo = HalfSpace(validate_material(2 + 0.3j, 1.5 + 0.1j))
@@ -268,6 +282,7 @@ class TestRetarded:
         assert abs(got.value - want.value) <= got.error_estimate
 
 
+
 class TestPerfectLensClosedForm:
     def test_specific_phase_point(self):
         # At zt = 2 omega (z_A - d)/c = pi: cos = -1, sin = 0, so the
@@ -289,10 +304,19 @@ class TestPerfectLensClosedForm:
         assert values[0] > values[1] > values[2]  # deepening attraction
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            potential_perfect_lens(PAR, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            potential_perfect_lens(PAR, 1.0, 0.5)
+        # Inside the lens; next to the focal plane, where 1/zt^3 overflows;
+        # and where zt = 2 omega (z - d) itself does.
+        for d, z in ((1.0, 1.0), (1.0, 0.5), (1e-200, 2e-200), (1.0, 1e308)):
+            with pytest.raises(DomainError):
+                potential_perfect_lens(PAR, d, z)
+
+    @pytest.mark.parametrize("gap", [1e150, 1e200])
+    def test_far_value_within_quadrature_error(self, gap):
+        # Formed in 1/zt, the closed form stays finite where zt^3 overflows.
+        got = potential_perfect_lens(MIXED, 1.0, 1.0 + gap)
+        want = potential_numeric(MIXED, PerfectLens(1.0), 1.0 + gap)
+        assert got.value != 0.0
+        assert abs(got.value - want.value) <= want.error_estimate
 
     @pytest.mark.parametrize("atom", [PAR, PERP, TWO_LEVEL_MIXED],
                              ids=["par", "perp", "two-transition-mixed"])
