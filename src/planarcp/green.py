@@ -22,6 +22,7 @@ per slab and set of transitions counts those poles for all transitions.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -36,8 +37,8 @@ from .core import (DegenerateDenominator, DomainError, Geometry, HalfSpace,
 from .dispersion import (_i0_sign, _passive_sqrt, beta1_of_beta,  # noqa: F401
                          halfspace_rs_rp, medium_beta1, slab_mirror_rs_rp,
                          slab_mirror_denominators, vacuum_beta)
-from .quadrature import (_ROUNDOFF, REL_TOL, _first_width,  # noqa: F401
-                         integrate_evanescent, integrate_propagating)
+from .quadrature import (_ROUNDOFF, REL_TOL, integrate_evanescent,  # noqa: F401
+                         integrate_propagating)
 
 
 @dataclass(frozen=True)
@@ -339,21 +340,6 @@ def _product(a: float, b: float) -> tuple[float, float]:
     return p, e if math.isfinite(e) else 0.0
 
 
-def _small_ladder(k0: float, width: float, cut: bool) -> list[float]:
-    """Panel edges k0/8, k0/4, k0/2, ... below width, the first edge of
-    integrate_evanescent (one past it would leave a sliver panel), and
-    with cut four more, down to 8^-4 of the first panel's width. A first
-    panel wider than k0 would hold the coefficients' structure at t ~ k0,
-    and a cut's sqrt(t) onset, where bisection would take one round per
-    octave. The lowest k0's ladder covers every higher one's."""
-    first = min(k0 / 8.0, width)
-    edges = [first / 8.0 ** j for j in range(4, 0, -1)] if cut else []
-    while first < width:
-        edges.append(first)
-        first *= 2.0
-    return edges
-
-
 def green_components(z_A: float, omega, geometry: Geometry,
                      rel_tol: float = REL_TOL, *, xx: bool = True,
                      zz: bool = True) -> GreenComponents:
@@ -385,7 +371,7 @@ def green_components(z_A: float, omega, geometry: Geometry,
     rs_rp, z_offset, cut, poles = _coefficients(geometry, k0)
     require_distance("z_A", z_A, z_offset)
     z_image = z_A - z_offset
-    ladder = _small_ladder(min(omegas), _first_width(z_image), cut is not None)
+    require_distance("2 omega z", 2.0 * max(omegas) * z_image)  # else cmath.exp raises
 
     def rows(r_s, r_p, b2, q2, k):
         # b2 = (beta/k0)^2, q2 = q^2 = k0^2 - beta^2. Rows come first, and a
@@ -416,7 +402,13 @@ def green_components(z_A: float, omega, geometry: Geometry,
         # relative to exp(2i k0 z_image) has modulus <= 1.
         return out + cut_phase * at(b0 + 1j * t, jump(t))
 
-    res = integrate_evanescent(path, z_image, rel_tol, breakpoints=ladder)
+    # The lowest k0's onset k0/8 covers every higher one's. Once the square
+    # of the integral's size 1/(k0^2 z^3) overflows, so may its products:
+    # the integrand not finite is then the cause, without numpy's warnings.
+    lowest = min(omegas)
+    size = 1.0 / lowest / lowest / z_image / z_image / z_image
+    with np.errstate(all="ignore") if size * size == math.inf else contextlib.nullcontext():
+        res = integrate_evanescent(path, z_image, rel_tol, onset=lowest / 8.0, cut=cut is not None)
     # (transition, component) rows. The phase at the rounded k0 z_image
     # would be off by up to 1e-16 k0 z_image, above the path's error at
     # large distances.

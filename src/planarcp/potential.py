@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .core import (Atom, DegenerateDenominator, DomainError, Geometry,
@@ -123,7 +124,8 @@ def potential_retarded(atom: Atom, material: MaterialResponse,
     passive mirror (|r| <= 1 at normal incidence),
     sum_k c/(z_A omega_k) mu_0 omega_k^2 (|d_par|^2 + |d_perp|^2)/(8 pi z_A),
     so it stays positive where the leading term vanishes (a perpendicular
-    dipole, or eps = mu). Where either is not finite it raises DomainError.
+    dipole, or eps = mu), floored at eps_mach |U|. Where either is not
+    finite it raises DomainError.
     """
     require_distance("z_A", z_A)
     sqrt_eps = _passive_sqrt(material.epsilon)
@@ -139,6 +141,7 @@ def potential_retarded(atom: Atom, material: MaterialResponse,
             t.omega**2 * t.d_par_sq
             / (8.0 * math.pi * z_A) * (phase * contrast).real)
         error += t.omega * (t.d_par_sq + t.d_perp_sq) / area if area else math.inf
+    error = max(error, sys.float_info.epsilon * abs(sum(contributions)))
     if not (math.isfinite(sum(contributions)) and math.isfinite(error)):
         raise DomainError(f"long-distance potential not finite at z_A = {z_A}")
     return _sample(z_A, contributions, PotentialMethod.RETARDED, error)

@@ -17,14 +17,18 @@ panel near it, so bisection homes in on it. The integrand may return
 shape (N,) or (m, N) or (m, c, N); every row must meet its own tolerance.
 Identical inputs give bit-identical results. Since each round is one
 integrand call, cost follows the number of rounds. An evanescent
-integral's rounds also extend its tail, in the same call, as Shampine's
-loop handles an infinite interval. The error tested and returned is
-the Kronrod-Gauss difference floored at the round-off of the sum, as
-QUADPACK's (Piessens et al., 1983) is, which no bisection lowers.
+integral's first round, laid out in s = 2 kappa z_decay where it does not
+depend on the distance, is built once per ladder depth and cut, with the
+decay in its weights. Its later rounds also extend its tail, in the same
+call, as Shampine's loop handles an infinite interval. The error tested
+and returned is the Kronrod-Gauss difference floored at the round-off of
+the sum, as QUADPACK's (Piessens et al., 1983) is, which no bisection
+lowers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,29 +36,20 @@ import numpy as np
 
 from .core import NotConverged, require_distance
 
-# Gauss-Kronrod 7/15 nodes on [-1, 1], and the Kronrod and Gauss weights
-# as rows over an axis of panels; the Gauss row is 0 at the Kronrod-only nodes.
-_GK_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_GK_W = np.array([[
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-], [
-    0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
-    0.381830050505119, 0.0, 0.417959183673469, 0.0,
-    0.381830050505119, 0.0, 0.279705391489277, 0.0,
-    0.129484966168870, 0.0,
-]])[:, None]
+# Gauss-Kronrod 7/15 nodes on [0, 1] and their Kronrod and Gauss weights
+# (the Gauss weight is 0 at the Kronrod-only nodes), mirrored onto [-1, 1].
+_GK = np.array([
+    [0.0, 0.207784955007898, 0.405845151377397, 0.586087235467691,
+     0.741531185599394, 0.864864423359769, 0.949107912342759, 0.991455371120813],
+    [0.209482141084728, 0.204432940075298, 0.190350578064785, 0.169004726639267,
+     0.140653259715525, 0.104790010322250, 0.063092092629979, 0.022935322010529],
+    [0.417959183673469, 0.0, 0.381830050505119, 0.0,
+     0.279705391489277, 0.0, 0.129484966168870, 0.0]])
+_GK = np.concatenate((_GK[:, :0:-1] * [[-1.0], [1.0], [1.0]], _GK), axis=1)
+_GK_NODES = _GK[0]
+# The Kronrod and the Kronrod-minus-Gauss weights as complex rows over an
+# axis of panels: one product-sum, with no cast, gives a value and its error.
+_GK_W = np.stack((_GK[1], _GK[1] - _GK[2]))[:, None] + 0j
 
 
 # Default relative tolerance of every integral.
@@ -70,13 +65,14 @@ _TAIL_CUTOFF = 1e-16
 # integrand can claim far less than the rounding of the sum.
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
-# Tail panels past kappa0 evaluated with the initial panels of an
-# evanescent integral, before any refinement round appends more.
-_TAIL_PANELS = 2
-# Initial panels of an evanescent integral below kappa0: _FINE_PANELS
-# _first_width wide, then edges at these values of 2 kappa z_decay.
-_FINE_PANELS = 8
-_COARSE_EDGES = (10.0, 12.0, 14.0, 16.0, 20.0, 24.0, 28.0, 32.0)
+# An evanescent integral's first round in s = 2 kappa z_decay: 8 panels
+# _WIDTH wide, where the integrand peaks, then 2 and 4 wide once the decay
+# has fallen by e^-8, up to _CUTOFF, where it reaches _TAIL_CUTOFF; then two
+# tail panels _CUTOFF/4 wide (a kappa^2 prefactor keeps the first above it).
+_CUTOFF = -math.log(_TAIL_CUTOFF)
+_WIDTH = _CUTOFF / math.ceil(_CUTOFF)
+_EDGES = ([j * _WIDTH for j in range(9)] + [10.0, 12.0, 14.0, 16.0, 20.0, 24.0, 28.0, 32.0]
+          + [_CUTOFF + 0.25 * _CUTOFF * j for j in range(3)])
 
 
 @dataclass(frozen=True)
@@ -88,21 +84,22 @@ class IntegralResult:
     evaluations: int
 
 
-def _evaluate(f, a: np.ndarray, b: np.ndarray):
-    """GK15 values of the panels [a_j, b_j], and their |values| and errors
-    stacked on an axis of 2. Both come back with the integrand's component
-    axes first and the panel axis last: shape (P,) and (2, P), or (m, P)
-    and (m, 2, P). All panels go to f as one flat node array.
-    """
-    h = 0.5 * (b - a)
-    x = 0.5 * (a + b)[:, None] + h[:, None] * _GK_NODES
+def _sums(f, x: np.ndarray, weights: np.ndarray, scale):
+    """scale times the GK15 values of the panels with nodes x, shape (P, 15),
+    and their |values| and errors on an axis of 2, with the integrand's
+    component axes first and the panel axis last: (P,) and (2, P), or (m, P)
+    and (m, 2, P). All panels go to f as one flat node array."""
     y = np.asarray(f(x.ravel()), dtype=complex)
     # Both rules in one product, summed over the contiguous node axis,
     # not BLAS: that keeps the bits independent of alignment and threads.
-    rules = h * (y.reshape(y.shape[:-1] + (1,) + x.shape) * _GK_W).sum(axis=-1)
-    value = rules[..., 0, :]
-    np.subtract(value, rules[..., 1, :], out=rules[..., 1, :])
-    return value, np.abs(rules)
+    rules = scale * (y.reshape(y.shape[:-1] + (1,) + x.shape) * weights).sum(axis=-1)
+    return rules[..., 0, :], np.abs(rules)
+
+
+def _evaluate(f, a: np.ndarray, b: np.ndarray):
+    """_sums of the panels [a_j, b_j]."""
+    h = 0.5 * (b - a)
+    return _sums(f, 0.5 * (a + b)[:, None] + h[:, None] * _GK_NODES, _GK_W, h)
 
 
 def check_rel_tol(rel_tol: float) -> None:
@@ -111,12 +108,13 @@ def check_rel_tol(rel_tol: float) -> None:
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
 
 
-def _integrate(f, edges: np.ndarray, rel_tol: float, sector: str,
+def _integrate(f, edges: np.ndarray, first, rel_tol: float, sector: str,
                step: float = 0.0) -> IntegralResult:
-    """Integrate f over the panels between consecutive edges, refining
-    until every component's error meets rel_tol |total|. Raise NotConverged
-    once a sum is not finite, _MAX_SUBDIVISIONS are spent, or bisection
-    cannot help: a total is 0, or an error is at its floor above tolerance.
+    """Integrate f over the panels between consecutive edges, from their
+    first round of _sums, until every component's error meets rel_tol |total|.
+    Raise NotConverged once a sum is not finite, _MAX_SUBDIVISIONS are spent,
+    or bisection cannot help: a total is 0, or an error is at its floor above
+    tolerance.
 
     Each round sorts the panels by error relative to the tolerance
     (largest first) and bisects the shortest prefix whose error exceeds
@@ -126,10 +124,9 @@ def _integrate(f, edges: np.ndarray, rel_tol: float, sector: str,
     integrand call, the next panel step wide. A bisection and a tail
     panel each spend one subdivision.
     """
-    check_rel_tol(rel_tol)
     a = edges[:-1]
     b = edges[1:]
-    val, scale = _evaluate(f, a, b)
+    val, scale = first
     evals = 15 * len(a)
     spent = 0
     tail_open = step > 0.0
@@ -196,44 +193,62 @@ def integrate_propagating(integrand, beta_max: float,
     """
     if beta_max <= 0.0:
         raise ValueError(f"beta_max must be positive, got {beta_max}")
+    check_rel_tol(rel_tol)
     n = max(1, math.ceil(beta_max / max_panel_width)) if max_panel_width else 1
-    return _integrate(integrand, np.linspace(0.0, beta_max, n + 1), rel_tol,
-                      "propagating")
+    edges = np.linspace(0.0, beta_max, n + 1)
+    return _integrate(integrand, edges, _evaluate(integrand, edges[:-1], edges[1:]),
+                      rel_tol, "propagating")
 
 
-def _first_width(z_decay: float) -> float:
-    """integrate_evanescent's first panel width: kappa0/37, below 1/(2 z_decay)."""
-    return -math.log(_TAIL_CUTOFF) / (2.0 * z_decay) / math.ceil(-math.log(_TAIL_CUTOFF))
+def _layout(depth: int, cut: bool, inner=()):
+    """integrate_evanescent's first round in s: its edges, its GK15 nodes,
+    shape (P, 15), and both rules' weights times each panel's half-width
+    and the decay exp(-s) at each node, shape (2, P, 15). Below _EDGES, a
+    ladder of depth edges halving _WIDTH, with cut four more graded by 8
+    below its lowest, and the inner edges."""
+    ladder = [_WIDTH * 0.5 ** j for j in range(1, depth + 1)]
+    graded = [_WIDTH * 0.5 ** depth / 8.0 ** j for j in range(1, 5)] if cut else []
+    edges = np.array(sorted({*_EDGES, *ladder, *graded, *inner}))
+    h = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + h * _GK_NODES
+    weights = _GK_W * (h * np.exp(-nodes))
+    edges.flags.writeable = nodes.flags.writeable = weights.flags.writeable = False
+    return edges, nodes, weights
+
+
+# One layout per ladder depth and cut: a sweep's distances share a few.
+_cached_layout = functools.lru_cache(maxsize=64)(_layout)
 
 
 def integrate_evanescent(integrand, z_decay: float,
                          rel_tol: float = REL_TOL,
-                         breakpoints=()) -> IntegralResult:
+                         breakpoints=(), onset: float = math.inf,
+                         cut: bool = False) -> IntegralResult:
     """Integrate integrand(kappa) * exp(-2 kappa z_decay) over kappa > 0.
 
-    The caller supplies the prefactor; the decay is applied here. The
-    first call holds 17 panels up to kappa0, where the bare exponential
-    reaches _TAIL_CUTOFF: 8 _first_width wide, where the integrand peaks,
-    then 2 and 4 wide in 2 kappa z_decay, once the decay has fallen by
-    e^-8. It also holds the first _TAIL_PANELS panels past kappa0 (a
-    kappa^2 prefactor keeps the first above _TAIL_CUTOFF) and the
-    breakpoints: the Green module's one ladder toward small kappa,
-    graded toward a branch cut's sqrt(t) onset, where bisection would
-    spend a round per octave. Each refinement round appends one more tail
-    panel while the last is not a negligible fraction of the total, which
-    covers a prefactor whose growth delays the decay, such as the amplified
-    waves of a weakly lossy left-handed slab.
+    The caller supplies the prefactor; the decay is applied here. The first
+    round is one integrand call on the cached _layout of panels in
+    s = 2 kappa z_decay, scaled to kappa = s/(2 z_decay). Its ladder halves
+    the first panel down to the first edge at or below kappa = onset, where
+    the integrand has structure of its own, and cut grades four edges below
+    that toward a branch cut's sqrt(kappa) onset, where bisection would
+    spend a round per octave. Breakpoints below kappa0 = _CUTOFF/(2 z_decay)
+    are added as edges. Each refinement round appends one more tail panel
+    while the last is not a negligible fraction of the total, which covers
+    a prefactor whose growth delays the decay, such as the amplified waves
+    of a weakly lossy left-handed slab.
     """
     require_distance("z_decay", z_decay)
+    check_rel_tol(rel_tol)
+    scale = 0.5 / z_decay  # kappa per unit of s
+    depth, low = 0, _WIDTH
+    while low > onset / scale:
+        depth, low = depth + 1, 0.5 * low
+    inner = [b / scale for b in breakpoints if 0.0 < b / scale < _CUTOFF]
+    edges, nodes, weights = _layout(depth, cut, inner) if inner else _cached_layout(depth, cut)
 
     def f(kappa):  # kappa (-2 z_decay) is -2 kappa z_decay bit for bit
         return np.asarray(integrand(kappa), dtype=complex) * np.exp(kappa * (-2.0 * z_decay))
 
-    kappa0 = -math.log(_TAIL_CUTOFF) / (2.0 * z_decay)
-    step = kappa0 / 4.0
-    width = _first_width(z_decay)
-    edges = ([j * width for j in range(_FINE_PANELS + 1)]
-             + [c / (2.0 * z_decay) for c in _COARSE_EDGES]
-             + [kappa0 + step * j for j in range(_TAIL_PANELS + 1)])
-    inner = [b for b in breakpoints if 0.0 < b < kappa0 and b not in edges]
-    return _integrate(f, np.array(sorted(edges + inner)), rel_tol, "evanescent", step)
+    return _integrate(f, edges * scale, _sums(integrand, nodes * scale, weights, scale),
+                      rel_tol, "evanescent", 0.25 * _CUTOFF * scale)

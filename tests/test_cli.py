@@ -359,6 +359,24 @@ class TestSweep:
             u = float(rows[-1].split(",")[1 if command == "sweep" else 2])
             assert abs(u - 8.0 * math.pi * 6.788299673822464e-203) <= 8.0 * math.pi * 4.42e-216
 
+    @pytest.mark.parametrize("command,args", [
+        ("compare", []), ("sweep", ["--method", "numeric"])], ids=["compare", "sweep"])
+    def test_tiny_distance_fails_its_row_without_warnings(self, tmp_path, capsys,
+                                                         command, args):
+        # At z = 1e-200 the path integral's 1/z^3 and beta^2 overflow: the
+        # numeric row fails with its cause, and numpy warns of nothing
+        # (a RuntimeWarning is an error in this suite, which main would
+        # not catch). z = 1e-100 and 1 are finite.
+        code, out = run(tmp_path, command, "--eps-re", "2", "--eps-im", "0.1",
+                        "--zmin", "1e-200", "--zmax", "1", "--points", "3",
+                        "--workers", "1", *args)
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err and "Warning" not in err
+        assert (f"planarcp: z = 1e-200: {'numeric: ' if command == 'compare' else ''}"
+                "NotConverged: evanescent integral: integrand not finite") in err
+        rows = out.read_text().splitlines()[-3:]
+        assert [math.isfinite(float(row.split(",")[1])) for row in rows] == [False, True, True]
+
     @pytest.mark.parametrize("where,args", [
         pytest.param(where, args, id=place + suffix)
         for where, place in (("missing/out.csv", "missing-dir"), (".", "dir"))

@@ -22,7 +22,8 @@ import planarcp.green
 from planarcp.dispersion import _passive_sqrt, halfspace_rs_rp
 from planarcp.green import (_coefficients, _count_zeros, _locate, _product,
                             _strip_height, _strip_poles)
-from planarcp.quadrature import _first_width
+import planarcp.quadrature
+from planarcp.quadrature import _WIDTH
 from oracle import quad_vec_green, simpson_green
 
 EPS = np.finfo(float).eps
@@ -48,6 +49,9 @@ class TestStructure:
             green_components(0.0, 1.0, geo)
         with pytest.raises(DomainError):
             green_components(-1.0, 1.0, geo)
+        # The phase exp(2i k0 z) of an argument that overflows.
+        with pytest.raises(DomainError, match="2 omega z must be finite"):
+            green_components(1e308, 1.0, geo)
 
     @pytest.mark.parametrize("omega", [math.nan, math.inf, [], [[1.0, 0.8]]])
     def test_omega_validation(self, omega):
@@ -281,17 +285,17 @@ class TestSmallDistance:
         # A slab takes the path too: one beta1_of_beta call per engine
         # round, once its strip poles are found and cached. Its pole at
         # beta = 0.988 + 1.439i lies 0.012 from the path, which bisection
-        # resolves in four more rounds. A half space of the same medium
-        # takes the path and its cut in one round.
+        # resolves in five more rounds, one panel each. A half space of the
+        # same medium takes the path and its cut in one round.
         material = validate_material(-1 + 0.1j, -1 + 0.1j)
         slab = SlabWithMirror(material, 1.0)
         green_components(1e-2, 1.0, slab)
         path = self.count_calls(monkeypatch, "beta1_of_beta")
         axis = self.count_calls(monkeypatch, "medium_beta1")
         green_components(1e-2, 1.0, slab)
-        assert (len(path), len(axis)) == (5, 0)
-        green_components(1e-2, 1.0, HalfSpace(material))
         assert (len(path), len(axis)) == (6, 0)
+        green_components(1e-2, 1.0, HalfSpace(material))
+        assert (len(path), len(axis)) == (7, 0)
 
     @pytest.mark.parametrize("z", [1e-3, 1e-2, 0.1, 1.0, 5.0])
     @pytest.mark.parametrize("geometry", [
@@ -399,31 +403,37 @@ class TestSteepestDescentPath:
             green_components(z, 1.0, geometry)
 
     def test_one_ladder_per_atom(self, monkeypatch):
-        # Two transitions on a cut-crossing half space: the path's
-        # breakpoints are the lower frequency's ladder k0/8, k0/4, ...
-        # below 1/(2z), and four edges graded by 8 below its first.
+        # Two transitions on a cut-crossing half space: the first round's
+        # layout is the lower frequency's ladder, halving the first panel's
+        # width down to its lowest edge at or below k0/8, and four edges
+        # graded by 8 below that.
         seen = []
-        real = planarcp.green.integrate_evanescent
+        real = planarcp.quadrature._cached_layout
 
-        def spy(*args, breakpoints=(), **kwargs):
-            seen.append(sorted(breakpoints))
-            return real(*args, breakpoints=breakpoints, **kwargs)
+        def spy(depth, cut):
+            seen.append((depth, cut))
+            return real(depth, cut)
 
-        monkeypatch.setattr(planarcp.green, "integrate_evanescent", spy)
+        monkeypatch.setattr(planarcp.quadrature, "_cached_layout", spy)
         geometry = HalfSpace(validate_material(-1 + 0.1j, -1 + 0.1j))
         assert has_cut(geometry)
-        z, first = 1e-2, 0.8 / 8.0
-        green_components(z, np.array([1.0, 0.8]), geometry)
-        ladder = [first * 2.0 ** j for j in range(9)]
-        assert ladder[-1] < _first_width(z) <= 2.0 * ladder[-1]
-        assert seen == [[first / 8.0 ** j for j in (4, 3, 2, 1)] + ladder]
+        z = 1e-2
+        green_components(z, np.array([1.0, 0.5]), geometry)
+        ((depth, cut),) = seen
+        low = _WIDTH / 2.0 ** depth
+        assert cut and 0.5 / 16.0 < low / (2.0 * z) <= 0.5 / 8.0
+        edges = real(depth, cut)[0]
+        assert edges[:depth + 7].tolist() == (
+            [0.0] + [low / 8.0 ** j for j in (4, 3, 2, 1)]
+            + [_WIDTH / 2.0 ** j for j in range(depth, -1, -1)] + [2.0 * _WIDTH])
 
     def test_ladder_leaves_no_sliver(self):
-        # At z = 0.4995 the rung k0 = 1 lies between the engine's first
-        # edge, 0.4978/z, and 0.5/z. The ladder ends below that edge, so
-        # no sliver panel costs a round: 330 nodes, as at z = 0.5045.
+        # At z = 0.4995 the rung k0 = 1 lies between the first panel's
+        # edge, _WIDTH/(2z) = 0.9967, and 0.5/z. The ladder halves that
+        # edge, so no sliver panel costs a round: 330 nodes, as at
+        # z = 0.5045.
         geometry = HalfSpace(validate_material(-3 + 1e-3j, 1))
-        assert _first_width(0.4995) < 1.0 < 0.5 / 0.4995
+        assert _WIDTH / (2.0 * 0.4995) < 1.0 < 0.5 / 0.4995
         for z in (0.4995, 0.5045):
             assert green_components(z, 1.0, geometry, zz=False).evaluations == 330
 

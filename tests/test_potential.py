@@ -281,6 +281,15 @@ class TestRetarded:
         assert got.error_estimate > 0.0
         assert abs(got.value - want.value) <= got.error_estimate
 
+    def test_error_at_least_rounding(self):
+        # Past z omega ~ 1e154, 8 pi z^2 overflows and the next-order term
+        # is 0; the claim is then the value's own rounding, and quadrature
+        # agrees within both errors.
+        geo = HalfSpace(validate_material(2 + 0.1j, 1))
+        got = potential_retarded(PAR, geo.material, 1e300)
+        want = potential_numeric(PAR, geo, 1e300)
+        assert got.error_estimate == np.finfo(float).eps * abs(got.value) > 0.0
+        assert abs(got.value - want.value) <= got.error_estimate + want.error_estimate
 
 
 class TestPerfectLensClosedForm:

@@ -10,7 +10,8 @@ from scipy.integrate import quad
 
 from planarcp import (Atom, DomainError, HalfSpace, NotConverged, Transition,
                       potential_numeric, validate_material)
-from planarcp.quadrature import (_MAX_SUBDIVISIONS, REL_TOL, integrate_evanescent,
+from planarcp.quadrature import (_MAX_SUBDIVISIONS, _WIDTH, REL_TOL, _cached_layout,
+                                 _evaluate, _sums, integrate_evanescent,
                                  integrate_propagating)
 
 
@@ -294,9 +295,11 @@ class TestDeterminism:
         def g(k):
             return np.exp(1j * k) / (1.0 + k)
 
-        e1 = integrate_evanescent(g, 0.8, breakpoints=(1.0, 2.5))
-        e2 = integrate_evanescent(g, 0.8, breakpoints=(1.0, 2.5))
-        assert e1.value == e2.value and e1.evaluations == e2.evaluations
+        # The first round from an uncached layout, and from a cached one.
+        for kwargs in ({"breakpoints": (1.0, 2.5)}, {"onset": 0.01, "cut": True}):
+            e1 = integrate_evanescent(g, 0.8, **kwargs)
+            e2 = integrate_evanescent(g, 0.8, **kwargs)
+            assert e1.value == e2.value and e1.evaluations == e2.evaluations
 
     def test_vector_repeats_bit_for_bit(self):
         # 3000 initial panels, evaluated in one call.
@@ -309,3 +312,56 @@ class TestDeterminism:
             assert r1.value.tobytes() == r2.value.tobytes()
             assert r1.error_estimate.tobytes() == r2.error_estimate.tobytes()
             assert r1.evaluations == r2.evaluations
+
+
+class TestFirstRoundLayout:
+    """integrate_evanescent's first round from its cached layout in
+    s = 2 kappa z_decay, against _evaluate on the same panels in kappa."""
+
+    # Integrands of u = 2 kappa z_decay, smooth on the layout's panels.
+    SHAPES = {
+        "N": lambda u: 1.0 / (1.0 + u) + 0j,
+        "m,N": lambda u: np.stack((u * u + 0j, (1.0 + 1j) * np.sqrt(u))),
+        "m,c,N": lambda u: np.stack((np.stack((1.0 / (1.0 + u) + 0j, u / (u + 2j))),
+                                     np.stack((u * u + 0j, 1.0 / (1.0 + u * u) + 0j)))),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    @pytest.mark.parametrize("z", [1e-3, 0.7, 31.0, 1e4])
+    @pytest.mark.parametrize("depth,cut", [(0, False), (5, True), (12, True)])
+    def test_matches_evaluate(self, shape, z, depth, cut):
+        # Within a few eps of each panel's integral of |f|, times 1 + s
+        # for the rounding of the nodes and of the decay's argument s.
+        scale = 0.5 / z
+
+        def integrand(k):
+            return self.SHAPES[shape](k / scale)
+
+        def f(k):
+            return integrand(k) * np.exp(k * (-2.0 * z))
+
+        edges, nodes, weights = _cached_layout(depth, cut)
+        value, sums = _sums(integrand, nodes * scale, weights, scale)
+        a, b = edges[:-1] * scale, edges[1:] * scale
+        want_value, want_sums = _evaluate(f, a, b)
+        size = _evaluate(lambda k: abs(f(k)), a, b)[0].real
+        bound = 8.0 * np.finfo(float).eps * (1.0 + edges[1:]) * size
+        assert value.shape == want_value.shape and sums.shape == want_sums.shape
+        assert (abs(value - want_value) <= bound).all()
+        assert (abs(sums[..., 1, :] - want_sums[..., 1, :]) <= bound).all()
+
+    def test_one_layout_per_depth(self):
+        # halfspace-sweep's 200 distances (k0 = 1, no cut) share one layout
+        # per ladder depth: the smallest n with _WIDTH/2^n <= k0 z/4.
+        half_space = HalfSpace(validate_material(-3 + 1e-3j, 1))
+        zs = np.geomspace(0.05, 50.0, 200)
+        _cached_layout.cache_clear()
+        for z in zs:
+            potential_numeric(Atom([Transition(1.0, 1.0, 0.0)]), half_space, z)
+        depths = {max(0, math.ceil(math.log2(_WIDTH / (z / 4.0)))) for z in zs}
+        info = _cached_layout.cache_info()
+        assert (info.currsize, info.misses) == (len(depths), len(depths))
+        # The cache is bounded: more depths than it holds evict the oldest.
+        for depth in range(info.maxsize + 5):
+            integrate_evanescent(np.ones_like, 1.0, onset=_WIDTH * 0.5 ** depth / 2.0)
+        assert _cached_layout.cache_info().currsize == info.maxsize
