@@ -3,7 +3,7 @@
 from .core import (Atom, DegenerateDenominator, DomainError, Geometry,
                    HalfSpace, MaterialResponse, NonFinite, NotConverged,
                    PassivityViolation, PerfectLens, SlabWithMirror,
-                   Transition, UnitSystem, VACUUM, validate_material)
+                   Transition, UnitSystem, validate_material)
 from .green import GreenComponents, green_components
 from .potential import (PotentialMethod, PotentialSample, potential_auto,
                         potential_nonretarded, potential_numeric,

@@ -43,11 +43,13 @@ def _passive_sqrt(w, i0_sign=1.0):
     follows i0_sign; for real negative w the root is +i*sqrt(|w|).
     """
     w = np.asarray(w, dtype=complex)
-    r = np.sqrt(w)
+    r = np.sqrt(w, out=np.empty_like(w))  # an array even for a 0-d w
     flip = r.imag < 0.0
     if i0_sign < 0.0:
         flip |= (w.imag == 0.0) & (w.real > 0.0)
-    return np.where(flip, -r, r) if flip.any() else np.asarray(r)
+    if flip.any():
+        np.negative(r, out=r, where=flip)
+    return r
 
 
 def vacuum_beta(q, omega):
@@ -85,15 +87,16 @@ def beta1_of_beta(beta, omega, material: MaterialResponse):
 
 
 def _ratio(num, den, what: tuple[str, str]):
-    """num / den of stacked (s, p) rows, raising DegenerateDenominator,
-    which names the rows what[i] concerned, where |den| is below
-    DEGENERATE_REL_TOL of |num| (0/0 stays nan and is not flagged)."""
+    """num / den of stacked (s, p) rows, in num's array, raising
+    DegenerateDenominator, which names the rows what[i] concerned, where
+    |den| is below DEGENERATE_REL_TOL of |num| (0/0 stays nan and is not
+    flagged)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = num / den
-    size = np.abs(r)
-    # fmax, as >= does, passes over a nan.
-    if np.fmax.reduce(size, axis=None, initial=0.0) >= 1.0 / DEGENERATE_REL_TOL:
-        near = (size >= 1.0 / DEGENERATE_REL_TOL).reshape(2, -1).any(axis=-1)
+        r = np.divide(num, den, out=num)
+    # |r| <= sqrt(2) max(|Re r|, |Im r|), whose maximum is cheaper to find.
+    # A nan passes that test, and >= passes over it.
+    if (not abs(r.view(float)).max() < 0.7 / DEGENERATE_REL_TOL and
+            (near := (np.abs(r) >= 1.0 / DEGENERATE_REL_TOL).reshape(2, -1).any(axis=-1)).any()):
         which = " and ".join(w for w, hit in zip(what, near) if hit)
         raise DegenerateDenominator(f"{which} denominator within {DEGENERATE_REL_TOL} of zero "
                                     "(surface or guided mode, or an amplified wave out of range)")
@@ -101,10 +104,9 @@ def _ratio(num, den, what: tuple[str, str]):
 
 
 def _fresnel(material: MaterialResponse, beta, beta1):
-    """a beta - beta1 and a beta + beta1, with a = mu and a = eps stacked first."""
-    a_beta = np.array((material.mu, material.epsilon),
-                      ndmin=max(np.ndim(beta), np.ndim(beta1)) + 1).T * beta
-    return a_beta - beta1, a_beta + beta1
+    """a beta - beta1 and a beta + beta1, a = mu and a = eps stacked first (beta1 no wider)."""
+    a_beta = np.multiply.outer((material.mu, material.epsilon), beta)
+    return a_beta - beta1, np.add(a_beta, beta1, out=a_beta)  # the difference first
 
 
 def halfspace_rs_rp(beta, beta1, material: MaterialResponse):

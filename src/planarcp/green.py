@@ -22,7 +22,6 @@ per slab and set of transitions counts those poles for all transitions.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -362,7 +361,7 @@ def green_components(z_A: float, omega, geometry: Geometry,
     omegas = np.array(omega, dtype=float)
     single = omegas.ndim == 0
     omegas = omegas.ravel().tolist() if omegas.ndim < 2 else []
-    if not (omegas and all(0.0 < w < math.inf for w in omegas)):
+    if not (omegas and all([0.0 < w < math.inf for w in omegas])):
         raise ValueError("omega must be a positive finite number or a non-empty "
                          f"1-D array of them, got {omega!r}")
     # A column of frequencies broadcasts against the nodes; one stays a
@@ -389,11 +388,12 @@ def green_components(z_A: float, omega, geometry: Geometry,
     if cut is not None:
         b0, jump = cut
         cut_phase = np.exp(2j * (b0 - k0) * z_image)
+    lead = (len(omegas),) if len(omegas) > 1 else ()
 
     def path(t):
         # beta = k0 + i t, set by parts: k0 + 1j * t bit for bit, without its
         # complex product. The engine applies the decay exp(-2 t z_image).
-        beta = np.empty(np.shape(k0)[:1] + t.shape, complex)
+        beta = np.empty(lead + t.shape, complex)
         beta.real, beta.imag = k0, t
         out = at(beta, rs_rp(beta))
         if cut is None:
@@ -407,8 +407,12 @@ def green_components(z_A: float, omega, geometry: Geometry,
     # the integrand not finite is then the cause, without numpy's warnings.
     lowest = min(omegas)
     size = 1.0 / lowest / lowest / z_image / z_image / z_image
-    with np.errstate(all="ignore") if size * size == math.inf else contextlib.nullcontext():
-        res = integrate_evanescent(path, z_image, rel_tol, onset=lowest / 8.0, cut=cut is not None)
+    args = path, z_image, rel_tol, lowest / 8.0, cut is not None
+    if size * size < math.inf:
+        res = integrate_evanescent(*args)
+    else:
+        with np.errstate(all="ignore"):
+            res = integrate_evanescent(*args)
     # (transition, component) rows. The phase at the rounded k0 z_image
     # would be off by up to 1e-16 k0 z_image, above the path's error at
     # large distances.
@@ -438,5 +442,4 @@ def green_components(z_A: float, omega, geometry: Geometry,
     value, error = (value[0].tolist(), error[0].tolist()) if single else (value.T, error.T)
     g_xx, error_xx = (value[0], error[0]) if xx else (None, None)
     g_zz, error_zz = (value[-1], error[-1]) if zz else (None, None)
-    return GreenComponents(g_xx=g_xx, g_zz=g_zz, error_xx=error_xx,
-                           error_zz=error_zz, evaluations=res.evaluations)
+    return GreenComponents(g_xx, g_zz, error_xx, error_zz, res.evaluations)

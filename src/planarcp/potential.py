@@ -47,9 +47,8 @@ class PotentialSample:
 
 
 def _sample(z_A, contributions, method, error, evaluations=0):
-    return PotentialSample(z_A=float(z_A), value=float(sum(contributions)),
-                           method=method, error_estimate=float(error),
-                           evaluations=evaluations)
+    return PotentialSample(float(z_A), float(sum(contributions)), method, float(error),
+                           evaluations)
 
 
 def potential_numeric(atom: Atom, geometry: Geometry, z_A: float,
@@ -58,8 +57,8 @@ def potential_numeric(atom: Atom, geometry: Geometry, z_A: float,
     green_components call for all transitions, of each component that any
     of them weighs (a weight of 0 multiplies a computed value)."""
     transitions = atom.transitions
-    xx = any(t.d_par_sq > 0.0 for t in transitions)
-    zz = any(t.d_perp_sq > 0.0 for t in transitions)
+    xx = any([t.d_par_sq > 0.0 for t in transitions])
+    zz = any([t.d_perp_sq > 0.0 for t in transitions])
     g = green_components(z_A, [t.omega for t in transitions], geometry, rel_tol,
                          xx=xx, zz=zz)
     none = [0.0] * len(transitions)

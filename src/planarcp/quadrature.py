@@ -11,25 +11,27 @@ Refinement is vectorised in the manner of Shampine's quadgk (J. Comput.
 Appl. Math. 211, 131 (2008)): all pending panels go to the integrand as
 one flat node array, and each round bisects, in one batch, the fewest
 largest-error panels whose error exceeds the gap to the tolerance, until
-the global estimate meets it. A pole near the path needs no breakpoint:
-its 1/(x - x_p) tail makes the Kronrod-Gauss difference large on every
-panel near it, so bisection homes in on it. The integrand may return
-shape (N,) or (m, N) or (m, c, N); every row must meet its own tolerance.
-Identical inputs give bit-identical results. Since each round is one
-integrand call, cost follows the number of rounds. An evanescent
-integral's first round, laid out in s = 2 kappa z_decay where it does not
-depend on the distance, is built once per ladder depth and cut, with the
-decay in its weights. Its later rounds also extend its tail, in the same
-call, as Shampine's loop handles an infinite interval. The error tested
-and returned is the Kronrod-Gauss difference floored at the round-off of
-the sum, as QUADPACK's (Piessens et al., 1983) is, which no bisection
-lowers.
+the global estimate meets it. A pole near the path needs no panel edge
+of its own: its 1/(x - x_p) tail makes the Kronrod-Gauss difference large
+on every panel near it, so bisection homes in on it. The integrand may
+return shape (N,) or (m, N) or (m, c, N); every row must meet its own
+tolerance, and each round decides that on Python floats, row by row, the
+same way for any number of rows. Identical inputs give bit-identical
+results. Since each round is one integrand call, cost follows the number
+of rounds. An evanescent integral's first round, laid out in
+s = 2 kappa z_decay where it does not depend on the distance, is built
+once per ladder depth and cut, with the decay in its weights. Its later
+rounds also extend its tail, in the same call, as Shampine's loop handles
+an infinite interval. The error tested and returned is the Kronrod-Gauss
+difference floored at the round-off of the sum, as QUADPACK's (Piessens
+et al., 1983) is, which no bisection lowers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +65,7 @@ _TAIL_CUTOFF = 1e-16
 # Round-off floor of an error, per unit of the integral of |f|:
 # QUADPACK's 50 eps_mach. A one-round GK15 estimate of a smooth decaying
 # integrand can claim far less than the rounding of the sum.
-_ROUNDOFF = 50.0 * np.finfo(float).eps
+_ROUNDOFF = 50.0 * sys.float_info.epsilon
 
 # An evanescent integral's first round in s = 2 kappa z_decay: 8 panels
 # _WIDTH wide, where the integrand peaks, then 2 and 4 wide once the decay
@@ -86,14 +88,14 @@ class IntegralResult:
 
 def _sums(f, x: np.ndarray, weights: np.ndarray, scale):
     """scale times the GK15 values of the panels with nodes x, shape (P, 15),
-    and their |values| and errors on an axis of 2, with the integrand's
-    component axes first and the panel axis last: (P,) and (2, P), or (m, P)
-    and (m, 2, P). All panels go to f as one flat node array."""
+    one row per component of an integrand of shape S + (N,), (m, P); their
+    |values| and errors on an axis of 2, (m, 2, P); and S. All panels go to
+    f as one flat node array."""
     y = np.asarray(f(x.ravel()), dtype=complex)
     # Both rules in one product, summed over the contiguous node axis,
     # not BLAS: that keeps the bits independent of alignment and threads.
-    rules = scale * (y.reshape(y.shape[:-1] + (1,) + x.shape) * weights).sum(axis=-1)
-    return rules[..., 0, :], np.abs(rules)
+    rules = scale * np.add.reduce(y.reshape(-1, 1, *x.shape) * weights, -1)
+    return rules[:, 0], np.abs(rules), y.shape[:-1]
 
 
 def _evaluate(f, a: np.ndarray, b: np.ndarray):
@@ -124,59 +126,57 @@ def _integrate(f, edges: np.ndarray, first, rel_tol: float, sector: str,
     integrand call, the next panel step wide. A bisection and a tail
     panel each spend one subdivision.
     """
-    a = edges[:-1]
-    b = edges[1:]
-    val, scale = first
-    evals = 15 * len(a)
-    spent = 0
-    tail_open = step > 0.0
+    a, b = edges[:-1], edges[1:]
+    val, scale, shape = first
+    evals, spent, tail_open = 15 * len(a), 0, step > 0.0
     while True:
-        total = val.sum(axis=-1)
-        size = abs(total)
-        tol = rel_tol * size
-        # The Kronrod-Gauss difference does not see the rounding of the
-        # sum, whose scale is the panels' summed |values|; that real sum
-        # can itself round below |total|.
-        sums = scale.sum(axis=-1)
-        kronrod = sums[..., 1]
-        floor = _ROUNDOFF * np.maximum(sums[..., 0], size)
-        err_total = np.maximum(kronrod, floor)
+        total = np.add.reduce(val, -1)
+        sums = np.add.reduce(scale, -1)
+        sizes = abs(total).tolist()
         # While open, the tail panel is the last one appended. Once
         # negligible it stays so, and is not checked again.
-        if tail_open:
-            tail_open = not (scale[..., 0, -1] <= _TAIL_CUTOFF * size).all()
-        # err_total >= 50 eps |total|, and np.maximum keeps a nan.
-        finite = bool(err_total.max() < math.inf)
-        converged = bool((err_total <= tol).all())
+        lasts = scale[:, 0, -1].tolist() if tail_open else [0.0] * len(sizes)
+        # Each component on floats. The Kronrod-Gauss difference does not see
+        # the rounding of the sum, whose scale is the panels' summed |values|;
+        # that real sum can itself round below |total|.
+        tols, errors, finite, converged, stuck, tail = [], [], True, True, False, False
+        for size, (norm, kronrod), last in zip(sizes, sums.tolist(), lasts):
+            tol, floor = rel_tol * size, _ROUNDOFF * max(norm, size)
+            tols.append(tol)
+            errors.append(max(kronrod, floor))
+            # A nan fails every comparison: it is not finite.
+            finite = finite and size < math.inf and norm < math.inf and kronrod < math.inf
+            converged = converged and errors[-1] <= tol
+            stuck = stuck or (kronrod <= floor and floor > tol) or tol == 0.0
+            tail = tail or not last <= _TAIL_CUTOFF * size
+        tail_open = tail_open and tail
         if finite and converged and not tail_open:
-            return IntegralResult(total, err_total, evals)
-        stuck = bool((((kronrod <= floor) & (floor > tol)) | (tol == 0.0)).any())
+            return IntegralResult(total.reshape(shape)[()], np.array(errors).reshape(shape)[()],
+                                  evals)
         if not finite or stuck or spent == _MAX_SUBDIVISIONS:
             why = ("integrand not finite" if not finite
                    else f"tail still contributing at {b[-1]:.3e}" if tail_open and not stuck
-                   else f"error {np.max(err_total):.3e} above tolerance")
+                   else f"error {max(errors):.3e} above tolerance")
             raise NotConverged(f"{sector} integral: {why} after {spent} subdivisions")
         # The next tail panel, if the tail is open, goes last.
         new_a = b[-1:] if tail_open else b[:0]
         new_b = new_a + step
         spent += tail_open
         if not converged:
-            scaled = np.reshape(scale[..., 1, :] / tol[..., None], (-1, len(a)))
+            tols = np.array(tols)[:, None]
+            scaled = scale[:, 1, :] / tols
             order = np.argsort(-scaled.max(axis=0), kind="stable")
-            excess = np.reshape(kronrod / tol - 1.0, (-1, 1))
+            excess = sums[:, 1:] / tols - 1.0
             covered = (np.cumsum(scaled[:, order], axis=-1) > excess).all(axis=0)
             split = order[:min(int(np.argmax(covered)) + 1, _MAX_SUBDIVISIONS - spent)]
             mid = 0.5 * (a[split] + b[split])
             new_a = np.concatenate((a[split], mid, new_a))
             new_b = np.concatenate((mid, b[split], new_b))
-            a = np.delete(a, split)
-            b = np.delete(b, split)
-            val = np.delete(val, split, axis=-1)
-            scale = np.delete(scale, split, axis=-1)
+            a, b = np.delete(a, split), np.delete(b, split)
+            val, scale = np.delete(val, split, axis=-1), np.delete(scale, split, axis=-1)
             spent += len(split)
-        new_val, new_scale = _evaluate(f, new_a, new_b)
-        a = np.concatenate((a, new_a))
-        b = np.concatenate((b, new_b))
+        new_val, new_scale, _ = _evaluate(f, new_a, new_b)
+        a, b = np.concatenate((a, new_a)), np.concatenate((b, new_b))
         val = np.concatenate((val, new_val), axis=-1)
         scale = np.concatenate((scale, new_scale), axis=-1)
         evals += 15 * len(new_a)
@@ -200,15 +200,16 @@ def integrate_propagating(integrand, beta_max: float,
                       rel_tol, "propagating")
 
 
-def _layout(depth: int, cut: bool, inner=()):
+@functools.lru_cache(maxsize=64)  # a sweep's distances share a few
+def _layout(depth: int, cut: bool):
     """integrate_evanescent's first round in s: its edges, its GK15 nodes,
     shape (P, 15), and both rules' weights times each panel's half-width
     and the decay exp(-s) at each node, shape (2, P, 15). Below _EDGES, a
-    ladder of depth edges halving _WIDTH, with cut four more graded by 8
-    below its lowest, and the inner edges."""
+    ladder of depth edges halving _WIDTH, and with cut four more graded by
+    8 below its lowest."""
     ladder = [_WIDTH * 0.5 ** j for j in range(1, depth + 1)]
     graded = [_WIDTH * 0.5 ** depth / 8.0 ** j for j in range(1, 5)] if cut else []
-    edges = np.array(sorted({*_EDGES, *ladder, *graded, *inner}))
+    edges = np.array(sorted({*_EDGES, *ladder, *graded}))
     h = 0.5 * (edges[1:] - edges[:-1])[:, None]
     nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + h * _GK_NODES
     weights = _GK_W * (h * np.exp(-nodes))
@@ -216,14 +217,8 @@ def _layout(depth: int, cut: bool, inner=()):
     return edges, nodes, weights
 
 
-# One layout per ladder depth and cut: a sweep's distances share a few.
-_cached_layout = functools.lru_cache(maxsize=64)(_layout)
-
-
-def integrate_evanescent(integrand, z_decay: float,
-                         rel_tol: float = REL_TOL,
-                         breakpoints=(), onset: float = math.inf,
-                         cut: bool = False) -> IntegralResult:
+def integrate_evanescent(integrand, z_decay: float, rel_tol: float = REL_TOL,
+                         onset: float = math.inf, cut: bool = False) -> IntegralResult:
     """Integrate integrand(kappa) * exp(-2 kappa z_decay) over kappa > 0.
 
     The caller supplies the prefactor; the decay is applied here. The first
@@ -232,20 +227,18 @@ def integrate_evanescent(integrand, z_decay: float,
     the first panel down to the first edge at or below kappa = onset, where
     the integrand has structure of its own, and cut grades four edges below
     that toward a branch cut's sqrt(kappa) onset, where bisection would
-    spend a round per octave. Breakpoints below kappa0 = _CUTOFF/(2 z_decay)
-    are added as edges. Each refinement round appends one more tail panel
-    while the last is not a negligible fraction of the total, which covers
-    a prefactor whose growth delays the decay, such as the amplified waves
-    of a weakly lossy left-handed slab.
+    spend a round per octave. Each refinement round appends one more tail
+    panel while the last is not a negligible fraction of the total, which
+    covers a prefactor whose growth delays the decay, such as the amplified
+    waves of a weakly lossy left-handed slab.
     """
     require_distance("z_decay", z_decay)
     check_rel_tol(rel_tol)
     scale = 0.5 / z_decay  # kappa per unit of s
-    depth, low = 0, _WIDTH
-    while low > onset / scale:
+    depth, low, onset = 0, _WIDTH, onset / scale
+    while low > onset:
         depth, low = depth + 1, 0.5 * low
-    inner = [b / scale for b in breakpoints if 0.0 < b / scale < _CUTOFF]
-    edges, nodes, weights = _layout(depth, cut, inner) if inner else _cached_layout(depth, cut)
+    edges, nodes, weights = _layout(depth, cut)
 
     def f(kappa):  # kappa (-2 z_decay) is -2 kappa z_decay bit for bit
         return np.asarray(integrand(kappa), dtype=complex) * np.exp(kappa * (-2.0 * z_decay))

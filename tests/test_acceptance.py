@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 
 from planarcp import (Atom, HalfSpace, PerfectLens, SlabWithMirror,
-                      Transition, VACUUM, potential_nonretarded,
-                      potential_numeric, potential_perfect_lens,
-                      potential_retarded, validate_material)
+                      Transition, potential_nonretarded, potential_numeric,
+                      potential_perfect_lens, potential_retarded,
+                      validate_material)
+from planarcp.core import VACUUM
 from planarcp.cli import main
 
 PAR = Atom([Transition(1.0, 1.0, 0.0)])

@@ -12,8 +12,9 @@ import pytest
 import planarcp
 from planarcp import (Atom, HalfSpace, MaterialResponse, NonFinite,
                       PassivityViolation, PerfectLens, SlabWithMirror,
-                      Transition, UnitSystem, VACUUM, potential_nonretarded,
+                      Transition, UnitSystem, potential_nonretarded,
                       validate_material)
+from planarcp.core import VACUUM
 
 
 class TestMaterialResponse:

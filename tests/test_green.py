@@ -16,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from planarcp import (DegenerateDenominator, DomainError, HalfSpace,
-                      NotConverged, PerfectLens, SlabWithMirror, VACUUM, green_components,
-                      validate_material)
+                      NotConverged, PerfectLens, SlabWithMirror,
+                      green_components, validate_material)
+from planarcp.core import VACUUM
 import planarcp.green
 from planarcp.dispersion import _passive_sqrt, halfspace_rs_rp
 from planarcp.green import (_coefficients, _count_zeros, _locate, _product,
@@ -408,13 +409,13 @@ class TestSteepestDescentPath:
         # width down to its lowest edge at or below k0/8, and four edges
         # graded by 8 below that.
         seen = []
-        real = planarcp.quadrature._cached_layout
+        real = planarcp.quadrature._layout
 
         def spy(depth, cut):
             seen.append((depth, cut))
             return real(depth, cut)
 
-        monkeypatch.setattr(planarcp.quadrature, "_cached_layout", spy)
+        monkeypatch.setattr(planarcp.quadrature, "_layout", spy)
         geometry = HalfSpace(validate_material(-1 + 0.1j, -1 + 0.1j))
         assert has_cut(geometry)
         z = 1e-2
@@ -526,13 +527,18 @@ class TestSteepestDescentPath:
                 return out
             EOF
 
-        in 1 to 6.5 minutes each. The engine lands within 4.1e-13
-        relative, but for eps = -2 + 0.05i at z = 1500 its error is 1.26
-        (G_xx) and 1.46 (G_zz) times its claimed error; hence the fixed
-        bound here. The cause is not identified: computing
-        q^2 = -i t (2 k0 + i t) and R_xx = (r_s - r_p) + (q/k0)^2 r_p,
-        which removes the cancellation of R = r_s - (beta/k0)^2 r_p near
-        t = 0, still leaves both at 1.31 times the claim.
+        in 1 to 6.5 minutes each. The engine lands within 2.0e-13
+        relative. Its error in (G_xx, G_zz), in units of its claimed error:
+
+            eps            z = 1500        z = 1e4
+            -1 + 0.1i      0.52, 0.52      0.005, 0.009
+            -2 + 0.05i     0.73, 0.77      1.29, 1.07
+
+        eps = -2 + 0.05i at z = 1e4 is above its claim, hence the fixed
+        bound here. The cause is the cancellation in the Fresnel numerator
+        a beta - beta1 where beta1 is near a beta: here, for eps = mu,
+        near t = 0 (ROADMAP.md, "Reflection coefficients without
+        cancellation").
         """
         g = green_components(z, 1.0, HalfSpace(validate_material(eps, eps)))
         for value, exact in ((g.g_xx, exact_xx), (g.g_zz, exact_zz)):

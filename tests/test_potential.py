@@ -10,12 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 import planarcp.green
 
 from planarcp import (Atom, DegenerateDenominator, DomainError, HalfSpace,
-                      NotConverged, PerfectLens,
-                      PotentialMethod, SlabWithMirror, Transition, VACUUM,
-                      green_components, potential_auto,
-                      potential_nonretarded, potential_numeric,
-                      potential_perfect_lens, potential_retarded,
-                      validate_material)
+                      NotConverged, PerfectLens, PotentialMethod,
+                      SlabWithMirror, Transition, green_components,
+                      potential_auto, potential_nonretarded,
+                      potential_numeric, potential_perfect_lens,
+                      potential_retarded, validate_material)
+from planarcp.core import VACUUM
 from planarcp.quadrature import integrate_evanescent
 from oracle import simpson_potential
 

@@ -10,8 +10,8 @@ from scipy.integrate import quad
 
 from planarcp import (Atom, DomainError, HalfSpace, NotConverged, Transition,
                       potential_numeric, validate_material)
-from planarcp.quadrature import (_MAX_SUBDIVISIONS, _WIDTH, REL_TOL, _cached_layout,
-                                 _evaluate, _sums, integrate_evanescent,
+from planarcp.quadrature import (_CUTOFF, _MAX_SUBDIVISIONS, _WIDTH, REL_TOL, _evaluate,
+                                 _integrate, _layout, _sums, integrate_evanescent,
                                  integrate_propagating)
 
 
@@ -19,12 +19,27 @@ def propagating(f, span, rel_tol=REL_TOL, width=None):
     return integrate_propagating(f, span, rel_tol, max_panel_width=width)
 
 
+def with_edges(f, z, inner, rel_tol=REL_TOL):
+    """integrate_evanescent's refinement loop on f(kappa) exp(-2 kappa z)
+    from its first round on the default layout's panels, with the inner
+    edges added and the decay in the integrand."""
+    scale = 0.5 / z
+    edges = np.union1d(_layout(0, False)[0] * scale, inner)
+
+    def g(k):
+        return np.asarray(f(k), dtype=complex) * np.exp(k * (-2.0 * z))
+
+    return _integrate(g, edges, _evaluate(g, edges[:-1], edges[1:]), rel_tol,
+                      "evanescent", 0.25 * _CUTOFF * scale)
+
+
 def evanescent(f, span, rel_tol=REL_TOL, width=None):
-    """integrate_evanescent at z_decay = 0.5 (kappa0 = 36.8), with
-    breakpoints where integrate_propagating would put its panel edges."""
-    edges = () if width is None else tuple(
-        np.arange(1, math.ceil(span / width)) * width)
-    return integrate_evanescent(f, 0.5, rel_tol, breakpoints=edges)
+    """integrate_evanescent at z_decay = 0.5 (kappa0 = 36.8); with width,
+    its loop with edges added where integrate_propagating would put its
+    panel edges."""
+    if width is None:
+        return integrate_evanescent(f, 0.5, rel_tol)
+    return with_edges(f, 0.5, np.arange(1, math.ceil(span / width)) * width, rel_tol)
 
 
 # Both entry points run the same refinement loop; tests of its budget,
@@ -102,8 +117,8 @@ class TestPropagating:
     def test_budget_caps_bisections_of_many_panels(self):
         # Each of 4096 panels holds several jumps of a square wave, so all
         # are above tolerance and one batched round would bisect more
-        # than the budget allows. integrate_evanescent's first call adds
-        # the 4095 breakpoints to its 19 panels.
+        # than the budget allows. The evanescent loop's first call adds
+        # the 4095 edges to the layout's 19 panels.
         for integrate, first in ((propagating, 4096), (evanescent, 19 + 4095)):
             square, calls = counted(lambda b: np.sign(np.sin(1e5 * b)) + 0j)
             with pytest.raises(NotConverged,
@@ -175,7 +190,8 @@ class TestEvanescent:
         assert res.value == pytest.approx(1.0 / (2.0 * z - 1.0), rel=1e-10)
 
     def test_breakpoints_pin_narrow_feature(self):
-        # A Lorentzian spike of width 1e-7 that uniform panels miss.
+        # A Lorentzian spike of width 1e-7 that uniform panels miss, with
+        # edges graded toward it in the evanescent loop's first round.
         center, width = 5.0, 1e-7
 
         def spike(k):
@@ -186,7 +202,7 @@ class TestEvanescent:
         z = 0.5
         edges = tuple(center + s * width * 10.0 ** e
                       for s in (-1, 1) for e in range(0, 7))
-        res = integrate_evanescent(spike, z, breakpoints=edges + (center,))
+        res = with_edges(spike, z, edges + (center,))
         assert res.value.real == pytest.approx(math.pi * math.exp(-2 * center * z),
                                                rel=1e-3)
 
@@ -224,15 +240,15 @@ class TestEvanescent:
         assert sum(calls) <= calls[0] + 30 * _MAX_SUBDIVISIONS
 
     def test_open_tail_when_budget_spent(self):
-        # A square wave's jumps on 4096 panels below kappa = 1 take the
-        # first round's bisections, and the tail panel it appends takes
-        # the last of the budget. exp(1.4 kappa) keeps that panel, which
-        # ends at kappa0 + 3 step, above the cutoff, so the check after
-        # the second call raises.
+        # A square wave's jumps on 4096 panels below kappa = 1, edges in
+        # the evanescent loop's first round, take its bisections, and the
+        # tail panel it appends takes the last of the budget. exp(1.4 kappa)
+        # keeps that panel, which ends at kappa0 + 3 step, above the cutoff,
+        # so the check after the second call raises.
         f, calls = counted(lambda k: np.sign(np.sin(1e5 * k)) + np.exp(1.4 * k) + 0j)
         with pytest.raises(NotConverged, match=re.escape(
                 "tail still contributing at 3.224e+01 after 2000 subdivisions")):
-            integrate_evanescent(f, 1.0, 1e-15, breakpoints=np.arange(1, 4096) / 4096)
+            with_edges(f, 1.0, np.arange(1, 4096) / 4096, 1e-15)
         assert len(calls) == 2
 
     def test_requires_decay(self):
@@ -280,6 +296,47 @@ class TestRoundoffFloor:
             assert int(re.search(r"after (\d+) subdivisions", str(info.value))[1]) <= 10
 
 
+class TestRowCount:
+    """One integrand returned as (N,), as (1, N) and as two stacked copies
+    (2, N): each row gets the same value, error and evaluations bit for bit,
+    and a failure the same message, since each component is decided alone."""
+
+    # integrand, rel_tol, node counts of its calls, the failure's cause.
+    CASES = {
+        "first round": (lambda k: 1.0 / (1.0 + k) + 0j, REL_TOL, [285], None),
+        # The first round's error is 1.4 times this tolerance.
+        "one bisection": (lambda k: 1.0 / (1.0 + k) + 0j, 1.5e-12, [285, 30], None),
+        "bisection": (lambda k: 1e-3 / ((k - 5.0) ** 2 + 1e-6) + 0j, REL_TOL,
+                      [285] + [60] * 4 + [30] + [60] * 4 + [30], None),
+        "tail panels": (lambda k: np.exp(k) + 0j, REL_TOL, [285] + [15] * 7, None),
+        "nan": (lambda k: np.where((1.0 < k) & (k < 2.0), np.nan, 1.0) + 0j, REL_TOL,
+                [285], "integrand not finite after 0 subdivisions"),
+        "floor": (lambda k: 1.0 / (1.0 + k) + 0j, 1e-20, [285, 330],
+                  "error 4.977e-15 above tolerance after 11 subdivisions"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_decision_independent_of_rows(self, case):
+        f, rel_tol, want_calls, cause = self.CASES[case]
+        for shape, g in (((), f), ((1,), lambda k: f(k)[None]),
+                         ((2,), lambda k: np.stack((f(k), f(k))))):
+            h, calls = counted(g)
+            if cause is not None:
+                with pytest.raises(NotConverged, match=f"^evanescent integral: {cause}$"):
+                    integrate_evanescent(h, 0.75, rel_tol)
+                assert calls == want_calls
+                continue
+            res = integrate_evanescent(h, 0.75, rel_tol)
+            assert calls == want_calls and res.evaluations == sum(want_calls)
+            assert np.shape(res.value) == np.shape(res.error_estimate) == shape
+            assert (res.value.dtype, res.error_estimate.dtype) == (complex, float)
+            rows = [(v.tobytes(), e.tobytes())
+                    for v, e in zip(np.ravel(res.value), np.ravel(res.error_estimate))]
+            if shape == ():
+                one = rows[0]
+            assert rows == [one] * len(rows)
+
+
 class TestDeterminism:
     def test_bit_identical_repeats(self):
         def f(b):
@@ -295,8 +352,9 @@ class TestDeterminism:
         def g(k):
             return np.exp(1j * k) / (1.0 + k)
 
-        # The first round from an uncached layout, and from a cached one.
-        for kwargs in ({"breakpoints": (1.0, 2.5)}, {"onset": 0.01, "cut": True}):
+        # The first round from a layout just built, and from the cached one.
+        for kwargs in ({}, {"onset": 0.01, "cut": True}):
+            _layout.cache_clear()
             e1 = integrate_evanescent(g, 0.8, **kwargs)
             e2 = integrate_evanescent(g, 0.8, **kwargs)
             assert e1.value == e2.value and e1.evaluations == e2.evaluations
@@ -340,10 +398,10 @@ class TestFirstRoundLayout:
         def f(k):
             return integrand(k) * np.exp(k * (-2.0 * z))
 
-        edges, nodes, weights = _cached_layout(depth, cut)
-        value, sums = _sums(integrand, nodes * scale, weights, scale)
+        edges, nodes, weights = _layout(depth, cut)
+        value, sums, _ = _sums(integrand, nodes * scale, weights, scale)
         a, b = edges[:-1] * scale, edges[1:] * scale
-        want_value, want_sums = _evaluate(f, a, b)
+        want_value, want_sums, _ = _evaluate(f, a, b)
         size = _evaluate(lambda k: abs(f(k)), a, b)[0].real
         bound = 8.0 * np.finfo(float).eps * (1.0 + edges[1:]) * size
         assert value.shape == want_value.shape and sums.shape == want_sums.shape
@@ -355,13 +413,13 @@ class TestFirstRoundLayout:
         # per ladder depth: the smallest n with _WIDTH/2^n <= k0 z/4.
         half_space = HalfSpace(validate_material(-3 + 1e-3j, 1))
         zs = np.geomspace(0.05, 50.0, 200)
-        _cached_layout.cache_clear()
+        _layout.cache_clear()
         for z in zs:
             potential_numeric(Atom([Transition(1.0, 1.0, 0.0)]), half_space, z)
         depths = {max(0, math.ceil(math.log2(_WIDTH / (z / 4.0)))) for z in zs}
-        info = _cached_layout.cache_info()
+        info = _layout.cache_info()
         assert (info.currsize, info.misses) == (len(depths), len(depths))
         # The cache is bounded: more depths than it holds evict the oldest.
         for depth in range(info.maxsize + 5):
             integrate_evanescent(np.ones_like, 1.0, onset=_WIDTH * 0.5 ** depth / 2.0)
-        assert _cached_layout.cache_info().currsize == info.maxsize
+        assert _layout.cache_info().currsize == info.maxsize
