@@ -90,8 +90,10 @@ class SweepConfig:
         if self.workers > 1 and not hasattr(os, "fork"):
             raise ConfigError(f"workers: need 1 where os.fork does not exist, got {self.workers}")
         check_rel_tol(self.rel_tol)
-        if self.dipole == "mixed" and self.w_par + self.w_perp <= 0.0:
-            raise ConfigError("w_par/w_perp: mixed dipole needs a positive total weight")
+        if self.dipole == "mixed" and not (min(self.w_par, self.w_perp) >= 0.0
+                                           and 0.0 < self.w_par + self.w_perp < math.inf):
+            raise ConfigError("w_par/w_perp: mixed dipole needs weights >= 0 with a positive "
+                              f"finite total, got {self.w_par} and {self.w_perp}")
         if self.geometry == "perfect-lens" and self.zmin <= self.thickness:
             raise ConfigError("zmin: perfect-lens potential requires zmin > thickness")
         if self.method in ("nonretarded", "retarded") and self.geometry != "halfspace":

@@ -158,16 +158,16 @@ def _strip_height(material: MaterialResponse, d: float, k0: float) -> float:
 
 def _count_zeros(fns, corner: complex, wx: float, wy: float, d: float):
     """Zeros of D_s and D_p in the rectangle from corner to
-    corner + wx + i wy, and their power sums s_k = (1/2 pi i) closed int
-    x^k D'/D dx, k = 0...3 on a last axis, by the argument principle
-    (Delves & Lyness, Math. Comp. 21, 543 (1967); Kravanja & Van Barel,
-    LNM 1727 (2000)); fns(x) stacks D_s, D_p and beta1, each one row or
-    one per transition. Each step along the boundary is split until D
-    turns by at most pi/4 along it, and so does d Re beta1, the phase of
-    exp(2i beta1 d): a zero just outside an edge, such as a weakly lossy
-    slab's guided mode 1e-7 off Re beta = 0, turns D by nearly pi within
-    1e-7, and two of them in one step would alias. A round evaluates only
-    the unsettled steps.
+    corner + wx + i wy, and each row's sum of them, s_1 = (1/2 pi i)
+    closed int x D'/D dx, by the argument principle (Delves & Lyness,
+    Math. Comp. 21, 543 (1967); Kravanja & Van Barel, LNM 1727 (2000));
+    a lone zero is its own s_1. fns(x) stacks D_s, D_p and beta1, each
+    one row or one per transition. Each step along the boundary is split
+    until D turns by at most pi/4 along it, and so does d Re beta1, the
+    phase of exp(2i beta1 d): a zero just outside an edge, such as a
+    weakly lossy slab's guided mode 1e-7 off Re beta = 0, turns D by
+    nearly pi within 1e-7, and two of them in one step would alias. A
+    round evaluates only the unsettled steps.
     """
     ends = np.cumsum([0.0, wx, wy, wx, wy])
     # The boundary runs anticlockwise from corner, through these corners.
@@ -203,43 +203,32 @@ def _count_zeros(fns, corner: complex, wx: float, wy: float, d: float):
     turn = np.angle(p).reshape(2, *f.shape[1:-1], -1)
     n = np.rint(turn.sum(axis=-1) / (2.0 * math.pi)).astype(int)
     if not n.any():
-        return n, np.zeros(n.shape + (4,), complex)
-    # By parts, s_k = n x_0^k - (k/2 pi i) closed int x^(k-1) log D dx, by
-    # Simpson's rule on each step with one more node in its middle; log D
-    # is continued from the first node and takes out exp(-d Im beta1) > 0.
+        return n, np.zeros(n.shape, complex)
+    # By parts, s_1 = n x_0 - (1/2 pi i) closed int log D dx, by Simpson's
+    # rule on each step with one more node in its middle; log D is
+    # continued from the first node and takes out exp(-d Im beta1) > 0.
     # Each row is summed in its own order (cumsum), whatever the others.
     mid = np.stack((t[:-1], 0.5 * (t[:-1] + t[1:])), axis=-1).ravel()
     x = np.interp(np.append(mid, t[-1]), ends, corners)
     g = np.insert(f, np.arange(1, len(t)), fns(x[1::2]), axis=-1)
-    log = np.log(abs(g[:2])) + d * g[2].imag + 1j * np.unwrap(np.angle(g[:2]))
-    q, k = log[..., None, :] * x ** np.arange(3)[:, None], np.arange(1, 4)
+    q = np.log(abs(g[:2])) + d * g[2].imag + 1j * np.unwrap(np.angle(g[:2]))
     s = ((x[2::2] - x[:-2:2]) * (q[..., :-2:2] + 4.0 * q[..., 1::2] + q[..., 2::2])).cumsum(axis=-1)
-    s = n[..., None] * x[0] ** k - k * s[..., -1] / (12j * math.pi)
-    return n, np.concatenate((n[..., None], s), axis=-1)
+    return n, n * x[0] - s[..., -1] / (12j * math.pi)
 
 
 def _locate(fns, corner: complex, wx: float, wy: float, d: float, n, s, top: float):
     """(x, kind, row, dx), dx a bound on x's error, for each of the
-    n[kind, row] zeros with power sums s that _count_zeros counts on fns
-    in the rectangle: for n <= 3 the roots of x^n + c_1 x^(n-1) + ... + c_n,
-    j c_j = -(s_j + c_1 s_(j-1) + ... + c_(j-1) s_1) (Newton's identities),
-    polished by Newton's method with fns(x, True)'s D' until a step is below
-    dx = max(1e-13 (|x| + top), 1e-15/|D'|), how far rounding moves a zero
-    where D is flat. A row with more zeros, two roots within the walk's
-    first step of each other or a polish that does not settle inside is
-    found in the halves.
+    n[kind, row] zeros with sums s that _count_zeros counts on fns in the
+    rectangle. A row with one zero starts from its s, that zero, and
+    polishes it by Newton's method with fns(x, True)'s D' until a step is
+    below dx = max(1e-13 (|x| + top), 1e-15/|D'|), how far rounding moves
+    a zero where D is flat. A row with more zeros, or a polish that does
+    not settle inside, is found in the halves.
     """
-    step, seeds = min(wx, wy, 0.5 * math.pi / d) / 16.0, []
-    rows = list(zip(*np.nonzero((n > 0) & (n <= 3))))
-    for kind, i in rows:
-        c = [1.0]
-        for j in range(1, n[kind, i] + 1):
-            c.append(-np.dot(c, s[kind, i, j:0:-1]) / j)
-        seeds += [(x, kind, i) for x in np.roots(c)]
     found, rest = [], n.copy()
-    if seeds:
-        b, kind, row = map(np.array, zip(*seeds))
-        pick, dx, floor = (kind, row, np.arange(len(b))), np.inf, 0.0
+    kind, row = np.nonzero(n == 1)
+    if len(kind):
+        b, pick, dx, floor = s[kind, row], (kind, row, np.arange(len(kind))), np.inf, 0.0
         with np.errstate(all="ignore"):
             for _ in range(10):
                 if np.all(dx <= floor):
@@ -252,12 +241,8 @@ def _locate(fns, corner: complex, wx: float, wy: float, d: float, n, s, top: flo
         off = b - corner
         good = ((dx <= floor) & (0.0 < off.real) & (off.real < wx)
                 & (0.0 < off.imag) & (off.imag < wy))
-        for r in rows:
-            mine = (kind == r[0]) & (row == r[1])
-            x = b[mine]
-            if good[mine].all() and (n[r] == 1 or (abs(x - np.roll(x, 1)) > step).all()):
-                found += zip(x, kind[mine], row[mine], floor[mine])
-                rest[r] = 0
+        found += zip(b[good], kind[good], row[good], floor[good])
+        rest[kind[good], row[good]] = 0
     if not rest.any():
         return found
     if max(wx, wy) <= 1e-12 * top:

@@ -501,6 +501,34 @@ class TestForkedChildren:
                             rf"result \({cause}\)\n", capsys.readouterr().err)
         assert_no_child_left()
 
+    def test_fault_here_kills_the_child(self, tmp_path, monkeypatch):
+        # A fault in this process's own share, after the fork, leaves main;
+        # on its way out the child still at work is killed and reaped, and
+        # -o is left empty.
+        here, children = os.getpid(), []
+        fork, potential_auto = os.fork, planarcp.cli.potential_auto
+
+        def recorded_fork():
+            pid = fork()
+            if pid:
+                children.append(pid)
+            return pid
+
+        def fails_here_after_the_fork(*args):
+            if os.getpid() == here and children:
+                raise RuntimeError("a fault in the calling process")
+            return potential_auto(*args)
+
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        monkeypatch.setattr(planarcp.cli, "potential_auto", fails_here_after_the_fork)
+        args = [a for a in BASE if a not in ("--workers", "1")]
+        with pytest.raises(RuntimeError, match="a fault in the calling process"):
+            run(tmp_path, *args, "--points", "4", "--workers", "2")
+        assert len(children) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(children[0], os.WNOHANG)
+        assert (tmp_path / "out.csv").read_text() == ""
+
     def test_import_starts_no_pool_machinery(self):
         # The sweeps' set-up imports planarcp.cli; it loads neither module.
         code = ("import sys, planarcp.cli; print([m for m in ('concurrent.futures', "
@@ -788,6 +816,18 @@ class TestConfigHandling:
         assert code == 1 and not out.exists()
         assert err.startswith("planarcp: error: ")
         assert "Traceback" not in err and "green_components" not in err
+
+    @pytest.mark.parametrize("w_par,w_perp", [("1e308", "1e308"), ("-1", "2")],
+                             ids=["total-overflows", "negative"])
+    def test_mixed_weights_name_their_flags(self, tmp_path, w_par, w_perp, capsys):
+        # Weights whose total overflows, and a negative one: refused as
+        # w_par/w_perp, not by the transition they would make.
+        code, out = run(tmp_path, "sweep", "--dipole", "mixed", "--w-par", w_par,
+                        "--w-perp", w_perp)
+        assert code == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            "planarcp: error: w_par/w_perp: mixed dipole needs weights >= 0 with a "
+            f"positive finite total, got {float(w_par)} and {float(w_perp)}\n")
 
     @pytest.mark.parametrize("geometry", [
         ["perfect-lens", "--thickness", "0.2"],

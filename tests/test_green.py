@@ -704,19 +704,18 @@ class TestStripPoles:
 
     @pytest.mark.parametrize("medium", PINNED, ids=lambda m: f"{complex(*m['eps'])}-{m['d']}")
     def test_poles_pinned(self, medium):
-        # The poles that the walk's power sums seed and Newton's method
-        # polishes, each within its own claims of the digits.
+        # The poles that the sums of a walk or of its halves seed and
+        # Newton's method polishes, each within its own claims of the digits.
         slab = SlabWithMirror(validate_material(complex(*medium["eps"]),
                                                 complex(*medium["mu"])), medium["d"])
         for got, digits in zip(_strip_poles(slab, tuple(medium["omegas"])), medium["poles"]):
             assert_pinned_poles(got, digits)
 
-    @pytest.mark.parametrize("zeros", [[0.31 + 0.42j], [0.31 + 0.42j, 0.73 + 0.61j],
-                                       [0.31 + 0.42j, 0.73 + 0.61j, 0.46 + 0.23j]])
+    @pytest.mark.parametrize("zeros", [[0.31 + 0.42j]])
     def test_power_sums_seed_the_polish(self, zeros):
-        # Newton's identities turn the walk's power sums into seeds within
-        # 1e-3 of the zeros; Newton's method takes them to 1e-13, with no
-        # second walk. _locate evaluates at the seeds first.
+        # The walk's sum of a lone zero is a seed within 1e-3 of it;
+        # Newton's method takes it to 1e-13, with no second walk. _locate
+        # evaluates at the seed first.
         fns, calls, walks = polynomial(*zeros), [], []
         n, s = _count_zeros(fns, 0j, 1.0, 1.0, 1.0)
         assert n.tolist() == [[len(zeros)], [0]]
@@ -733,11 +732,13 @@ class TestStripPoles:
     @pytest.mark.parametrize("zeros", [
         [0.37 + 0.41j, 0.37 + 0.41j + 1e-6],                       # a close pair
         [0.21 + 0.18j, 0.83 + 0.29j, 0.57 + 0.44j, 0.29 + 0.81j, 0.71 + 0.77j],
+        [0.31 + 0.42j, 0.73 + 0.61j],
+        [0.31 + 0.42j, 0.73 + 0.61j, 0.46 + 0.23j],
     ])
     def test_halving_fallback(self, zeros, monkeypatch):
-        # Two roots within the walk's first step, or more than 3 zeros in a
-        # row, send the row to the rectangle's halves, each walked again;
-        # every zero still comes back, within its claimed step.
+        # More than one zero in a row sends the row to the rectangle's
+        # halves, one of them walked again; every zero still comes back,
+        # within its claimed step.
         fns, walks = polynomial(*zeros), []
         n, s = _count_zeros(fns, 0j, 1.0, 1.0, 1.0)
         monkeypatch.setattr(planarcp.green, "_count_zeros",
@@ -842,15 +843,45 @@ class TestStripPoles:
         _strip_poles.cache_clear()
         return counts
 
-    def test_flat_denominator_walks_once(self, monkeypatch):
+    def test_flat_denominator_polish(self, monkeypatch):
         # Near the perfect lens D is flat at its poles, where rounding D's
         # terms moves a zero by 1e-15/|D'| > 1e-13: the polish stops there
-        # instead of sending each row to the halves.
+        # instead of sending a lone zero to the halves. So the search walks
+        # only the halves that part D_p's pair, which are found here by
+        # halving as _locate does until no part holds two zeros of one D.
         counts = self.walks(monkeypatch)
         medium = next(m for m in self.PINNED if m["eps"] == [-1.0, 1e-6])
         slab = SlabWithMirror(validate_material(-1 + 1e-6j, -1 + 1e-6j), 5.0)
         assert_pinned_poles(_strip_poles(slab, (1.0,))[0], medium["poles"][0])
-        assert len(counts) == 1
+        zeros = [(kind, complex(*map(float, b))) for kind, b, _ in medium["poles"][0]]
+
+        def walks_to_part(corner, wx, wy):
+            kinds = [kind for kind, b in zeros
+                     if 0 < (b - corner).real < wx and 0 < (b - corner).imag < wy]
+            if max(kinds.count(0), kinds.count(1)) <= 1:
+                return 0
+            half = (wx / 2, wy) if wx > wy else (wx, wy / 2)
+            return (1 + walks_to_part(corner, *half)
+                    + walks_to_part(corner + wx + 1j * wy - half[0] - 1j * half[1], *half))
+
+        height = _strip_height(slab.material, 5.0, 1.0)
+        assert len(counts) == 1 + walks_to_part(0j, 1.0, height) > 1
+
+    def test_lone_zeros_walk_once(self, monkeypatch):
+        # Each pinned medium whose D rows hold at most one zero each: the
+        # walk's sums seed every polish, and no rectangle is halved
+        # (test_poles_pinned checks the poles found).
+        lone = [m for m in self.PINNED
+                if all(max(kinds.count(0), kinds.count(1)) <= 1
+                       for kinds in ([p[0] for p in poles] for poles in m["poles"]))]
+        assert len(lone) == 23
+        counts = self.walks(monkeypatch)
+        for medium in lone:
+            del counts[:]
+            slab = SlabWithMirror(validate_material(complex(*medium["eps"]),
+                                                    complex(*medium["mu"])), medium["d"])
+            _strip_poles(slab, tuple(medium["omegas"]))
+            assert len(counts) == 1, medium
 
     def test_zero_free_atom_walks_once(self, monkeypatch):
         # Two transitions of a slab with no strip zero: one walk counts
