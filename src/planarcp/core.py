@@ -67,9 +67,6 @@ class MaterialResponse:
         return self.epsilon.imag == 0.0 and self.mu.imag == 0.0
 
 
-VACUUM = MaterialResponse(1.0 + 0.0j, 1.0 + 0.0j)
-
-
 # The constructor converts, and raises PassivityViolation or NonFinite.
 validate_material = MaterialResponse
 

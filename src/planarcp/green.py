@@ -161,13 +161,13 @@ def _count_zeros(fns, corner: complex, wx: float, wy: float, d: float):
     corner + wx + i wy, and each row's sum of them, s_1 = (1/2 pi i)
     closed int x D'/D dx, by the argument principle (Delves & Lyness,
     Math. Comp. 21, 543 (1967); Kravanja & Van Barel, LNM 1727 (2000));
-    a lone zero is its own s_1. fns(x) stacks D_s, D_p and beta1, each
-    one row or one per transition. Each step along the boundary is split
-    until D turns by at most pi/4 along it, and so does d Re beta1, the
-    phase of exp(2i beta1 d): a zero just outside an edge, such as a
-    weakly lossy slab's guided mode 1e-7 off Re beta = 0, turns D by
-    nearly pi within 1e-7, and two of them in one step would alias. A
-    round evaluates only the unsettled steps.
+    a lone zero is its own s_1. The walk takes the first of fns's two
+    forms: fns(x) stacks D_s, D_p and beta1, one row per transition. Each
+    step along the boundary is split until D turns by at most pi/4 along
+    it, and so does d Re beta1, the phase of exp(2i beta1 d): a zero just
+    outside an edge, such as a weakly lossy slab's guided mode 1e-7 off
+    Re beta = 0, turns D by nearly pi within 1e-7, and two of them in one
+    step would alias. A round evaluates only the unsettled steps.
     """
     ends = np.cumsum([0.0, wx, wy, wx, wy])
     # The boundary runs anticlockwise from corner, through these corners.
@@ -219,21 +219,21 @@ def _count_zeros(fns, corner: complex, wx: float, wy: float, d: float):
 def _locate(fns, corner: complex, wx: float, wy: float, d: float, n, s, top: float):
     """(x, kind, row, dx), dx a bound on x's error, for each of the
     n[kind, row] zeros with sums s that _count_zeros counts on fns in the
-    rectangle. A row with one zero starts from its s, that zero, and
-    polishes it by Newton's method with fns(x, True)'s D' until a step is
-    below dx = max(1e-13 (|x| + top), 1e-15/|D'|), how far rounding moves
-    a zero where D is flat. A row with more zeros, or a polish that does
-    not settle inside, is found in the halves.
+    rectangle. A row's lone zero is its s, polished by Newton's method
+    with fns's second form, fns(x, row), D' at each seed's row alone,
+    until a step is below dx = max(1e-13 (|x| + top), 1e-15/|D'|), how far
+    rounding moves a zero where D is flat. A row with more zeros, or a
+    polish that does not settle inside, is found in the halves.
     """
     found, rest = [], n.copy()
     kind, row = np.nonzero(n == 1)
     if len(kind):
-        b, pick, dx, floor = s[kind, row], (kind, row, np.arange(len(kind))), np.inf, 0.0
+        b, pick, dx, floor = s[kind, row], (kind, np.arange(len(kind))), np.inf, 0.0
         with np.errstate(all="ignore"):
             for _ in range(10):
                 if np.all(dx <= floor):
                     break
-                f = fns(b, True)
+                f = fns(b, row)
                 slope = f[3:5][pick]
                 floor = np.maximum(1e-13 * (abs(b) + top), 1e-15 / abs(slope))
                 dx = f[:2][pick] / slope
@@ -279,9 +279,11 @@ def _strip_poles(geometry: SlabWithMirror, omegas: tuple[float, ...]):
 
     One walk in v = (top/k0) beta, top the largest k0, counts and sums
     every transition's zeros of D_s and D_p up to the tallest
-    _strip_height, above its own none lies; _locate finds them. r = N/D,
-    so res is N/D' at the pole, and dres how far that moves when the pole
-    moves by its dbeta, plus 1e-15 |res| for rounding.
+    _strip_height, above its own none lies; _locate finds them. fns(v)
+    evaluates every transition at v, for the walk; fns(v, row) transition
+    row[i] at v[i] with slopes by v, for the polish and the residues: r =
+    N/D, so res is k0/top times N/D' by v at the pole, and dres how far
+    that moves when the pole moves by its dbeta, plus 1e-15 |res|.
     """
     material, d = geometry.material, geometry.thickness
     check_slab_thickness(d, omegas)
@@ -289,11 +291,12 @@ def _strip_poles(geometry: SlabWithMirror, omegas: tuple[float, ...]):
     # limit decides whether they count: its strip starts at -eta k0, and
     # they come back flagged as on the edge.
     eta = 1e-9 if material.is_lossless else 0.0
-    top, k = max(omegas), np.array(omegas)[:, None]
+    top, k = max(omegas), np.array(omegas)
 
-    def fns(v, slopes=False):
-        f = slab_mirror_denominators(k / top * v, k, material, d, slopes)
-        f[3:5] *= k / top  # with slopes, D_s' and D_p' by v: d beta/dv = k0/top
+    def fns(v, row=None):
+        k0 = k[:, None] if row is None else k[row]
+        f = slab_mirror_denominators(k0 / top * v, k0, material, d, row is not None)
+        f[3:5] *= k0 / top  # with slopes, D_s' and D_p' by v: d beta/dv = k0/top
         return f
 
     height = max(_strip_height(material, d, k0) * (top / k0) for k0 in omegas)
@@ -302,14 +305,14 @@ def _strip_poles(geometry: SlabWithMirror, omegas: tuple[float, ...]):
     if not counts.any():
         return (None,) * len(omegas)
     v, kind, row, dv = map(np.array, zip(*_locate(fns, *box, counts, sums, top)))
-    k0 = k[row]
-    beta, dbeta = k0[:, 0] / top * v, k0[:, 0] / top * dv
-    f = slab_mirror_denominators(beta[:, None] + dbeta[:, None] * [0.0, 1.0], k0, material, d, True)
-    r = f[5:][kind, np.arange(len(beta))] / f[3:5][kind, np.arange(len(beta))]
+    scale = k[row] / top
+    beta, dbeta = scale * v, scale * dv
+    f = fns(v[:, None] + dv[:, None] * [0.0, 1.0], row[:, None].repeat(2, axis=1))
+    r = f[5:][kind, np.arange(len(v))] / f[3:5][kind, np.arange(len(v))] * scale[:, None]
     mine = kind == np.array([[0], [1]])
     res, dres = np.where(mine, r[:, 0], 0.0), np.where(mine, abs(r[:, 1] - r[:, 0]), 0.0)
     return tuple((beta[i], res[:, i], dbeta[i], dres[:, i] + 1e-15 * abs(res[:, i]),
-                  abs(beta[i].real) < eta * k0[i, 0]) if i.any() else None
+                  abs(beta[i].real) < eta * k[row[i]]) if i.any() else None
                  for i in (row == j for j in range(len(omegas))))
 
 

@@ -1,6 +1,7 @@
 # tests/conftest.py
-"""Shared fixtures; the randomized oracle suite is session-scoped because
-each of its 50 cases runs a million-node Simpson reference."""
+"""Shared fixtures and helpers; the randomized oracle suite is
+session-scoped because each of its 50 cases runs a million-node Simpson
+reference."""
 
 import time
 from types import SimpleNamespace
@@ -9,8 +10,20 @@ import numpy as np
 import pytest
 
 import planarcp.cli
-from planarcp import HalfSpace, green_components, validate_material
+import planarcp.green
+from planarcp import HalfSpace, MaterialResponse, green_components, validate_material
 from oracle import simpson_green_with_error
+
+VACUUM = MaterialResponse(1.0 + 0.0j, 1.0 + 0.0j)
+
+
+def false_zero_count(*args, count_zeros=planarcp.green._count_zeros):
+    """_count_zeros with one D_s zero added to each row: a count that puts
+    a zero where there is none, at every halving. It calls the walk bound
+    here at import, so it may replace planarcp.green._count_zeros."""
+    counts, sums = count_zeros(*args)
+    counts[0] += 1
+    return counts, sums
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 # tests/oracle.py
 """Independent dense-grid reference for the scattered Green components.
 
-Composite Simpson on uniform wavenumber grids — no adaptivity, no shared
-machinery with the production quadrature or green modules. Only the
-dispersion module (wavenumbers and reflection coefficients) is reused,
-since both sides must agree on the physics being integrated.
+Composite Simpson on uniform wavenumber grids — no adaptivity and no code
+shared with the library: from planarcp it takes only the geometry
+classes, and its wavenumbers and reflection coefficients are the
+textbook formulas below, so a fault in the library's dispersion cannot
+pass unseen.
 
 Intentionally slow and simple: correctness of the production engine is
 argued by agreement with this, not the other way round.
@@ -19,8 +20,6 @@ import numpy as np
 from scipy.integrate import quad_vec, simpson
 
 from planarcp.core import HalfSpace, PerfectLens, SlabWithMirror
-from planarcp.dispersion import (halfspace_rs_rp, medium_beta1,
-                                 slab_mirror_rs_rp, vacuum_beta)
 
 
 @dataclass(frozen=True)
@@ -40,21 +39,46 @@ class OracleSpec:
 DEFAULT_ORACLE = OracleSpec()
 
 
+def _upper_sqrt(w, sign=1.0):
+    """sqrt(w) with Im >= 0; a real positive w takes the root of sign's sign."""
+    r = np.sqrt(np.asarray(w, dtype=complex))
+    return np.where((r.imag < 0.0) | ((r.imag == 0.0) & (sign < 0.0)), -r, r)
+
+
 def _reflections(geometry, q, omega):
-    """(r_s, r_p) arrays for transverse wavenumbers q (c = 1)."""
-    beta = vacuum_beta(q, omega)
-    if isinstance(geometry, HalfSpace):
-        beta1 = medium_beta1(q, omega, geometry.material)
-        return halfspace_rs_rp(beta, beta1, geometry.material)
-    if isinstance(geometry, SlabWithMirror):
-        beta1 = medium_beta1(q, omega, geometry.material)
-        return slab_mirror_rs_rp(beta, beta1, geometry.material,
-                                 geometry.thickness)
+    """(r_s, r_p) arrays for transverse wavenumbers q (c = 1).
+
+    beta = sqrt(omega^2 - q^2) and beta1 = sqrt(eps mu omega^2 - q^2),
+    Im >= 0: the waves decay away from the surface. A lossless medium's
+    real beta1 is the limit of a small loss i delta in eps and mu, which
+    moves Im(eps mu) by delta (Re eps + Re mu): negative for
+    Re eps + Re mu < 0. A half space reflects
+    r = (a beta - beta1)/(a beta + beta1), a = mu for s and eps for p. A
+    slab of thickness d on a perfect mirror, which reflects m = -1 (s)
+    and m = +1 (p), adds the round trip e = exp(2i beta1 d): its
+    coefficient is (r + m e)/(1 + r m e) with the half space's r, taken
+    here with numerator and denominator times a beta + beta1.
+    """
+    q2 = np.asarray(q, dtype=float) ** 2
+    beta = _upper_sqrt(omega * omega - q2)
     if isinstance(geometry, PerfectLens):
         # The closed coefficients of the lossless eps = mu = -1 slab.
         phase = np.exp(-2j * beta * geometry.thickness)
         return -phase, phase
-    raise TypeError(f"unsupported geometry {geometry!r}")
+    if not isinstance(geometry, (HalfSpace, SlabWithMirror)):
+        raise TypeError(f"unsupported geometry {geometry!r}")
+    eps, mu = geometry.material.epsilon, geometry.material.mu
+    lossless = eps.imag == 0.0 and mu.imag == 0.0
+    beta1 = _upper_sqrt(eps * mu * omega * omega - q2,
+                        -1.0 if lossless and eps.real + mu.real < 0.0 else 1.0)
+    out = []
+    for a, m in ((mu, -1.0), (eps, 1.0)):
+        minus, plus = a * beta - beta1, a * beta + beta1
+        if isinstance(geometry, SlabWithMirror):
+            e = m * np.exp(2j * beta1 * geometry.thickness)
+            minus, plus = minus + plus * e, plus + minus * e
+        out.append(minus / plus)
+    return out
 
 
 def _simpson_sectors(z_A: float, omega: float, geometry, spec: OracleSpec):

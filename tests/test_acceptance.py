@@ -19,8 +19,8 @@ from planarcp import (Atom, HalfSpace, PerfectLens, SlabWithMirror,
                       Transition, potential_nonretarded, potential_numeric,
                       potential_perfect_lens, potential_retarded,
                       validate_material)
-from planarcp.core import VACUUM
 from planarcp.cli import main
+from conftest import VACUUM
 
 PAR = Atom([Transition(1.0, 1.0, 0.0)])
 PERP = Atom([Transition(1.0, 0.0, 1.0)])

@@ -17,20 +17,13 @@ import pytest
 import planarcp.cli
 import planarcp.green
 from planarcp.cli import SweepConfig, main
+from conftest import false_zero_count
 
 
 def run(tmp_path, *args, name="out.csv"):
     out = tmp_path / name
     code = main(list(args) + ["--output", str(out)])
     return code, out
-
-
-def false_zero_count(*args, count_zeros=planarcp.green._count_zeros):
-    """_count_zeros with one D_s zero added to each row: a count that puts
-    a zero where there is none, at every halving."""
-    counts, sums = count_zeros(*args)
-    counts[0] += 1
-    return counts, sums
 
 
 BASE = ["sweep", "--geometry", "halfspace", "--eps-re", "2", "--eps-im", "0.1",

@@ -14,7 +14,7 @@ from planarcp import (Atom, HalfSpace, MaterialResponse, NonFinite,
                       PassivityViolation, PerfectLens, SlabWithMirror,
                       Transition, UnitSystem, potential_nonretarded,
                       validate_material)
-from planarcp.core import VACUUM
+from conftest import VACUUM
 
 
 class TestMaterialResponse:

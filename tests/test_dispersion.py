@@ -10,10 +10,10 @@ from hypothesis import given, strategies as st
 
 from planarcp import (DegenerateDenominator, PerfectLens, SlabWithMirror,
                       Transition, validate_material)
-from planarcp.core import VACUUM
 from planarcp.dispersion import (beta1_of_beta, halfspace_rs_rp, medium_beta1,
                                  slab_mirror_denominators, slab_mirror_rs_rp,
                                  vacuum_beta)
+from conftest import VACUUM
 
 
 def upper_sqrt(w):

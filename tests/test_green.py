@@ -18,13 +18,13 @@ from hypothesis import example, given, settings, strategies as st
 from planarcp import (DegenerateDenominator, DomainError, HalfSpace,
                       NotConverged, PerfectLens, SlabWithMirror,
                       green_components, validate_material)
-from planarcp.core import VACUUM
 import planarcp.green
 from planarcp.dispersion import _passive_sqrt, halfspace_rs_rp
 from planarcp.green import (_coefficients, _count_zeros, _locate, _product,
                             _strip_height, _strip_poles)
 import planarcp.quadrature
 from planarcp.quadrature import _WIDTH
+from conftest import VACUUM, false_zero_count
 from oracle import quad_vec_green, simpson_green
 
 EPS = np.finfo(float).eps
@@ -635,14 +635,6 @@ def dense_count(eps, mu, d, height, left=0.0, n=400_000):
                       eps * beta * cos - 1j * w * sin)]
 
 
-def false_zero_count(*args):
-    """_count_zeros with one D_s zero added to each row: a count that puts
-    a zero where there is none, at every halving."""
-    counts, sums = _count_zeros(*args)
-    counts[0] += 1
-    return counts, sums
-
-
 def assert_same_poles(got, want):
     """Two searches' poles of one slab at one k0, each (beta, res, dbeta,
     dres, on_edge) or None, agree within what they claim: the same number
@@ -681,15 +673,18 @@ def assert_pinned_poles(got, digits):
 
 
 def polynomial(*zeros):
-    """fns for one transition: D_s = prod (x - zeros), D_p = 1, beta1 = 1,
-    and with slopes D_s', D_p' = 0 and numerators 1."""
-    def fns(x, slopes=False):
+    """fns for one transition: D_s = prod (x - zeros), D_p = 1, beta1 = 1
+    at every x, a row per transition; with a transition row per node, also
+    D_s', D_p' = 0 and numerators 1, at each node alone."""
+    def fns(x, row=None):
         ones = np.ones_like(x)
         rows = [np.prod([x - z for z in zeros], axis=0), ones, ones]
-        if slopes:
-            rows += [sum(np.prod([ones] + [x - z for z in zeros[:j] + zeros[j + 1:]], axis=0)
-                         for j in range(len(zeros))), 0 * ones, ones, ones]
-        return np.stack(rows)[:, None]
+        if row is None:
+            return np.stack(rows)[:, None]
+        assert np.shape(row) == np.shape(x) and not np.any(row)
+        return np.stack(rows + [sum(np.prod([ones] + [x - z for z in zeros[:j] + zeros[j + 1:]],
+                                            axis=0) for j in range(len(zeros))),
+                                0 * ones, ones, ones])
 
     return fns
 
@@ -722,7 +717,7 @@ class TestStripPoles:
         with pytest.MonkeyPatch.context() as monkeypatch:
             monkeypatch.setattr(planarcp.green, "_count_zeros",
                                 lambda *args: walks.append(args) or _count_zeros(*args))
-            found = _locate(lambda x, *slopes: calls.append(x) or fns(x, *slopes),
+            found = _locate(lambda x, *row: calls.append(x) or fns(x, *row),
                             0j, 1.0, 1.0, 1.0, n, s, 1.0)
         assert not walks
         assert all(min(abs(calls[0] - z)) < 1e-3 for z in zeros)
@@ -890,6 +885,33 @@ class TestStripPoles:
         slab = SlabWithMirror(validate_material(2 + 0.1j, 1), 1.0)
         green_components(1.0, np.array([1.0, 0.8]), slab)
         assert len(counts) == 1 and counts[0].shape == (2, 2) and not counts[0].any()
+
+    def test_one_evaluation_function(self, monkeypatch):
+        # A slab with a strip zero of D_s and one of D_p at each of two
+        # transitions: every evaluation of the search comes from fns. The
+        # walk's take both transitions as a column; the polish's and the
+        # residues' take slopes at one k0 per node, each pole's own.
+        medium = next(m for m in self.PINNED
+                      if [sorted(p[0] for p in poles) for poles in m["poles"]] == [[0, 1]] * 2)
+        slab = SlabWithMirror(validate_material(complex(*medium["eps"]),
+                                                complex(*medium["mu"])), medium["d"])
+        calls, denominators = [], planarcp.green.slab_mirror_denominators
+
+        def spy(beta, omega, material, d, slopes=False):
+            calls.append((sys._getframe(1).f_code.co_name, np.shape(beta), np.array(omega),
+                          slopes))
+            return denominators(beta, omega, material, d, slopes)
+
+        monkeypatch.setattr(planarcp.green, "slab_mirror_denominators", spy)
+        _strip_poles.cache_clear()
+        for got, digits in zip(_strip_poles(slab, (1.0, 0.8)), medium["poles"]):
+            assert_pinned_poles(got, digits)
+        assert {caller for caller, *_ in calls} == {"fns"}
+        walk = [omega for _, _, omega, slopes in calls if not slopes]
+        assert walk and all(omega.tolist() == [[1.0], [0.8]] for omega in walk)
+        sloped = [(shape, omega) for _, shape, omega, slopes in calls if slopes]
+        assert sloped and all(omega.shape == shape for shape, omega in sloped)
+        assert {*np.concatenate([omega.ravel() for _, omega in sloped])} == {1.0, 0.8}
 
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(kind=st.sampled_from(["right-handed", "eps-negative", "mu-negative",

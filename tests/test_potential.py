@@ -15,8 +15,8 @@ from planarcp import (Atom, DegenerateDenominator, DomainError, HalfSpace,
                       potential_auto, potential_nonretarded,
                       potential_numeric, potential_perfect_lens,
                       potential_retarded, validate_material)
-from planarcp.core import VACUUM
 from planarcp.quadrature import integrate_evanescent
+from conftest import VACUUM
 from oracle import simpson_potential
 
 PAR = Atom([Transition(1.0, 1.0, 0.0)])
