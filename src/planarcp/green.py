@@ -89,7 +89,7 @@ def _coefficients(geometry, k0):
     k0 is a transition frequency or a column of them, against which
     rs_rp, b0 and jump broadcast. b0 is what _branch_point finds. Turning
     the cut to run up from b0, beta = b0 + i t, flips beta1 on the path
-    above t = Re b0 Im b0 / k0 and adds the integral of jump(t): each
+    above t = Re b0 Im b0 / k0 and adds the integral of jump(b0 + i t, t): each
     r = (a beta - beta1)/(a beta + beta1), a = mu or eps, at beta1 = s minus
     at -s, s^2 = beta^2 - b0^2 = t (2i b0 - t): -4 a beta s / (a^2 beta^2 - s^2).
 
@@ -116,8 +116,8 @@ def _coefficients(geometry, k0):
                 beta1 = np.where(beta.imag > flip_above, -beta1, beta1)
             return halfspace_rs_rp(beta, beta1, material)
 
-        def jump(t):
-            beta, s2 = b0 + 1j * t, t * (2j * b0 - t)
+        def jump(beta, t):
+            s2 = t * (2j * b0 - t)
             a = np.reshape((material.mu, material.epsilon), (2,) + (1,) * beta.ndim)
             den = a * a * beta * beta - s2
             if (abs(den) <= 1e-15 * abs(s2)).any():  # zero to rounding
@@ -360,18 +360,14 @@ def green_components(z_A: float, omega, geometry: Geometry,
     z_image = z_A - z_offset
     require_distance("2 omega z", 2.0 * max(omegas) * z_image)  # else cmath.exp raises
 
-    def rows(r_s, r_p, b2, q2, k):
-        # b2 = (beta/k0)^2, q2 = q^2 = k0^2 - beta^2. Rows come first, and a
-        # lone row has no axis of its own.
-        out = [r_s - b2 * r_p] if xx else []
-        if zz:
-            out.append(2.0 * (q2 / (k * k)) * r_p)
-        return np.stack(out) if len(out) == 2 else out[0]
-
     def at(beta, r, k=k0):
-        # r = (r_s, r_p). Each factor only for a row asked for; q^2 as a product:
-        # k0 - beta = -i t is exact on the path, where k0^2 - beta^2 would lose t^2.
-        return rows(r[0], r[1], xx and (beta / k) ** 2, zz and (k - beta) * (k + beta), k)
+        # The rows asked for, G_xx then G_zz, of r = (r_s, r_p); a lone row
+        # has no axis of its own. q^2 = k0^2 - beta^2 as a product: k0 - beta
+        # = -i t is exact on the path, where k0^2 - beta^2 would lose t^2.
+        out = [r[0] - (beta / k) ** 2 * r[1]] if xx else []
+        if zz:
+            out.append(2.0 * ((k - beta) * (k + beta) / (k * k)) * r[1])
+        return np.stack(out) if len(out) == 2 else out[0]
 
     if cut is not None:
         b0, jump = cut
@@ -388,7 +384,8 @@ def green_components(z_A: float, omega, geometry: Geometry,
             return out
         # The cut's beta = b0 + i t has the same decay, and its phase
         # relative to exp(2i k0 z_image) has modulus <= 1.
-        return out + cut_phase * at(b0 + 1j * t, jump(t))
+        on_cut = b0 + 1j * t
+        return out + cut_phase * at(on_cut, jump(on_cut, t))
 
     # The lowest k0's onset k0/8 covers every higher one's. Once the square
     # of the integral's size 1/(k0^2 z^3) overflows, so may its products:
@@ -422,8 +419,9 @@ def green_components(z_A: float, omega, geometry: Geometry,
             if (edge > rel_tol * np.abs(v)).any():
                 raise DegenerateDenominator("a lossless slab's guided mode on "
                                             "Re beta = 0 is not negligible here")
-            bound = rows(*dresidue, xx and -abs(beta / k) ** 2,
-                         zz and abs(k * k - beta * beta), k)
+            # Each pole's dresidue is nonzero in its own polarisation only,
+            # so |at| of it is the sum of its rows' |terms|: a bound.
+            bound = np.abs(at(beta, dresidue, k))
             e[:] = e + edge + (np.abs(terms) * (2.0 * z_image * dbeta + _ROUNDOFF)
                                + abs(turn) * bound).sum(axis=-1)
     # Per component: numbers for a number omega, else arrays over omegas.

@@ -47,8 +47,13 @@ class PotentialSample:
 
 
 def _sample(z_A, contributions, method, error, evaluations=0):
-    return PotentialSample(float(z_A), float(sum(contributions)), method, float(error),
-                           evaluations)
+    """The sample; DomainError where its value or its error is not finite."""
+    value, error = float(sum(contributions)), float(error)
+    if not (math.isfinite(value) and math.isfinite(error)):
+        name = {"nonretarded": "short-distance", "retarded": "long-distance",
+                "closed-form": "perfect-lens"}.get(method.value, method.value)
+        raise DomainError(f"{name} potential not finite at z_A = {z_A}")
+    return PotentialSample(float(z_A), value, method, error, evaluations)
 
 
 def potential_numeric(atom: Atom, geometry: Geometry, z_A: float,
@@ -107,10 +112,7 @@ def potential_nonretarded(atom: Atom, material: MaterialResponse,
                             + 2.0 * t.d_perp_sq * (r_p + x).real)
             / (16.0 * math.pi * z_A))
         rel_trunc = max(rel_trunc, z_A * t.omega)
-    value = sum(contributions)
-    error = rel_trunc * abs(value)
-    if not (math.isfinite(value) and math.isfinite(error)):
-        raise DomainError(f"short-distance potential not finite at z_A = {z_A}")
+    error = rel_trunc * abs(sum(contributions))
     return _sample(z_A, contributions, PotentialMethod.NONRETARDED, error)
 
 
@@ -141,8 +143,6 @@ def potential_retarded(atom: Atom, material: MaterialResponse,
             / (8.0 * math.pi * z_A) * (phase * contrast).real)
         error += t.omega * (t.d_par_sq + t.d_perp_sq) / area if area else math.inf
     error = max(error, sys.float_info.epsilon * abs(sum(contributions)))
-    if not (math.isfinite(sum(contributions)) and math.isfinite(error)):
-        raise DomainError(f"long-distance potential not finite at z_A = {z_A}")
     return _sample(z_A, contributions, PotentialMethod.RETARDED, error)
 
 
@@ -172,8 +172,6 @@ def potential_perfect_lens(atom: Atom, thickness: float,
         par = 0.5 * perp - q * cos_zt
         contributions.append(-t.omega**3 / (4.0 * math.pi)
                              * (par * t.d_par_sq + perp * t.d_perp_sq))
-    if not math.isfinite(sum(contributions)):
-        raise DomainError(f"perfect-lens potential not finite at z_A = {z_A}")
     return _sample(z_A, contributions, PotentialMethod.PERFECT_LENS, 0.0)
 
 

@@ -18,13 +18,14 @@ return shape (N,) or (m, N) or (m, c, N); every row must meet its own
 tolerance, and each round decides that on Python floats, row by row, the
 same way for any number of rows. Identical inputs give bit-identical
 results. Since each round is one integrand call, cost follows the number
-of rounds. An evanescent integral's first round, laid out in
-s = 2 kappa z_decay where it does not depend on the distance, is built
-once per ladder depth and cut, with the decay in its weights. Its later
-rounds also extend its tail, in the same call, as Shampine's loop handles
-an infinite interval. The error tested and returned is the Kronrod-Gauss
-difference floored at the round-off of the sum, as QUADPACK's (Piessens
-et al., 1983) is, which no bisection lowers.
+of rounds. Every round's weights carry its panels' half-widths and the
+decay exp(-rate x); the integrand is never multiplied by it. An
+evanescent integral's first round, in s = 2 kappa z_decay at rate 1, does
+not depend on the distance and is built once per ladder depth and cut;
+its later rounds, in kappa at rate 2 z_decay, also extend its tail as
+Shampine's loop does an infinite interval. The error tested and returned
+is the Kronrod-Gauss difference floored at the round-off of the sum, as
+QUADPACK's (Piessens et al., 1983) is, which no bisection lowers.
 """
 
 from __future__ import annotations
@@ -86,7 +87,17 @@ class IntegralResult:
     evaluations: int
 
 
-def _sums(f, x: np.ndarray, weights: np.ndarray, scale):
+def _panels(a: np.ndarray, b: np.ndarray, rate: float):
+    """The GK15 nodes of the panels [a_j, b_j], shape (P, 15), and both
+    rules' weights times each panel's half-width and the decay
+    exp(-rate x) at each node x, shape (2, P, 15)."""
+    h = 0.5 * (b - a)[:, None]
+    nodes = 0.5 * (a + b)[:, None] + h * _GK_NODES
+    # x (-rate) is -rate x bit for bit, and exp(-0.0 x) = 1.
+    return nodes, _GK_W * (h * np.exp(nodes * -rate))
+
+
+def _sums(f, x: np.ndarray, weights: np.ndarray, scale=1.0):
     """scale times the GK15 values of the panels with nodes x, shape (P, 15),
     one row per component of an integrand of shape S + (N,), (m, P); their
     |values| and errors on an axis of 2, (m, 2, P); and S. All panels go to
@@ -98,12 +109,6 @@ def _sums(f, x: np.ndarray, weights: np.ndarray, scale):
     return rules[:, 0], np.abs(rules), y.shape[:-1]
 
 
-def _evaluate(f, a: np.ndarray, b: np.ndarray):
-    """_sums of the panels [a_j, b_j]."""
-    h = 0.5 * (b - a)
-    return _sums(f, 0.5 * (a + b)[:, None] + h[:, None] * _GK_NODES, _GK_W, h)
-
-
 def check_rel_tol(rel_tol: float) -> None:
     """Raise ValueError unless 0 < rel_tol < inf."""
     if not 0.0 < rel_tol < math.inf:
@@ -111,12 +116,12 @@ def check_rel_tol(rel_tol: float) -> None:
 
 
 def _integrate(f, edges: np.ndarray, first, rel_tol: float, sector: str,
-               step: float = 0.0) -> IntegralResult:
-    """Integrate f over the panels between consecutive edges, from their
-    first round of _sums, until every component's error meets rel_tol |total|.
-    Raise NotConverged once a sum is not finite, _MAX_SUBDIVISIONS are spent,
-    or bisection cannot help: a total is 0, or an error is at its floor above
-    tolerance.
+               rate: float = 0.0, step: float = 0.0) -> IntegralResult:
+    """Integrate f(x) exp(-rate x) over the panels between consecutive
+    edges, from their first round of _sums, until every component's error
+    meets rel_tol |total|. Raise NotConverged once a sum is not finite,
+    _MAX_SUBDIVISIONS are spent, or bisection cannot help: a total is 0, or
+    an error is at its floor above tolerance.
 
     Each round sorts the panels by error relative to the tolerance
     (largest first) and bisects the shortest prefix whose error exceeds
@@ -175,7 +180,7 @@ def _integrate(f, edges: np.ndarray, first, rel_tol: float, sector: str,
             a, b = np.delete(a, split), np.delete(b, split)
             val, scale = np.delete(val, split, axis=-1), np.delete(scale, split, axis=-1)
             spent += len(split)
-        new_val, new_scale, _ = _evaluate(f, new_a, new_b)
+        new_val, new_scale, _ = _sums(f, *_panels(new_a, new_b, rate))
         a, b = np.concatenate((a, new_a)), np.concatenate((b, new_b))
         val = np.concatenate((val, new_val), axis=-1)
         scale = np.concatenate((scale, new_scale), axis=-1)
@@ -196,23 +201,20 @@ def integrate_propagating(integrand, beta_max: float,
     check_rel_tol(rel_tol)
     n = max(1, math.ceil(beta_max / max_panel_width)) if max_panel_width else 1
     edges = np.linspace(0.0, beta_max, n + 1)
-    return _integrate(integrand, edges, _evaluate(integrand, edges[:-1], edges[1:]),
-                      rel_tol, "propagating")
+    first = _sums(integrand, *_panels(edges[:-1], edges[1:], 0.0))
+    return _integrate(integrand, edges, first, rel_tol, "propagating")
 
 
 @functools.lru_cache(maxsize=64)  # a sweep's distances share a few
 def _layout(depth: int, cut: bool):
-    """integrate_evanescent's first round in s: its edges, its GK15 nodes,
-    shape (P, 15), and both rules' weights times each panel's half-width
-    and the decay exp(-s) at each node, shape (2, P, 15). Below _EDGES, a
+    """integrate_evanescent's first round in s: its edges and the _panels
+    between them at rate 1, whose weights carry exp(-s). Below _EDGES, a
     ladder of depth edges halving _WIDTH, and with cut four more graded by
     8 below its lowest."""
     ladder = [_WIDTH * 0.5 ** j for j in range(1, depth + 1)]
     graded = [_WIDTH * 0.5 ** depth / 8.0 ** j for j in range(1, 5)] if cut else []
     edges = np.array(sorted({*_EDGES, *ladder, *graded}))
-    h = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + h * _GK_NODES
-    weights = _GK_W * (h * np.exp(-nodes))
+    nodes, weights = _panels(edges[:-1], edges[1:], 1.0)
     edges.flags.writeable = nodes.flags.writeable = weights.flags.writeable = False
     return edges, nodes, weights
 
@@ -221,27 +223,26 @@ def integrate_evanescent(integrand, z_decay: float, rel_tol: float = REL_TOL,
                          onset: float = math.inf, cut: bool = False) -> IntegralResult:
     """Integrate integrand(kappa) * exp(-2 kappa z_decay) over kappa > 0.
 
-    The caller supplies the prefactor; the decay is applied here. The first
-    round is one integrand call on the cached _layout of panels in
-    s = 2 kappa z_decay, scaled to kappa = s/(2 z_decay). Its ladder halves
-    the first panel down to the first edge at or below kappa = onset, where
-    the integrand has structure of its own, and cut grades four edges below
-    that toward a branch cut's sqrt(kappa) onset, where bisection would
-    spend a round per octave. Each refinement round appends one more tail
-    panel while the last is not a negligible fraction of the total, which
-    covers a prefactor whose growth delays the decay, such as the amplified
-    waves of a weakly lossy left-handed slab.
+    The caller supplies the prefactor; the decay is in every round's
+    weights, not applied to it. The first round is one integrand call on
+    the cached _layout of panels in s = 2 kappa z_decay, scaled to
+    kappa = s/(2 z_decay). Its ladder halves the first panel down to the
+    first edge at or below kappa = onset > 0, where the integrand has
+    structure of its own, and cut grades four edges below that toward a
+    branch cut's sqrt(kappa) onset, where bisection would spend a round per
+    octave. Each refinement round appends one more tail panel while the
+    last is not a negligible fraction of the total, which covers a
+    prefactor whose growth delays the decay, such as the amplified waves of
+    a weakly lossy left-handed slab.
     """
     require_distance("z_decay", z_decay)
     check_rel_tol(rel_tol)
+    if not onset > 0.0:  # else the ladder would halve without end
+        raise ValueError(f"onset must be positive, got {onset}")
     scale = 0.5 / z_decay  # kappa per unit of s
     depth, low, onset = 0, _WIDTH, onset / scale
     while low > onset:
         depth, low = depth + 1, 0.5 * low
     edges, nodes, weights = _layout(depth, cut)
-
-    def f(kappa):  # kappa (-2 z_decay) is -2 kappa z_decay bit for bit
-        return np.asarray(integrand(kappa), dtype=complex) * np.exp(kappa * (-2.0 * z_decay))
-
-    return _integrate(f, edges * scale, _sums(integrand, nodes * scale, weights, scale),
-                      rel_tol, "evanescent", 0.25 * _CUTOFF * scale)
+    return _integrate(integrand, edges * scale, _sums(integrand, nodes * scale, weights, scale),
+                      rel_tol, "evanescent", 2.0 * z_decay, 0.25 * _CUTOFF * scale)

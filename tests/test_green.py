@@ -386,7 +386,7 @@ class TestSteepestDescentPath:
             s = _passive_sqrt(t * (2j * b0 - t))
             plus = halfspace_rs_rp(b0 + 1j * t, s, material)
             minus = halfspace_rs_rp(b0 + 1j * t, -s, material)
-            for got, r_plus, r_minus in zip(jump(t), plus, minus):
+            for got, r_plus, r_minus in zip(jump(b0 + 1j * t, t), plus, minus):
                 want = r_plus - r_minus
                 rounding = 4.0 * eps_mach * (abs(r_plus) + abs(r_minus))
                 assert np.all(abs(got - want) <= 1e-12 * abs(want) + rounding), (eps, mu)

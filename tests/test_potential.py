@@ -67,6 +67,13 @@ def test_closed_form_is_finite_or_raises(entry, z):
 
 
 class TestNumeric:
+    def test_not_finite_raises(self):
+        # Every sample meets one finite rule: a numeric value that overflows
+        # raises DomainError, as a closed form's does, instead of inf.
+        atom = Atom([Transition(1.0, 1e308, 0.0)])
+        with pytest.raises(DomainError, match="^numeric potential not finite at z_A = 0.01$"):
+            potential_numeric(atom, HALF, 0.01)
+
     def test_matches_reference(self):
         geo = HalfSpace(validate_material(2 + 0.3j, 1.5 + 0.1j))
         atom = Atom([Transition(1.0, 0.6, 0.4)])

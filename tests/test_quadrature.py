@@ -2,16 +2,21 @@
 """Adaptive Gauss-Kronrod engine against closed-form integrals."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import planarcp.quadrature
 from planarcp import (Atom, DomainError, HalfSpace, NotConverged, Transition,
                       potential_numeric, validate_material)
-from planarcp.quadrature import (_CUTOFF, _MAX_SUBDIVISIONS, _WIDTH, REL_TOL, _evaluate,
-                                 _integrate, _layout, _sums, integrate_evanescent,
+from planarcp.quadrature import (_CUTOFF, _MAX_SUBDIVISIONS, _WIDTH, REL_TOL, _integrate,
+                                 _layout, _panels, _sums, integrate_evanescent,
                                  integrate_propagating)
 
 
@@ -22,15 +27,11 @@ def propagating(f, span, rel_tol=REL_TOL, width=None):
 def with_edges(f, z, inner, rel_tol=REL_TOL):
     """integrate_evanescent's refinement loop on f(kappa) exp(-2 kappa z)
     from its first round on the default layout's panels, with the inner
-    edges added and the decay in the integrand."""
+    edges added, in kappa: the decay in every round's weights."""
     scale = 0.5 / z
     edges = np.union1d(_layout(0, False)[0] * scale, inner)
-
-    def g(k):
-        return np.asarray(f(k), dtype=complex) * np.exp(k * (-2.0 * z))
-
-    return _integrate(g, edges, _evaluate(g, edges[:-1], edges[1:]), rel_tol,
-                      "evanescent", 0.25 * _CUTOFF * scale)
+    return _integrate(f, edges, _sums(f, *_panels(edges[:-1], edges[1:], 2.0 * z)), rel_tol,
+                      "evanescent", 2.0 * z, 0.25 * _CUTOFF * scale)
 
 
 def evanescent(f, span, rel_tol=REL_TOL, width=None):
@@ -251,6 +252,53 @@ class TestEvanescent:
             with_edges(f, 1.0, np.arange(1, 4096) / 4096, 1e-15)
         assert len(calls) == 2
 
+    def test_every_round_gets_the_integrand(self, monkeypatch):
+        # A Lorentzian at kappa = 0.7 takes ten refinement rounds. Each of
+        # the 11 rounds passes the integrand itself to _sums, never one
+        # multiplied by the decay: the first round's weights are the
+        # layout's, at rate 1 in s, and each later round's are
+        # _panels(a, b, 2z)'s in kappa.
+        z = 0.5
+
+        def f(k):
+            return 1.0 / ((k - 0.7) ** 2 + 1e-6) + 0j
+
+        sums, panels = [], []
+        real_sums, real_panels = planarcp.quadrature._sums, planarcp.quadrature._panels
+
+        def spy_sums(g, x, weights, scale=1.0):
+            sums.append((g, x, weights))
+            return real_sums(g, x, weights, scale)
+
+        def spy_panels(a, b, rate):
+            panels.append((a, b, rate))
+            return real_panels(a, b, rate)
+
+        monkeypatch.setattr(planarcp.quadrature, "_sums", spy_sums)
+        monkeypatch.setattr(planarcp.quadrature, "_panels", spy_panels)
+        _layout.cache_clear()
+        integrate_evanescent(f, z)
+        assert len(sums) == 11 and all(g is f for g, _, _ in sums)
+        assert len(panels) == 11 and panels[0][2] == 1.0
+        for (_, x, weights), (a, b, rate) in zip(sums[1:], panels[1:]):
+            nodes, want = real_panels(a, b, 2.0 * z)
+            assert rate == 2.0 * z
+            assert np.array_equal(x, nodes) and np.array_equal(weights, want)
+
+    @pytest.mark.parametrize("onset", ["-1.0", "0.0", "math.nan"])
+    def test_rejects_onset_not_positive(self, onset):
+        # The ladder toward onset would halve without end below 0, and at 0
+        # until it underflows, into a first round of 1,093 panels. A fresh
+        # interpreter with a timeout, so that a hang fails the test.
+        code = ("import math; import numpy as np\n"
+                "from planarcp.quadrature import integrate_evanescent\n"
+                f"integrate_evanescent(np.ones_like, 1.0, onset={onset})")
+        env = {**os.environ, "PYTHONPATH": str(Path(planarcp.__file__).parent.parent)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=30)
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1].startswith("ValueError: onset must be positive")
+
     def test_requires_decay(self):
         with pytest.raises(DomainError):
             integrate_evanescent(lambda k: k, 0.0)
@@ -374,7 +422,8 @@ class TestDeterminism:
 
 class TestFirstRoundLayout:
     """integrate_evanescent's first round from its cached layout in
-    s = 2 kappa z_decay, against _evaluate on the same panels in kappa."""
+    s = 2 kappa z_decay, against _panels on the same panels in kappa at
+    rate 2 z_decay, as a refinement round evaluates them."""
 
     # Integrands of u = 2 kappa z_decay, smooth on the layout's panels.
     SHAPES = {
@@ -395,14 +444,11 @@ class TestFirstRoundLayout:
         def integrand(k):
             return self.SHAPES[shape](k / scale)
 
-        def f(k):
-            return integrand(k) * np.exp(k * (-2.0 * z))
-
         edges, nodes, weights = _layout(depth, cut)
         value, sums, _ = _sums(integrand, nodes * scale, weights, scale)
         a, b = edges[:-1] * scale, edges[1:] * scale
-        want_value, want_sums, _ = _evaluate(f, a, b)
-        size = _evaluate(lambda k: abs(f(k)), a, b)[0].real
+        want_value, want_sums, _ = _sums(integrand, *_panels(a, b, 2.0 * z))
+        size = _sums(lambda k: abs(integrand(k)), *_panels(a, b, 2.0 * z))[0].real
         bound = 8.0 * np.finfo(float).eps * (1.0 + edges[1:]) * size
         assert value.shape == want_value.shape and sums.shape == want_sums.shape
         assert (abs(value - want_value) <= bound).all()
