@@ -369,8 +369,9 @@ def green_components(z_A: float, omega, geometry: Geometry,
             out.append(2.0 * ((k - beta) * (k + beta) / (k * k)) * r[1])
         return np.stack(out) if len(out) == 2 else out[0]
 
-    if cut is not None:
-        b0, jump = cut
+    lowest = min(omegas)
+    if cut is not None:  # c: within a factor 2 below the first round's lowest edge
+        (b0, jump), c = cut, 0.5 * min(lowest / 8.0, 0.5 / z_image)
         cut_phase = np.exp(2j * (b0 - k0) * z_image)
     lead = (len(omegas),) if len(omegas) > 1 else ()
 
@@ -382,17 +383,19 @@ def green_components(z_A: float, omega, geometry: Geometry,
         out = at(beta, rs_rp(beta))
         if cut is None:
             return out
-        # The cut's beta = b0 + i t has the same decay, and its phase
-        # relative to exp(2i k0 z_image) has modulus <= 1.
-        on_cut = b0 + 1j * t
-        return out + cut_phase * at(on_cut, jump(on_cut, t))
+        # The cut's rows at beta = b0 + i u, u = t w = t^2/(t + c), analytic in t,
+        # times du/dt exp(2 (t - u) z_image) <= e^(1/2) keep the decay exp(-2 t z_image).
+        w = t / (t + c)
+        u = t * w
+        on_cut = b0 + 1j * u
+        stretch = cut_phase * (w * (2.0 - w) * np.exp(2.0 * c * z_image * w))
+        return out + stretch * at(on_cut, jump(on_cut, u))
 
     # The lowest k0's onset k0/8 covers every higher one's. Once the square
     # of the integral's size 1/(k0^2 z^3) overflows, so may its products:
     # the integrand not finite is then the cause, without numpy's warnings.
-    lowest = min(omegas)
     size = 1.0 / lowest / lowest / z_image / z_image / z_image
-    args = path, z_image, rel_tol, lowest / 8.0, cut is not None
+    args = path, z_image, rel_tol, lowest / 8.0
     if size * size < math.inf:
         res = integrate_evanescent(*args)
     else:

@@ -21,10 +21,10 @@ results. Since each round is one integrand call, cost follows the number
 of rounds. Every round's weights carry its panels' half-widths and the
 decay exp(-rate x); the integrand is never multiplied by it. An
 evanescent integral's first round, in s = 2 kappa z_decay at rate 1, does
-not depend on the distance and is built once per ladder depth and cut;
-its later rounds, in kappa at rate 2 z_decay, also extend its tail as
-Shampine's loop does an infinite interval. The error tested and returned
-is the Kronrod-Gauss difference floored at the round-off of the sum, as
+not depend on the distance and is built once per ladder depth; its later
+rounds, in kappa at rate 2 z_decay, also extend its tail as Shampine's
+loop does an infinite interval. The error tested and returned is the
+Kronrod-Gauss difference floored at the round-off of the sum, as
 QUADPACK's (Piessens et al., 1983) is, which no bisection lowers.
 """
 
@@ -206,21 +206,18 @@ def integrate_propagating(integrand, beta_max: float,
 
 
 @functools.lru_cache(maxsize=64)  # a sweep's distances share a few
-def _layout(depth: int, cut: bool):
-    """integrate_evanescent's first round in s: its edges and the _panels
-    between them at rate 1, whose weights carry exp(-s). Below _EDGES, a
-    ladder of depth edges halving _WIDTH, and with cut four more graded by
-    8 below its lowest."""
-    ladder = [_WIDTH * 0.5 ** j for j in range(1, depth + 1)]
-    graded = [_WIDTH * 0.5 ** depth / 8.0 ** j for j in range(1, 5)] if cut else []
-    edges = np.array(sorted({*_EDGES, *ladder, *graded}))
+def _layout(depth: int):
+    """integrate_evanescent's first round in s: its edges, _EDGES and below
+    them a ladder of depth edges halving _WIDTH, and the _panels between
+    them at rate 1, whose weights carry exp(-s)."""
+    edges = np.array(sorted({*_EDGES, *(_WIDTH * 0.5 ** j for j in range(1, depth + 1))}))
     nodes, weights = _panels(edges[:-1], edges[1:], 1.0)
     edges.flags.writeable = nodes.flags.writeable = weights.flags.writeable = False
     return edges, nodes, weights
 
 
 def integrate_evanescent(integrand, z_decay: float, rel_tol: float = REL_TOL,
-                         onset: float = math.inf, cut: bool = False) -> IntegralResult:
+                         onset: float = math.inf) -> IntegralResult:
     """Integrate integrand(kappa) * exp(-2 kappa z_decay) over kappa > 0.
 
     The caller supplies the prefactor; the decay is in every round's
@@ -228,12 +225,12 @@ def integrate_evanescent(integrand, z_decay: float, rel_tol: float = REL_TOL,
     the cached _layout of panels in s = 2 kappa z_decay, scaled to
     kappa = s/(2 z_decay). Its ladder halves the first panel down to the
     first edge at or below kappa = onset > 0, where the integrand has
-    structure of its own, and cut grades four edges below that toward a
-    branch cut's sqrt(kappa) onset, where bisection would spend a round per
-    octave. Each refinement round appends one more tail panel while the
-    last is not a negligible fraction of the total, which covers a
-    prefactor whose growth delays the decay, such as the amplified waves of
-    a weakly lossy left-handed slab.
+    structure of its own. An endpoint singularity such as sqrt(kappa), on
+    which bisection would spend a round per octave, is the caller's to
+    smooth by a change of variable. Each refinement round appends one more
+    tail panel while the last is not a negligible fraction of the total,
+    which covers a prefactor whose growth delays the decay, such as the
+    amplified waves of a weakly lossy left-handed slab.
     """
     require_distance("z_decay", z_decay)
     check_rel_tol(rel_tol)
@@ -243,6 +240,6 @@ def integrate_evanescent(integrand, z_decay: float, rel_tol: float = REL_TOL,
     depth, low, onset = 0, _WIDTH, onset / scale
     while low > onset:
         depth, low = depth + 1, 0.5 * low
-    edges, nodes, weights = _layout(depth, cut)
+    edges, nodes, weights = _layout(depth)
     return _integrate(integrand, edges * scale, _sums(integrand, nodes * scale, weights, scale),
                       rel_tol, "evanescent", 2.0 * z_decay, 0.25 * _CUTOFF * scale)

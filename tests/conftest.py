@@ -48,6 +48,24 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def round_sizes(monkeypatch):
+    """The nodes of each integrand call, in order, of every
+    integrate_evanescent call that planarcp.green makes: one per round."""
+    sizes = []
+    real = planarcp.green.integrate_evanescent
+
+    def recorded(integrand, *args, **kwargs):
+        def f(t):
+            sizes.append(len(t))
+            return integrand(t)
+
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(planarcp.green, "integrate_evanescent", recorded)
+    return sizes
+
+
 @pytest.fixture(scope="session")
 def oracle_suite():
     """50 randomized half-space cases: (material, z_A, engine, reference).

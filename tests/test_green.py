@@ -406,27 +406,39 @@ class TestSteepestDescentPath:
     def test_one_ladder_per_atom(self, monkeypatch):
         # Two transitions on a cut-crossing half space: the first round's
         # layout is the lower frequency's ladder, halving the first panel's
-        # width down to its lowest edge at or below k0/8, and four edges
-        # graded by 8 below that.
+        # width down to its lowest edge at or below k0/8, and no edge lies
+        # below that: the cut's rows smooth their own onset.
         seen = []
         real = planarcp.quadrature._layout
 
-        def spy(depth, cut):
-            seen.append((depth, cut))
-            return real(depth, cut)
+        def spy(depth):
+            seen.append(depth)
+            return real(depth)
 
         monkeypatch.setattr(planarcp.quadrature, "_layout", spy)
         geometry = HalfSpace(validate_material(-1 + 0.1j, -1 + 0.1j))
         assert has_cut(geometry)
         z = 1e-2
         green_components(z, np.array([1.0, 0.5]), geometry)
-        ((depth, cut),) = seen
+        (depth,) = seen
         low = _WIDTH / 2.0 ** depth
-        assert cut and 0.5 / 16.0 < low / (2.0 * z) <= 0.5 / 8.0
-        edges = real(depth, cut)[0]
-        assert edges[:depth + 7].tolist() == (
-            [0.0] + [low / 8.0 ** j for j in (4, 3, 2, 1)]
-            + [_WIDTH / 2.0 ** j for j in range(depth, -1, -1)] + [2.0 * _WIDTH])
+        assert 0.5 / 16.0 < low / (2.0 * z) <= 0.5 / 8.0
+        edges = real(depth)[0]
+        assert edges[:depth + 3].tolist() == (
+            [0.0] + [_WIDTH / 2.0 ** j for j in range(depth, -1, -1)] + [2.0 * _WIDTH])
+
+    @pytest.mark.parametrize("z,nodes", [(0.01, 420), (0.3, 345), (3.0, 300), (30.0, 285)])
+    def test_cut_adds_no_first_round_nodes(self, round_sizes, z, nodes):
+        # The cut's change of variable takes out its sqrt(t) onset, so a
+        # cut-crossing half space's first integrand call has the nodes of a
+        # cut-free one at the same z and k0: its ladder's, and no more.
+        firsts = []
+        for eps, mu in ((-1 + 0.1j, -1 + 0.1j), (2 + 0.1j, 1)):
+            geometry = HalfSpace(validate_material(eps, mu))
+            round_sizes.clear()
+            green_components(z, 1.0, geometry)
+            firsts.append((has_cut(geometry), round_sizes[0]))
+        assert firsts == [(True, nodes), (False, nodes)]
 
     def test_ladder_leaves_no_sliver(self):
         # At z = 0.4995 the rung k0 = 1 lies between the first panel's
@@ -544,6 +556,87 @@ class TestSteepestDescentPath:
         for value, exact in ((g.g_xx, exact_xx), (g.g_zz, exact_zz)):
             assert abs(value - complex(exact)) <= 1e-12 * abs(complex(exact))
 
+    # (eps, mu, z, G_xx, G_zz) to 30 digits; see below.
+    NEAR = (
+        (-1 + 0.1j, -1 + 0.1j, 0.01,
+         "9943.2103347634833187196902937+198943.87730266696175874901983j",
+         "19886.4206695269666374393805874+397887.754605333923517498039659j"),
+        (-1 + 0.1j, -1 + 0.1j, 0.3,
+         "0.240650414676319276047190317063+7.37140544636135567297602224261j",
+         "0.481300829352638552094380634125+14.7428108927227113459520444852j"),
+        (-1 + 0.1j, -1 + 0.1j, 3.0,
+         "-0.00454280073798731933717935321596+0.00241205183608167091376568726461j",
+         "-0.00908560147597463867435870643192+0.00482410367216334182753137452922j"),
+        (-3 + 0.1j, -0.5 + 0.05j, 0.01,
+         "19862.9623248882722776060962061+497.200041617414658385081341585j",
+         "39745.4363769202719937285285036+992.990248926289476032533983927j"),
+        (-3 + 0.1j, -0.5 + 0.05j, 0.3,
+         "0.573285448232094884975433819287+0.0614469573646197559828526538939j",
+         "1.59458603522360887950276324252+0.100132784645012120310754000922j"),
+        (-3 + 0.1j, -0.5 + 0.05j, 3.0,
+         "-0.00568099156638919221490141085828+0.000618981192723580501907437126365j",
+         "0.000130884158615751707507716914343-0.00185148359534709043695600145494j"),
+        (-2 + 0.05j, -1.5 + 0.1j, 0.01,
+         "29793.2713896519455457415876714+994.216754940415238381352560832j",
+         "59579.6832684671834051862418521+1985.94443847819099233517655058j"),
+        (-2 + 0.05j, -1.5 + 0.1j, 0.3,
+         "1.03601222202219040242507420734+0.0850339862039871918547017911795j",
+         "2.02547948786628655033724725954+0.158272070558651892714491782754j"),
+        (-2 + 0.05j, -1.5 + 0.1j, 3.0,
+         "-0.000731585199645803489379800112808-0.000138106407640591576510253633939j",
+         "0.000435073642263401639499862845936-0.000550439877594470751890001627772j"),
+    )
+
+    @pytest.mark.parametrize("eps,mu,z,exact_xx,exact_zz", NEAR)
+    def test_near_left_handed_thirty_digit_values(self, eps, mu, z, exact_xx,
+                                                  exact_zz):
+        """The path with its cut, where the cut's change of variable acts,
+        against 30-digit values: lossy half spaces whose cut crosses the
+        path, the second with its s-polarised surface mode 0.05 from the
+        turned cut.
+
+        The values are the real-axis integral in both sectors, so they do
+        not depend on the contour, made with mpmath 1.3 by
+
+            python - <<'EOF'
+            import mpmath as mp
+            mp.mp.dps = 40  # 50 agrees to all 30 digits
+            def green(eps, mu, z):  # eps, mu, z as in NEAR
+                eps, mu, z = mp.mpc(eps), mp.mpc(mu), mp.mpf(z)
+                def r(b, zz):
+                    b1 = mp.sqrt(b * b + eps * mu - 1)
+                    b1 = -b1 if mp.im(b1) < 0 else b1
+                    rs = (mu * b - b1) / (mu * b + b1)
+                    rp = (eps * b - b1) / (eps * b + b1)
+                    return 2 * (1 - b * b) * rp if zz else rs - b * b * rp
+                b0 = mp.sqrt(1 - eps * mu)  # branch point; surface modes:
+                modes = [mp.sqrt(-b0 * b0 / (a * a - 1)) for a in (eps, mu)]
+                near = ([abs(mp.re(x)) for x in [b0] + modes]
+                        + [abs(mp.im(x)) for x in [b0] + modes])
+                n = int(mp.ceil(z / mp.pi))  # one period per interval
+                prop = sorted({mp.mpf(k) / n for k in range(n + 1)}
+                              | {x for x in near if 0 < x < 1})
+                evan = sorted({mp.mpf(0), mp.inf}
+                              | {c / z for c in (0.5, 2, 8, 32)} | set(near)
+                              | {abs(mp.re(mp.sqrt(eps * mu - 1)))})
+                out = []
+                for zz in (0, 1):
+                    p = mp.quad(lambda b: mp.exp(2j * b * z) * r(b, zz), prop)
+                    e = mp.quad(lambda k: mp.exp(-2 * k * z) * r(1j * k, zz),
+                                evan)
+                    out.append(mp.nstr((1j * p + e) / (8 * mp.pi), 30))
+                return out
+            EOF
+
+        in 0.6 to 1.2 s each on one core (9 s for all nine). Each engine
+        value lies within 0.30 of its claimed error.
+        """
+        geometry = HalfSpace(validate_material(eps, mu))
+        assert has_cut(geometry)
+        g = green_components(z, 1.0, geometry)
+        assert abs(g.g_xx - complex(exact_xx)) <= g.error_xx
+        assert abs(g.g_zz - complex(exact_zz)) <= g.error_zz
+
     @staticmethod
     def check_against_quad_vec(geometry, z):
         # quad_vec at 1e-9: with losses of 1e-6 its own round-off near the
@@ -580,41 +673,23 @@ class TestAmplifiedTail:
     the path's integrand decays late, so the engine's rounds append tail
     panels past its first call."""
 
-    @staticmethod
-    def round_sizes(monkeypatch):
-        # Nodes per integrand call of each integrate_evanescent call.
-        sizes = []
-        real = planarcp.green.integrate_evanescent
-
-        def recorded(integrand, *args, **kwargs):
-            def f(t):
-                sizes.append(len(t))
-                return integrand(t)
-
-            return real(f, *args, **kwargs)
-
-        monkeypatch.setattr(planarcp.green, "integrate_evanescent", recorded)
-        return sizes
-
-    def test_tail_panel_and_bisections_in_one_round(self, monkeypatch):
+    def test_tail_panel_and_bisections_in_one_round(self, round_sizes):
         # The tail needs one panel past the first call and the poles near
         # the path need bisection.
         geometry = SlabWithMirror(
             validate_material(-1 + 1.849e-4j, -1 + 1.849e-4j), 2.4136)
-        sizes = self.round_sizes(monkeypatch)
         g = green_components(2.4686, 1.0, geometry)
         # 15 nodes more than whole bisected pairs: a tail panel rode along.
-        assert any(n % 30 == 15 and n > 15 for n in sizes[1:]), sizes
+        assert any(n % 30 == 15 and n > 15 for n in round_sizes[1:]), round_sizes
         ref_xx, ref_zz, ref_err = quad_vec_green(2.4686, 1.0, geometry)
         assert abs(g.g_xx - ref_xx) <= g.error_xx + ref_err
         assert abs(g.g_zz - ref_zz) <= g.error_zz + ref_err
 
-    def test_tail_only_round(self, monkeypatch):
+    def test_tail_only_round(self, round_sizes):
         # lens-sweep's first point: one tail panel, no bisection, and no
         # round past the one that finds the tail closed.
-        sizes = self.round_sizes(monkeypatch)
         green_components(5.2, 1.0, LENS_SLAB)
-        assert len(sizes) == 2 and sizes[1] == 15, sizes
+        assert len(round_sizes) == 2 and round_sizes[1] == 15, round_sizes
 
 
 def dense_count(eps, mu, d, height, left=0.0, n=400_000):

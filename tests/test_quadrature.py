@@ -15,9 +15,9 @@ from scipy.integrate import quad
 import planarcp.quadrature
 from planarcp import (Atom, DomainError, HalfSpace, NotConverged, Transition,
                       potential_numeric, validate_material)
-from planarcp.quadrature import (_CUTOFF, _MAX_SUBDIVISIONS, _WIDTH, REL_TOL, _integrate,
-                                 _layout, _panels, _sums, integrate_evanescent,
-                                 integrate_propagating)
+from planarcp.quadrature import (_CUTOFF, _EDGES, _MAX_SUBDIVISIONS, _WIDTH, REL_TOL,
+                                 _integrate, _layout, _panels, _sums,
+                                 integrate_evanescent, integrate_propagating)
 
 
 def propagating(f, span, rel_tol=REL_TOL, width=None):
@@ -29,7 +29,7 @@ def with_edges(f, z, inner, rel_tol=REL_TOL):
     from its first round on the default layout's panels, with the inner
     edges added, in kappa: the decay in every round's weights."""
     scale = 0.5 / z
-    edges = np.union1d(_layout(0, False)[0] * scale, inner)
+    edges = np.union1d(_layout(0)[0] * scale, inner)
     return _integrate(f, edges, _sums(f, *_panels(edges[:-1], edges[1:], 2.0 * z)), rel_tol,
                       "evanescent", 2.0 * z, 0.25 * _CUTOFF * scale)
 
@@ -401,7 +401,7 @@ class TestDeterminism:
             return np.exp(1j * k) / (1.0 + k)
 
         # The first round from a layout just built, and from the cached one.
-        for kwargs in ({}, {"onset": 0.01, "cut": True}):
+        for kwargs in ({}, {"onset": 0.01}):
             _layout.cache_clear()
             e1 = integrate_evanescent(g, 0.8, **kwargs)
             e2 = integrate_evanescent(g, 0.8, **kwargs)
@@ -435,8 +435,8 @@ class TestFirstRoundLayout:
 
     @pytest.mark.parametrize("shape", sorted(SHAPES))
     @pytest.mark.parametrize("z", [1e-3, 0.7, 31.0, 1e4])
-    @pytest.mark.parametrize("depth,cut", [(0, False), (5, True), (12, True)])
-    def test_matches_evaluate(self, shape, z, depth, cut):
+    @pytest.mark.parametrize("depth,ladder", [(0, False), (5, True), (12, True)])
+    def test_matches_evaluate(self, shape, z, depth, ladder):
         # Within a few eps of each panel's integral of |f|, times 1 + s
         # for the rounding of the nodes and of the decay's argument s.
         scale = 0.5 / z
@@ -444,7 +444,9 @@ class TestFirstRoundLayout:
         def integrand(k):
             return self.SHAPES[shape](k / scale)
 
-        edges, nodes, weights = _layout(depth, cut)
+        edges, nodes, weights = _layout(depth)
+        # _EDGES and the ladder's depth edges below _WIDTH, and no other.
+        assert (edges[1] < _WIDTH) == ladder and len(edges) == len(_EDGES) + depth
         value, sums, _ = _sums(integrand, nodes * scale, weights, scale)
         a, b = edges[:-1] * scale, edges[1:] * scale
         want_value, want_sums, _ = _sums(integrand, *_panels(a, b, 2.0 * z))
@@ -455,7 +457,7 @@ class TestFirstRoundLayout:
         assert (abs(sums[..., 1, :] - want_sums[..., 1, :]) <= bound).all()
 
     def test_one_layout_per_depth(self):
-        # halfspace-sweep's 200 distances (k0 = 1, no cut) share one layout
+        # halfspace-sweep's 200 distances (k0 = 1) share one layout
         # per ladder depth: the smallest n with _WIDTH/2^n <= k0 z/4.
         half_space = HalfSpace(validate_material(-3 + 1e-3j, 1))
         zs = np.geomspace(0.05, 50.0, 200)

@@ -6,7 +6,6 @@ import re
 import shlex
 from pathlib import Path
 
-import planarcp.green
 from planarcp.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -61,26 +60,15 @@ def test_cli_examples_start_no_process(tmp_path, monkeypatch, pool_sizes):
     assert pool_sizes == [1, 1, 1]
 
 
-def test_reference_sweeps_make_a_fixed_work(tmp_path, monkeypatch, capsys):
+def test_reference_sweeps_make_a_fixed_work(tmp_path, monkeypatch, capsys, round_sizes):
     # README's half-space sweep converges in one round at each of its 200
     # points, and its lens sweep in two at each of its 60 (the second adds
     # a tail panel). A change that adds or drops a round moves these
     # counts of integrand calls and evaluations.
-    sizes = []
-    real = planarcp.green.integrate_evanescent
-
-    def recorded(integrand, *args, **kwargs):
-        def f(t):
-            sizes.append(len(t))
-            return integrand(t)
-
-        return real(f, *args, **kwargs)
-
-    monkeypatch.setattr(planarcp.green, "integrate_evanescent", recorded)
     monkeypatch.chdir(tmp_path)
     half_space, _, lens = cli_examples()
     for argv, calls, evaluations in ((half_space, 200, 64_035), (lens, 120, 18_000)):
-        sizes.clear()
+        round_sizes.clear()
         assert main(argv + ["--workers", "1"]) == 0
-        assert (len(sizes), sum(sizes)) == (calls, evaluations)
+        assert (len(round_sizes), sum(round_sizes)) == (calls, evaluations)
     capsys.readouterr()
