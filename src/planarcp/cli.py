@@ -135,12 +135,12 @@ class SweepConfig:
 
 def _eval_point(args):
     """A sweep row and the causes of its failure: none, or one."""
-    config, atom, geometry, z = args
+    config, atom, geometry, z, table = args
     try:
         if config.method == "auto":
-            s = potential_auto(atom, geometry, z, config.rel_tol)
+            s = potential_auto(atom, geometry, z, config.rel_tol, table)
         elif config.method == "numeric":
-            s = potential_numeric(atom, geometry, z, config.rel_tol)
+            s = potential_numeric(atom, geometry, z, config.rel_tol, table)
         elif config.method == "nonretarded":
             s = potential_nonretarded(atom, geometry.material, z)
         elif config.method == "retarded":
@@ -156,7 +156,7 @@ def _eval_point(args):
 
 def _eval_compare(args):
     """A compare row and, for each of its failed columns, its method and why."""
-    config, atom, geometry, z = args
+    config, atom, geometry, z, table = args
     refs = (("nonretarded", "retarded") if config.geometry == "halfspace"
             else ("closed-form",))
     row, causes = {"z_norm": z}, []
@@ -164,7 +164,7 @@ def _eval_compare(args):
         name = method.replace("-", "_")
         u = float("nan")  # the lens closed form holds beyond the slab only
         if method != "closed-form" or z > config.thickness:
-            cell, why = _eval_point((replace(config, method=method), atom, geometry, z))
+            cell, why = _eval_point((replace(config, method=method), atom, geometry, z, table))
             u = cell["U_norm"]
             causes += [f"{method}: {cause}" for cause in why]
         row[f"U_{name}"] = u
@@ -215,9 +215,10 @@ def _run_parallel(fn, config, atom, geometry, distances):
     """fn over the jobs in n = min(workers, points) processes, this one
     among them, process k taking every n-th job from the k-th. This one
     takes the first before it forks, so that the others inherit a slab's
-    poles. fn returns a failed row for a distance's error, so an exception
-    here or in a child is a fault, which ends the run."""
-    jobs = [(config, atom, geometry, float(z)) for z in distances]
+    poles and the jobs' one table. fn returns a failed row for a distance's
+    error, so an exception here or in a child is a fault, which ends the run."""
+    table = {}
+    jobs = [(config, atom, geometry, float(z), table) for z in distances]
     n, rows, joins = min(config.workers, len(jobs)), [fn(jobs[0])] * len(jobs), []
     try:
         for k in range(1, n):

@@ -329,7 +329,7 @@ def _product(a: float, b: float) -> tuple[float, float]:
 
 def green_components(z_A: float, omega, geometry: Geometry,
                      rel_tol: float = REL_TOL, *, xx: bool = True,
-                     zz: bool = True) -> GreenComponents:
+                     zz: bool = True, table: dict | None = None) -> GreenComponents:
     """G_xx and G_zz at the atom, from one integrand for both components.
 
     In natural units, k0 = omega. G_xx integrates R = r_s - (beta/k0)^2 r_p
@@ -342,7 +342,9 @@ def green_components(z_A: float, omega, geometry: Geometry,
     array of them, which share one path integral (the decay exp(-2 t z)
     is the same for each) on the lowest one's ladder; each (transition,
     component) row meets its own tolerance, and each transition keeps its
-    own cut, poles and phase. Any other omega raises ValueError.
+    own cut, poles and phase. Any other omega raises ValueError. A run's
+    table, a dict, shares the path's first-round integrand values between
+    its calls, which a branch cut's rows would make depend on z_A.
     """
     if not (xx or zz):
         raise ValueError("green_components needs at least one of xx, zz")
@@ -370,7 +372,7 @@ def green_components(z_A: float, omega, geometry: Geometry,
         return np.stack(out) if len(out) == 2 else out[0]
 
     lowest = min(omegas)
-    if cut is not None:  # c: within a factor 2 below the first round's lowest edge
+    if cut is not None:  # c: within a factor 4 below the first round's lowest edge
         (b0, jump), c = cut, 0.5 * min(lowest / 8.0, 0.5 / z_image)
         cut_phase = np.exp(2j * (b0 - k0) * z_image)
     lead = (len(omegas),) if len(omegas) > 1 else ()
@@ -395,7 +397,9 @@ def green_components(z_A: float, omega, geometry: Geometry,
     # of the integral's size 1/(k0^2 z^3) overflows, so may its products:
     # the integrand not finite is then the cause, without numpy's warnings.
     size = 1.0 / lowest / lowest / z_image / z_image / z_image
-    args = path, z_image, rel_tol, lowest / 8.0
+    if table is not None:  # this integrand's entry, the same at every z_A
+        table = None if cut else table.setdefault((geometry, tuple(omegas), xx, zz), {})
+    args = path, z_image, rel_tol, lowest / 8.0, table
     if size * size < math.inf:
         res = integrate_evanescent(*args)
     else:

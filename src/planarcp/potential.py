@@ -57,15 +57,16 @@ def _sample(z_A, contributions, method, error, evaluations=0):
 
 
 def potential_numeric(atom: Atom, geometry: Geometry, z_A: float,
-                      rel_tol: float = REL_TOL) -> PotentialSample:
+                      rel_tol: float = REL_TOL, table: dict | None = None) -> PotentialSample:
     """Potential by direct quadrature of the Green-tensor integral: one
     green_components call for all transitions, of each component that any
-    of them weighs (a weight of 0 multiplies a computed value)."""
+    of them weighs (a weight of 0 multiplies a computed value), to which
+    it passes a run's table on."""
     transitions = atom.transitions
     xx = any([t.d_par_sq > 0.0 for t in transitions])
     zz = any([t.d_perp_sq > 0.0 for t in transitions])
     g = green_components(z_A, [t.omega for t in transitions], geometry, rel_tol,
-                         xx=xx, zz=zz)
+                         xx=xx, zz=zz, table=table)
     none = [0.0] * len(transitions)
     g_xx, err_xx = (g.g_xx.real.tolist(), g.error_xx.tolist()) if xx else (none, none)
     g_zz, err_zz = (g.g_zz.real.tolist(), g.error_zz.tolist()) if zz else (none, none)
@@ -176,7 +177,7 @@ def potential_perfect_lens(atom: Atom, thickness: float,
 
 
 def potential_auto(atom: Atom, geometry: Geometry, z_A: float,
-                   rel_tol: float = REL_TOL) -> PotentialSample:
+                   rel_tol: float = REL_TOL, table: dict | None = None) -> PotentialSample:
     """The perfect-lens closed form, the retarded closed form for a half
     space beyond RETARDED_THRESHOLD, quadrature everywhere else; the
     sample's method records the choice."""
@@ -185,4 +186,4 @@ def potential_auto(atom: Atom, geometry: Geometry, z_A: float,
     if (isinstance(geometry, HalfSpace)
             and z_A * atom.omega_min > RETARDED_THRESHOLD):
         return potential_retarded(atom, geometry.material, z_A)
-    return potential_numeric(atom, geometry, z_A, rel_tol)
+    return potential_numeric(atom, geometry, z_A, rel_tol, table)

@@ -17,15 +17,18 @@ on every panel near it, so bisection homes in on it. The integrand may
 return shape (N,) or (m, N) or (m, c, N); every row must meet its own
 tolerance, and each round decides that on Python floats, row by row, the
 same way for any number of rows. Identical inputs give bit-identical
-results. Since each round is one integrand call, cost follows the number
-of rounds. Every round's weights carry its panels' half-widths and the
-decay exp(-rate x); the integrand is never multiplied by it. An
-evanescent integral's first round, in s = 2 kappa z_decay at rate 1, does
-not depend on the distance and is built once per ladder depth; its later
-rounds, in kappa at rate 2 z_decay, also extend its tail as Shampine's
-loop does an infinite interval. The error tested and returned is the
-Kronrod-Gauss difference floored at the round-off of the sum, as
-QUADPACK's (Piessens et al., 1983) is, which no bisection lowers.
+results with one numpy build at one CPU feature level. Since each round
+is one integrand call, cost follows the number of rounds. Every round's
+weights carry its panels' half-widths and the decay exp(-rate x); the
+integrand is never multiplied by it. An evanescent integral's first
+round is laid out in s = 2 kappa z_snap, z_decay snapped down to a power
+of two: built once per ladder depth, its nodes are the same at every
+distance of an octave, where a run's table shares their integrand
+values. Its later rounds, in kappa at rate 2 z_decay, also extend its
+tail as Shampine's loop does an infinite interval. The error tested and
+returned is the Kronrod-Gauss difference floored at the round-off of
+the sum, as QUADPACK's (Piessens et al., 1983) is, which no bisection
+lowers.
 """
 
 from __future__ import annotations
@@ -68,10 +71,10 @@ _TAIL_CUTOFF = 1e-16
 # integrand can claim far less than the rounding of the sum.
 _ROUNDOFF = 50.0 * sys.float_info.epsilon
 
-# An evanescent integral's first round in s = 2 kappa z_decay: 8 panels
+# An evanescent integral's first round in s = 2 kappa z_snap: 8 panels
 # _WIDTH wide, where the integrand peaks, then 2 and 4 wide once the decay
-# has fallen by e^-8, up to _CUTOFF, where it reaches _TAIL_CUTOFF; then two
-# tail panels _CUTOFF/4 wide (a kappa^2 prefactor keeps the first above it).
+# has fallen by e^-8, up to _CUTOFF, where it is at most _TAIL_CUTOFF; then
+# two tail panels _CUTOFF/4 wide (a kappa^2 prefactor can keep them above it).
 _CUTOFF = -math.log(_TAIL_CUTOFF)
 _WIDTH = _CUTOFF / math.ceil(_CUTOFF)
 _EDGES = ([j * _WIDTH for j in range(9)] + [10.0, 12.0, 14.0, 16.0, 20.0, 24.0, 28.0, 32.0]
@@ -217,29 +220,39 @@ def _layout(depth: int):
 
 
 def integrate_evanescent(integrand, z_decay: float, rel_tol: float = REL_TOL,
-                         onset: float = math.inf) -> IntegralResult:
+                         onset: float = math.inf, table: dict | None = None) -> IntegralResult:
     """Integrate integrand(kappa) * exp(-2 kappa z_decay) over kappa > 0.
 
     The caller supplies the prefactor; the decay is in every round's
     weights, not applied to it. The first round is one integrand call on
-    the cached _layout of panels in s = 2 kappa z_decay, scaled to
-    kappa = s/(2 z_decay). Its ladder halves the first panel down to the
-    first edge at or below kappa = onset > 0, where the integrand has
-    structure of its own. An endpoint singularity such as sqrt(kappa), on
-    which bisection would spend a round per octave, is the caller's to
-    smooth by a change of variable. Each refinement round appends one more
-    tail panel while the last is not a negligible fraction of the total,
-    which covers a prefactor whose growth delays the decay, such as the
-    amplified waves of a weakly lossy left-handed slab.
+    the cached _layout of panels in s = 2 kappa z_snap, z_snap = 2^e <=
+    z_decay < 2^(e+1): its nodes are the same at every z_decay of an
+    octave, and its weights carry the rest of the decay. A table, the
+    integrand's own dict, keeps its values there by (z_snap, depth).
+    Its ladder halves the first panel down to the first edge at or below
+    kappa = onset > 0, where the integrand has structure of its own. An
+    endpoint singularity such as sqrt(kappa), on which bisection would
+    spend a round per octave, is the caller's to smooth by a change of
+    variable. Each refinement round appends one more tail panel while the
+    last is not a negligible fraction of the total, which covers a
+    prefactor whose growth delays the decay, such as the amplified waves
+    of a weakly lossy left-handed slab.
     """
     require_distance("z_decay", z_decay)
     check_rel_tol(rel_tol)
     if not onset > 0.0:  # else the ladder would halve without end
         raise ValueError(f"onset must be positive, got {onset}")
-    scale = 0.5 / z_decay  # kappa per unit of s
+    z_snap = math.ldexp(0.5, math.frexp(z_decay)[1])
+    scale = 0.5 / z_snap  # kappa per unit of s
     depth, low, onset = 0, _WIDTH, onset / scale
     while low > onset:
         depth, low = depth + 1, 0.5 * low
     edges, nodes, weights = _layout(depth)
-    return _integrate(integrand, edges * scale, _sums(integrand, nodes * scale, weights, scale),
-                      rel_tol, "evanescent", 2.0 * z_decay, 0.25 * _CUTOFF * scale)
+    x, key = nodes * scale, (z_snap, depth)
+    if table is not None and key not in table:
+        table[key] = integrand(x.ravel())
+    # exp(-2 kappa z_decay) is the layout's exp(-s) times exp(-s (z_decay/z_snap - 1)).
+    weights = weights * np.exp(nodes * (1.0 - z_decay / z_snap))
+    values = integrand if table is None else lambda _: table[key]
+    return _integrate(integrand, edges * scale, _sums(values, x, weights, scale), rel_tol,
+                      "evanescent", 2.0 * z_decay, 0.125 * _CUTOFF / z_decay)

@@ -756,6 +756,24 @@ def test_model_built_once_per_run(tmp_path, monkeypatch, command):
     assert sorted(calls) == ["build_atom", "build_geometry"]
 
 
+def test_branch_cut_keeps_no_table(tmp_path, monkeypatch):
+    # A left-handed half space's cut crosses the path, and its rows depend
+    # on z: its run passes every point the one table, which stays empty.
+    tables = []
+    auto = planarcp.cli.potential_auto
+
+    def recorded(atom, geometry, z, rel_tol, table):
+        tables.append(table)
+        return auto(atom, geometry, z, rel_tol, table)
+
+    monkeypatch.setattr(planarcp.cli, "potential_auto", recorded)
+    code, _ = run(tmp_path, "sweep", "--eps-re", "-1", "--eps-im", "0.1", "--mu-re", "-1",
+                  "--mu-im", "0.1", "--zmin", "0.3", "--zmax", "0.45", "--points", "4",
+                  "--workers", "1")
+    assert code == 0 and len(tables) == 4
+    assert all(t is tables[0] for t in tables) and tables[0] == {}
+
+
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -441,14 +441,15 @@ class TestSteepestDescentPath:
         assert firsts == [(True, nodes), (False, nodes)]
 
     def test_ladder_leaves_no_sliver(self):
-        # At z = 0.4995 the rung k0 = 1 lies between the first panel's
-        # edge, _WIDTH/(2z) = 0.9967, and 0.5/z. The ladder halves that
-        # edge, so no sliver panel costs a round: 330 nodes, as at
-        # z = 0.5045.
+        # At 0.5 <= z < 1 the layout's kappa is s, and k0 = 0.998 lies
+        # between the first panel's edge, _WIDTH = 0.9957, and 1; so does
+        # its onset k0/8 between the rungs _WIDTH/8 and 1/8. The ladder
+        # halves that edge, so no sliver panel costs a round: 330 nodes,
+        # as at k0 = 1.
         geometry = HalfSpace(validate_material(-3 + 1e-3j, 1))
-        assert _WIDTH / (2.0 * 0.4995) < 1.0 < 0.5 / 0.4995
-        for z in (0.4995, 0.5045):
-            assert green_components(z, 1.0, geometry, zz=False).evaluations == 330
+        assert _WIDTH < 0.998 < 1.0
+        for k0 in (0.998, 1.0):
+            assert green_components(0.75, k0, geometry, zz=False).evaluations == 330
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(eps_re=st.floats(-6.0, 6.0), mu_re=st.floats(-6.0, 6.0),
@@ -543,10 +544,10 @@ class TestSteepestDescentPath:
         relative. Its error in (G_xx, G_zz), in units of its claimed error:
 
             eps            z = 1500        z = 1e4
-            -1 + 0.1i      0.52, 0.52      0.005, 0.009
-            -2 + 0.05i     0.73, 0.77      1.29, 1.07
+            -1 + 0.1i      0.13, 0.12      0.12, 0.12
+            -2 + 0.05i     2.17, 2.22      0.28, 0.08
 
-        eps = -2 + 0.05i at z = 1e4 is above its claim, hence the fixed
+        eps = -2 + 0.05i at z = 1500 is above its claim, hence the fixed
         bound here. The cause is the cancellation in the Fresnel numerator
         a beta - beta1 where beta1 is near a beta: here, for eps = mu,
         near t = 0 (ROADMAP.md, "Reflection coefficients without
@@ -675,20 +676,22 @@ class TestAmplifiedTail:
 
     def test_tail_panel_and_bisections_in_one_round(self, round_sizes):
         # The tail needs one panel past the first call and the poles near
-        # the path need bisection.
+        # the path need bisection. At z = 4, a power of two, the first
+        # round reaches least far past the cutoff.
         geometry = SlabWithMirror(
-            validate_material(-1 + 1.849e-4j, -1 + 1.849e-4j), 2.4136)
-        g = green_components(2.4686, 1.0, geometry)
+            validate_material(-1 + 1.849e-4j, -1 + 1.849e-4j), 3.9)
+        g = green_components(4.0, 1.0, geometry)
         # 15 nodes more than whole bisected pairs: a tail panel rode along.
         assert any(n % 30 == 15 and n > 15 for n in round_sizes[1:]), round_sizes
-        ref_xx, ref_zz, ref_err = quad_vec_green(2.4686, 1.0, geometry)
+        ref_xx, ref_zz, ref_err = quad_vec_green(4.0, 1.0, geometry)
         assert abs(g.g_xx - ref_xx) <= g.error_xx + ref_err
         assert abs(g.g_zz - ref_zz) <= g.error_zz + ref_err
 
     def test_tail_only_round(self, round_sizes):
-        # lens-sweep's first point: one tail panel, no bisection, and no
-        # round past the one that finds the tail closed.
-        green_components(5.2, 1.0, LENS_SLAB)
+        # lens-sweep's last point, z = 8, where its first round reaches
+        # least far: one tail panel, no bisection, and no round past the
+        # one that finds the tail closed.
+        green_components(8.0, 1.0, LENS_SLAB)
         assert len(round_sizes) == 2 and round_sizes[1] == 15, round_sizes
 
 

@@ -83,6 +83,22 @@ class TestNumeric:
         assert got.method is PotentialMethod.NUMERIC
         assert got.error_estimate >= 0.0
 
+    def test_shared_table_gives_lone_call_bits(self):
+        # One table across geometries and atoms whose integrands differ in
+        # their rows (G_xx alone, both, two transitions), at distances of
+        # one octave of z: every call returns the bits of its lone call, and
+        # each integrand keeps its own first-round values.
+        table = {}
+        geometries = (HalfSpace(validate_material(-3 + 1e-3j, 1)), HALF,
+                      SlabWithMirror(validate_material(2 + 0.1j, 1), 0.2), PerfectLens(0.1))
+        for z in (0.3, 0.4, 0.45):
+            for geometry in geometries:
+                for atom in (PAR, MIXED, TWO_LEVEL_MIXED):
+                    shared = potential_numeric(atom, geometry, z, table=table)
+                    lone = potential_numeric(atom, geometry, z)
+                    assert repr(shared) == repr(lone)
+        assert len(table) == len(geometries) * 3
+
     def test_transitions_sum_linearly(self):
         geo = HalfSpace(validate_material(2 + 0.3j, 1))
         t1 = Transition(1.0, 1.0, 0.0)

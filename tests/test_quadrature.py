@@ -352,15 +352,15 @@ class TestRowCount:
     # integrand, rel_tol, node counts of its calls, the failure's cause.
     CASES = {
         "first round": (lambda k: 1.0 / (1.0 + k) + 0j, REL_TOL, [285], None),
-        # The first round's error is 1.4 times this tolerance.
-        "one bisection": (lambda k: 1.0 / (1.0 + k) + 0j, 1.5e-12, [285, 30], None),
+        # The first round's error is 1.3 times this tolerance.
+        "one bisection": (lambda k: 1.0 / (1.0 + k) + 0j, 1.5e-10, [285, 30], None),
         "bisection": (lambda k: 1e-3 / ((k - 5.0) ** 2 + 1e-6) + 0j, REL_TOL,
-                      [285] + [60] * 4 + [30] + [60] * 4 + [30], None),
-        "tail panels": (lambda k: np.exp(k) + 0j, REL_TOL, [285] + [15] * 7, None),
+                      [285] + [60] * 8 + [30, 60], None),
+        "tail panels": (lambda k: np.exp(k) + 0j, REL_TOL, [285] + [15] * 4, None),
         "nan": (lambda k: np.where((1.0 < k) & (k < 2.0), np.nan, 1.0) + 0j, REL_TOL,
                 [285], "integrand not finite after 0 subdivisions"),
-        "floor": (lambda k: 1.0 / (1.0 + k) + 0j, 1e-20, [285, 330],
-                  "error 4.977e-15 above tolerance after 11 subdivisions"),
+        "floor": (lambda k: 1.0 / (1.0 + k) + 0j, 1e-20, [285, 330, 450],
+                  "error 4.977e-15 above tolerance after 26 subdivisions"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -458,13 +458,15 @@ class TestFirstRoundLayout:
 
     def test_one_layout_per_depth(self):
         # halfspace-sweep's 200 distances (k0 = 1) share one layout
-        # per ladder depth: the smallest n with _WIDTH/2^n <= k0 z/4.
+        # per ladder depth: the smallest n with _WIDTH/2^n <= k0 z_snap/4,
+        # z_snap = 2^e <= z < 2^(e+1).
         half_space = HalfSpace(validate_material(-3 + 1e-3j, 1))
         zs = np.geomspace(0.05, 50.0, 200)
         _layout.cache_clear()
         for z in zs:
             potential_numeric(Atom([Transition(1.0, 1.0, 0.0)]), half_space, z)
-        depths = {max(0, math.ceil(math.log2(_WIDTH / (z / 4.0)))) for z in zs}
+        snapped = [math.ldexp(0.5, math.frexp(z)[1]) for z in zs]
+        depths = {max(0, math.ceil(math.log2(_WIDTH / (z / 4.0)))) for z in snapped}
         info = _layout.cache_info()
         assert (info.currsize, info.misses) == (len(depths), len(depths))
         # The cache is bounded: more depths than it holds evict the oldest.

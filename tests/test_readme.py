@@ -6,6 +6,9 @@ import re
 import shlex
 from pathlib import Path
 
+import pytest
+
+from planarcp import cli
 from planarcp.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -60,15 +63,52 @@ def test_cli_examples_start_no_process(tmp_path, monkeypatch, pool_sizes):
     assert pool_sizes == [1, 1, 1]
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_rows_are_lone_calls(tmp_path, monkeypatch, workers):
+    # A run's points share first-round integrand values, in this process
+    # and in a forked one: each row's sample is still the bits of the lone
+    # potential_auto call at its distance, evaluations included.
+    monkeypatch.chdir(tmp_path)
+    auto, eval_point, run_parallel = cli.potential_auto, cli._eval_point, cli._run_parallel
+    samples, checked = [], []
+
+    def recorded(*args, **kwargs):
+        samples.append(auto(*args, **kwargs))
+        return samples[-1]
+
+    def with_sample(job):
+        row, why = eval_point(job)
+        s = samples[-1]
+        return {**row, "sample": repr((s.value, s.error_estimate, s.method, s.evaluations))}, why
+
+    def compared(fn, config, atom, geometry, distances):
+        rows = run_parallel(fn, config, atom, geometry, distances)
+        for (row, _), z in zip(rows, distances):
+            s = auto(atom, geometry, float(z), config.rel_tol)
+            checked.append(row["sample"] == repr((s.value, s.error_estimate, s.method,
+                                                  s.evaluations)))
+        return rows
+
+    monkeypatch.setattr(cli, "potential_auto", recorded)
+    monkeypatch.setattr(cli, "_eval_point", with_sample)
+    monkeypatch.setattr(cli, "_run_parallel", compared)
+    half_space, _, lens = cli_examples()
+    for argv in (half_space, lens):
+        assert main(argv + ["--workers", workers, "-o", "out"]) == 0
+    assert len(checked) == 260 and all(checked)
+
+
 def test_reference_sweeps_make_a_fixed_work(tmp_path, monkeypatch, capsys, round_sizes):
-    # README's half-space sweep converges in one round at each of its 200
-    # points, and its lens sweep in two at each of its 60 (the second adds
-    # a tail panel). A change that adds or drops a round moves these
-    # counts of integrand calls and evaluations.
+    # A run's points share the first round's integrand values within each
+    # octave of z. README's half-space sweep converges in one round at
+    # each of its 200 points, which span 11 octaves: 11 integrand calls.
+    # Its lens sweep spans 2, and its last point, z = 8, adds a tail panel.
+    # A change that adds or drops a round, or a shared value, moves these
+    # counts of integrand calls and nodes.
     monkeypatch.chdir(tmp_path)
     half_space, _, lens = cli_examples()
-    for argv, calls, evaluations in ((half_space, 200, 64_035), (lens, 120, 18_000)):
+    for argv, calls, nodes in ((half_space, 11, 3_555), (lens, 3, 585)):
         round_sizes.clear()
         assert main(argv + ["--workers", "1"]) == 0
-        assert (len(round_sizes), sum(round_sizes)) == (calls, evaluations)
+        assert (len(round_sizes), sum(round_sizes)) == (calls, nodes)
     capsys.readouterr()
