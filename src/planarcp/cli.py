@@ -21,7 +21,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,7 +69,8 @@ class SweepConfig:
     rel_tol: float = REL_TOL
     format: str = "csv"
     output: str = "-"
-    reproducible: bool = False
+    reproducible: bool = field(default=False, metadata={"help": "no timestamp: bytes fixed for "
+        "one numpy build at one CPU feature level, each row the lone call at its distance"})
     workers: int = 1  # processes in all, this one among them: min(N, points)
 
     def validate(self) -> tuple[Atom, Geometry]:
@@ -214,8 +215,8 @@ def _fork(fn, jobs):
 def _run_parallel(fn, config, atom, geometry, distances):
     """fn over the jobs in n = min(workers, points) processes, this one
     among them, process k taking every n-th job from the k-th. This one
-    takes the first before it forks, so that the others inherit a slab's
-    poles and the jobs' one table. fn returns a failed row for a distance's
+    takes the first before it forks, so that the others inherit the jobs'
+    one table and the set-up in it. fn returns a failed row for a distance's
     error, so an exception here or in a child is a fault, which ends the run."""
     table = {}
     jobs = [(config, atom, geometry, float(z), table) for z in distances]
@@ -296,15 +297,15 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     """--config, then one flag per SweepConfig field (--eps-re for
     eps_re), typed by the field's default."""
     p.add_argument("--config", help="JSON config file; flags override its values")
-    for field in fields(SweepConfig):
-        names = ["--" + field.name.replace("_", "-")]
-        if field.name == "output":
+    for spec in fields(SweepConfig):
+        names, text = ["--" + spec.name.replace("_", "-")], spec.metadata.get("help")
+        if spec.name == "output":
             names.append("-o")
-        kind = type(field.default)
+        kind = type(spec.default)
         if kind is bool:
-            p.add_argument(*names, action="store_true", default=None)
+            p.add_argument(*names, action="store_true", default=None, help=text)
         else:
-            p.add_argument(*names, type=kind, choices=CHOICES.get(field.name))
+            p.add_argument(*names, type=kind, choices=CHOICES.get(spec.name), help=text)
 
 
 def _typed(key: str, val):

@@ -274,8 +274,8 @@ def _strip_poles(geometry: SlabWithMirror, omegas: tuple[float, ...]):
     on_edge): the poles of a slab's (r_s, r_p) in the strip
     0 <= Re beta < k0, the residues of (r_s, r_p) stacked as rows (one
     row is 0 at each pole), their errors, and which lie on Re beta = 0;
-    None if there are none. Cached per (geometry, omegas): a sweep's
-    points share them.
+    None if there are none. A run's table keeps them in its _setup; the
+    cache serves repeated lone calls and bench/run.py's untimed warm-up.
 
     One walk in v = (top/k0) beta, top the largest k0, counts and sums
     every transition's zeros of D_s and D_p up to the tallest
@@ -327,6 +327,53 @@ def _product(a: float, b: float) -> tuple[float, float]:
     return p, e if math.isfinite(e) else 0.0
 
 
+def _setup(geometry: Geometry, omegas: list[float], xx: bool, zz: bool, shared: bool):
+    """What green_components computes before z_A: z_offset, the lowest k0,
+    the path integrand without a cut, a cut's function of z_image that adds
+    it, per transition j with poles (j, 2i beta, its terms' rows at exp(2i
+    beta z) = 4, |at| of dres, dbeta, on_edge, any on_edge), and a dict for
+    the first-round values if shared and cut-free, else None.
+    """
+    # A column of frequencies broadcasts against the nodes; one stays a
+    # float, on which numpy takes its faster scalar paths.
+    k0 = omegas[0] if len(omegas) == 1 else np.array(omegas)[:, None]
+    rs_rp, z_offset, cut, poles = _coefficients(geometry, k0)
+
+    def at(beta, r, k=k0):
+        # The rows asked for, G_xx then G_zz, of r = (r_s, r_p); a lone row
+        # has no axis of its own. q^2 = k0^2 - beta^2 as a product: k0 - beta
+        # = -i t is exact on the path, where k0^2 - beta^2 would lose t^2.
+        out = [r[0] - (beta / k) ** 2 * r[1]] if xx else []
+        if zz:
+            out.append(2.0 * ((k - beta) * (k + beta) / (k * k)) * r[1])
+        return np.stack(out) if len(out) == 2 else out[0]
+
+    def path(t):
+        # beta = k0 + i t, set by parts: k0 + 1j * t bit for bit, without its
+        # complex product. The engine applies the decay exp(-2 t z_image).
+        beta = np.empty(np.shape(k0)[:1] + t.shape, complex)
+        beta.real, beta.imag = k0, t
+        return at(beta, rs_rp(beta))
+
+    def with_cut(z_image):  # c: within a factor 4 below the first round's lowest edge
+        (b0, jump), c = cut, 0.5 * min(min(omegas) / 8.0, 0.5 / z_image)
+        cut_phase = np.exp(2j * (b0 - k0) * z_image)
+        def cut_path(t):
+            # The cut's rows at beta = b0 + i u, u = t w = t^2/(t + c), analytic in t, times
+            # du/dt exp(2 (t - u) z_image) <= e^(1/2) keep the decay exp(-2 t z_image).
+            w = t / (t + c)
+            u = t * w
+            on_cut = b0 + 1j * u
+            stretch = cut_phase * (w * (2.0 - w) * np.exp(2.0 * c * z_image * w))
+            return path(t) + stretch * at(on_cut, jump(on_cut, u))
+        return cut_path
+
+    poles = [(j, 2j * p[0], at(p[0], p[1], k), np.abs(at(p[0], p[3], k)), p[2], p[4], p[4].any())
+             for j, (p, k) in enumerate(zip(poles or (), omegas)) if p is not None]
+    return (z_offset, min(omegas), path, None if cut is None else with_cut, poles,
+            {} if shared and cut is None else None)
+
+
 def green_components(z_A: float, omega, geometry: Geometry,
                      rel_tol: float = REL_TOL, *, xx: bool = True,
                      zz: bool = True, table: dict | None = None) -> GreenComponents:
@@ -343,8 +390,8 @@ def green_components(z_A: float, omega, geometry: Geometry,
     is the same for each) on the lowest one's ladder; each (transition,
     component) row meets its own tolerance, and each transition keeps its
     own cut, poles and phase. Any other omega raises ValueError. A run's
-    table, a dict, shares the path's first-round integrand values between
-    its calls, which a branch cut's rows would make depend on z_A.
+    table, a dict, keeps each integrand's _setup and first-round values,
+    which a branch cut's rows would make depend on z_A.
     """
     if not (xx or zz):
         raise ValueError("green_components needs at least one of xx, zz")
@@ -354,52 +401,20 @@ def green_components(z_A: float, omega, geometry: Geometry,
     if not (omegas and all([0.0 < w < math.inf for w in omegas])):
         raise ValueError("omega must be a positive finite number or a non-empty "
                          f"1-D array of them, got {omega!r}")
-    # A column of frequencies broadcasts against the nodes; one stays a
-    # float, on which numpy takes its faster scalar paths.
-    k0 = omegas[0] if len(omegas) == 1 else np.array(omegas)[:, None]
-    rs_rp, z_offset, cut, poles = _coefficients(geometry, k0)
+    key = (geometry, tuple(omegas), xx, zz)
+    if (setup := None if table is None else table.get(key)) is None:
+        setup = _setup(geometry, omegas, xx, zz, table is not None)
+        if setup[-1] is not None:  # shared, and without a cut
+            table[key] = setup
+    z_offset, lowest, path, cut, poles, first = setup
     require_distance("z_A", z_A, z_offset)
     z_image = z_A - z_offset
     require_distance("2 omega z", 2.0 * max(omegas) * z_image)  # else cmath.exp raises
-
-    def at(beta, r, k=k0):
-        # The rows asked for, G_xx then G_zz, of r = (r_s, r_p); a lone row
-        # has no axis of its own. q^2 = k0^2 - beta^2 as a product: k0 - beta
-        # = -i t is exact on the path, where k0^2 - beta^2 would lose t^2.
-        out = [r[0] - (beta / k) ** 2 * r[1]] if xx else []
-        if zz:
-            out.append(2.0 * ((k - beta) * (k + beta) / (k * k)) * r[1])
-        return np.stack(out) if len(out) == 2 else out[0]
-
-    lowest = min(omegas)
-    if cut is not None:  # c: within a factor 4 below the first round's lowest edge
-        (b0, jump), c = cut, 0.5 * min(lowest / 8.0, 0.5 / z_image)
-        cut_phase = np.exp(2j * (b0 - k0) * z_image)
-    lead = (len(omegas),) if len(omegas) > 1 else ()
-
-    def path(t):
-        # beta = k0 + i t, set by parts: k0 + 1j * t bit for bit, without its
-        # complex product. The engine applies the decay exp(-2 t z_image).
-        beta = np.empty(lead + t.shape, complex)
-        beta.real, beta.imag = k0, t
-        out = at(beta, rs_rp(beta))
-        if cut is None:
-            return out
-        # The cut's rows at beta = b0 + i u, u = t w = t^2/(t + c), analytic in t,
-        # times du/dt exp(2 (t - u) z_image) <= e^(1/2) keep the decay exp(-2 t z_image).
-        w = t / (t + c)
-        u = t * w
-        on_cut = b0 + 1j * u
-        stretch = cut_phase * (w * (2.0 - w) * np.exp(2.0 * c * z_image * w))
-        return out + stretch * at(on_cut, jump(on_cut, u))
-
     # The lowest k0's onset k0/8 covers every higher one's. Once the square
     # of the integral's size 1/(k0^2 z^3) overflows, so may its products:
     # the integrand not finite is then the cause, without numpy's warnings.
     size = 1.0 / lowest / lowest / z_image / z_image / z_image
-    if table is not None:  # this integrand's entry, the same at every z_A
-        table = None if cut else table.setdefault((geometry, tuple(omegas), xx, zz), {})
-    args = path, z_image, rel_tol, lowest / 8.0, table
+    args = path if cut is None else cut(z_image), z_image, rel_tol, lowest / 8.0, first
     if size * size < math.inf:
         res = integrate_evanescent(*args)
     else:
@@ -412,25 +427,24 @@ def green_components(z_A: float, omega, geometry: Geometry,
              for arg, rounding in (_product(k, z_image) for k in omegas)]
     value = np.array(phase)[:, None] * res.value.reshape(-1, len(omegas)).T
     error = res.error_estimate.reshape(-1, len(omegas)).T / (8.0 * math.pi)
-    for pole, k, v, e in zip(poles or (), omegas, value, error):
-        if pole is not None:
-            # -(1/4) Res F per pole; its error is what moving the pole by its
-            # dbeta changes, plus the residue's and round-off. A pole on
-            # Re beta = 0 is left out, which its term must allow. `-=` and
-            # `+=` would reorder the operands below, and the rounding.
-            beta, residue, dbeta, dresidue, on_edge = pole
-            turn = np.exp(2j * beta * z_image) / 4.0
-            terms = turn * at(beta, residue, k)
-            v -= terms[..., ~on_edge].sum(axis=-1)
+    for j, two_i_beta, rows, bound, dbeta, on_edge, edged in poles:
+        # -(1/4) Res F per pole of transition j; its error is what moving the
+        # pole by its dbeta changes, plus the residue's and round-off. A pole
+        # on Re beta = 0 is left out, which its term must allow.
+        v, e = value[j], error[j]
+        turn = np.exp(two_i_beta * z_image) / 4.0
+        terms = turn * rows
+        v -= (terms[..., ~on_edge] if edged else terms).sum(axis=-1)
+        if edged:
             edge = np.abs(terms[..., on_edge]).sum(axis=-1)
             if (edge > rel_tol * np.abs(v)).any():
                 raise DegenerateDenominator("a lossless slab's guided mode on "
                                             "Re beta = 0 is not negligible here")
-            # Each pole's dresidue is nonzero in its own polarisation only,
-            # so |at| of it is the sum of its rows' |terms|: a bound.
-            bound = np.abs(at(beta, dresidue, k))
-            e[:] = e + edge + (np.abs(terms) * (2.0 * z_image * dbeta + _ROUNDOFF)
-                               + abs(turn) * bound).sum(axis=-1)
+            e += edge
+        # Each pole's dresidue is nonzero in its own polarisation only,
+        # so |at| of it is the sum of its rows' |terms|: a bound.
+        e += (np.abs(terms) * (2.0 * z_image * dbeta + _ROUNDOFF)
+              + abs(turn) * bound).sum(axis=-1)
     # Per component: numbers for a number omega, else arrays over omegas.
     value, error = (value[0].tolist(), error[0].tolist()) if single else (value.T, error.T)
     g_xx, error_xx = (value[0], error[0]) if xx else (None, None)

@@ -228,7 +228,7 @@ def integrate_evanescent(integrand, z_decay: float, rel_tol: float = REL_TOL,
     the cached _layout of panels in s = 2 kappa z_snap, z_snap = 2^e <=
     z_decay < 2^(e+1): its nodes are the same at every z_decay of an
     octave, and its weights carry the rest of the decay. A table, the
-    integrand's own dict, keeps its values there by (z_snap, depth).
+    integrand's own dict, keeps its nodes, edges and values by (z_snap, depth).
     Its ladder halves the first panel down to the first edge at or below
     kappa = onset > 0, where the integrand has structure of its own. An
     endpoint singularity such as sqrt(kappa), on which bisection would
@@ -248,11 +248,11 @@ def integrate_evanescent(integrand, z_decay: float, rel_tol: float = REL_TOL,
     while low > onset:
         depth, low = depth + 1, 0.5 * low
     edges, nodes, weights = _layout(depth)
-    x, key = nodes * scale, (z_snap, depth)
-    if table is not None and key not in table:
-        table[key] = integrand(x.ravel())
+    if table is not None and (z_snap, depth) not in table:
+        table[z_snap, depth] = nodes * scale, edges * scale, integrand(nodes.ravel() * scale)
+    x, edges, values = table[z_snap, depth] if table else (nodes * scale, edges * scale, None)
     # exp(-2 kappa z_decay) is the layout's exp(-s) times exp(-s (z_decay/z_snap - 1)).
     weights = weights * np.exp(nodes * (1.0 - z_decay / z_snap))
-    values = integrand if table is None else lambda _: table[key]
-    return _integrate(integrand, edges * scale, _sums(values, x, weights, scale), rel_tol,
-                      "evanescent", 2.0 * z_decay, 0.125 * _CUTOFF / z_decay)
+    first = _sums(integrand if table is None else lambda _: values, x, weights, scale)
+    return _integrate(integrand, edges, first, rel_tol, "evanescent", 2.0 * z_decay,
+                      0.125 * _CUTOFF / z_decay)

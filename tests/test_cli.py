@@ -774,6 +774,23 @@ def test_branch_cut_keeps_no_table(tmp_path, monkeypatch):
     assert all(t is tables[0] for t in tables) and tables[0] == {}
 
 
+def test_reproducible_help_says_what_readme_says(capsys):
+    # `sweep --help` gives --reproducible README's promise: the bytes are
+    # fixed for one numpy build at one CPU feature level, and each row is
+    # the lone call at its distance.
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    start = text.index("--reproducible ")
+    flag = text[start:text.index("--workers WORKERS", start)]
+    readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8").split())
+    for claim in ("fixed for one numpy build at one CPU feature level", "lone",
+                  "call at its distance"):
+        assert claim in flag and claim in readme
+
+
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

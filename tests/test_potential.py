@@ -86,18 +86,32 @@ class TestNumeric:
     def test_shared_table_gives_lone_call_bits(self):
         # One table across geometries and atoms whose integrands differ in
         # their rows (G_xx alone, both, two transitions), at distances of
-        # one octave of z: every call returns the bits of its lone call, and
-        # each integrand keeps its own first-round values.
-        table = {}
+        # one octave of z and one far out: every call returns the bits of
+        # its lone call, or raises the same error, and each integrand keeps
+        # its own set-up and first-round values. The lens slab has 3 and 2
+        # strip poles at transitions (1, 0.8); the lossless slab's 4 poles
+        # at omega = 1 all lie on Re beta = 0, where its guided modes fail
+        # the near points and are negligible at the far one.
+        table, lossless = {}, set()
         geometries = (HalfSpace(validate_material(-3 + 1e-3j, 1)), HALF,
-                      SlabWithMirror(validate_material(2 + 0.1j, 1), 0.2), PerfectLens(0.1))
-        for z in (0.3, 0.4, 0.45):
+                      SlabWithMirror(validate_material(2 + 0.1j, 1), 0.2), PerfectLens(0.1),
+                      LENS_SLAB, SlabWithMirror(validate_material(4, 1), 3.0))
+        atoms = (PAR, MIXED, TWO_LEVEL_MIXED,
+                 Atom([Transition(1.0, 0.6, 0.4), Transition(0.8, 0.3, 0.7)]))
+        for z in (0.3, 0.4, 0.45, 40.0):
             for geometry in geometries:
-                for atom in (PAR, MIXED, TWO_LEVEL_MIXED):
-                    shared = potential_numeric(atom, geometry, z, table=table)
-                    lone = potential_numeric(atom, geometry, z)
-                    assert repr(shared) == repr(lone)
-        assert len(table) == len(geometries) * 3
+                for atom in atoms:
+                    got = []
+                    for shared in (table, None):
+                        try:
+                            got.append(repr(potential_numeric(atom, geometry, z, table=shared)))
+                        except DegenerateDenominator as exc:
+                            got.append(repr(exc))
+                    assert got[0] == got[1]
+                    if geometry is geometries[-1]:
+                        lossless.add(got[0].startswith("DegenerateDenominator"))
+        assert len(table) == len(geometries) * len(atoms)
+        assert lossless == {True, False}  # the lossless slab both raises and returns
 
     def test_transitions_sum_linearly(self):
         geo = HalfSpace(validate_material(2 + 0.3j, 1))

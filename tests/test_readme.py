@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import planarcp.green
 from planarcp import cli
 from planarcp.cli import main
 
@@ -112,3 +113,20 @@ def test_reference_sweeps_make_a_fixed_work(tmp_path, monkeypatch, capsys, round
         assert main(argv + ["--workers", "1"]) == 0
         assert (len(round_sizes), sum(round_sizes)) == (calls, nodes)
     capsys.readouterr()
+
+
+def test_lens_sweep_builds_its_setup_once(tmp_path, monkeypatch):
+    # A run's table keeps each integrand's z-free set-up: README's lens
+    # sweep builds it, and looks up its slab's strip poles, at its first
+    # point only; its other 59 points evaluate just what depends on z.
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    for name in ("_setup", "_strip_poles"):
+        def counted(*args, real=getattr(planarcp.green, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(planarcp.green, name, counted)
+    _, _, lens = cli_examples()
+    assert main(lens + ["--workers", "1"]) == 0
+    assert sorted(calls) == ["_setup", "_strip_poles"]
