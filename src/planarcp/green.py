@@ -16,7 +16,11 @@ point, with the same decay in the same integrand (no surface-mode pole of
 10^5 random passive half spaces lies in the strip on the path's sheet);
 and -(1/4) Res F, F = exp(2i beta z) R, at each pole of a mirror-backed
 slab, whose coefficients are even in beta1 and so have no cut; one walk
-per slab and set of transitions counts those poles for all transitions.
+per slab and set of transitions counts those poles for all transitions. A
+lossy slab with Re eps, Re mu > 0 takes no walk: a zero of D_s in the
+strip needs i beta |E_y(0)|^2 = (A + q^2 B)/mu - k0^2 eps B, A, B > 0 the
+slab's integrals of |E_y'|^2 and |E_y|^2, which passivity forbids there,
+and so does D_p's with H_y (_strip_poles).
 """
 
 from __future__ import annotations
@@ -284,9 +288,24 @@ def _strip_poles(geometry: SlabWithMirror, omegas: tuple[float, ...]):
     row[i] at v[i] with slopes by v, for the polish and the residues: r =
     N/D, so res is k0/top times N/D' by v at the pole, and dres how far
     that moves when the pole moves by its dbeta, plus 1e-15 |res|.
+
+    A lossy slab with Re eps > 0 and Re mu > 0 has none, and takes no walk.
+    At a zero of D_s, phi = E_y solves phi'' + beta1^2 phi = 0 in the slab,
+    phi = 0 at the mirror, phi and phi'/mu continuous at z = 0, and phi =
+    exp(i beta z) above. Integrating phi* phi''/mu over the slab by parts,
+    with A, B > 0 its integrals of |phi'|^2 and |phi|^2 and q^2 = k0^2 -
+    beta^2: i beta |phi(0)|^2 = (A + q^2 B)/mu - k0^2 eps B, whose imaginary
+    part is Re beta (|phi(0)|^2 + 2 Im beta Re mu B/|mu|^2) = -Im mu (A +
+    Re q^2 B)/|mu|^2 - k0^2 Im eps B. In 0 <= Re beta <= k0, Im beta >= 0,
+    Re q^2 >= 0: Re mu >= 0 makes the left side >= 0, and passivity with
+    loss the right side < 0. D_p: phi = H_y, phi' = 0 at the mirror, eps
+    and mu swapped (Shadrivov, Sukhorukov & Kivshar, PRE 67, 057602
+    (2003): such a pole must carry power backward).
     """
     material, d = geometry.material, geometry.thickness
     check_slab_thickness(d, omegas)
+    if material.epsilon.real > 0.0 and material.mu.real > 0.0 and not material.is_lossless:
+        return (None,) * len(omegas)
     # A lossless slab's guided modes lie on Re beta = 0, where the i0+
     # limit decides whether they count: its strip starts at -eta k0, and
     # they come back flagged as on the edge.

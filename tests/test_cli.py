@@ -220,7 +220,8 @@ class TestSweep:
         monkeypatch.setattr(planarcp.green, "_count_zeros", false_zero_count)
         planarcp.green._strip_poles.cache_clear()
         code, out = run(tmp_path, "sweep", "--geometry", "slab-mirror",
-                        "--eps-re", "2", "--eps-im", "0.1", "--thickness", "1",
+                        "--eps-re", "2", "--eps-im", "0.1", "--mu-re", "-1",
+                        "--mu-im", "0.1", "--thickness", "1",
                         "--zmin", "1", "--zmax", "2", "--points", "2",
                         "--workers", "1", "--reproducible")
         err = capsys.readouterr().err

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -699,7 +700,20 @@ def dense_count(eps, mu, d, height, left=0.0, n=400_000):
     """Zeros of D_s and D_p in left < Re beta < 1, 0 < Im beta < height
     (k0 = 1), from the phase of each on n points per edge: an argument
     principle with no adaptivity, sharing no code with the engine. At
-    k0 != 1 the zeros in beta/k0 are those of k0 = 1 with d k0 for d."""
+    k0 != 1 the zeros in beta/k0 are those of k0 = 1 with d k0 for d.
+
+    Hypothesis keeps each failing example's exception while it shrinks,
+    and with it the frames of its traceback: a failure raised inside the
+    count would keep its arrays, about 75 MB per example at n = 200,000,
+    so the counting frame is cleared before the exception leaves."""
+    try:
+        return _phase_counts(eps, mu, d, height, left, n)
+    except Exception as error:
+        traceback.clear_frames(error.__traceback__)
+        raise
+
+
+def _phase_counts(eps, mu, d, height, left, n):
     t = np.arange(n) / n
     width = 1 - left
     beta = np.concatenate((left + width * t, 1 + 1j * height * t,
@@ -872,35 +886,53 @@ class TestStripPoles:
     def test_thickness_outside_the_walk_range(self, d, monkeypatch):
         # Refused before the walk's height or nodes are worked out: 1/d
         # overflows at 1e-310, and 1e6 would take 2e7 nodes.
-        def built(*args):
-            raise AssertionError("walk built")
-
-        monkeypatch.setattr(planarcp.green, "_strip_height", built)
-        monkeypatch.setattr(planarcp.green, "_count_zeros", built)
+        self.forbid_walk(monkeypatch)
         slab = SlabWithMirror(validate_material(2 + 0.1j, 1), d)
         with pytest.raises(DomainError, match=re.escape(
                 f"slab thickness {d} times omega = 1.0, 0.8 is outside")):
             green_components(1.0, [1.0, 0.8], slab)
 
     def test_lossy_pole_beyond_the_walk_resolution(self):
-        # A thin lossy slab's D_p has a zero near (i - 0.05) d / 2, which
+        # A thin lossy slab's D_p has a zero near (1.5i - 0.025) d, which
         # the walk cannot tell from the strip's edge; the cause blames no
         # lossless input.
-        slab = SlabWithMirror(validate_material(2 + 0.1j, 1), 1e-7)
+        slab = SlabWithMirror(validate_material(-2 + 0.1j, 1), 1e-7)
         with pytest.raises(DegenerateDenominator) as info:
             green_components(1.0, 1.0, slab)
         assert str(info.value) == ("a slab's reflection pole lies on the strip's "
                                    "boundary or nearer to it than the walk resolves")
 
+    @pytest.mark.parametrize("d", [1e-7, 1e-9, 1e-12])
+    def test_thin_right_handed_slab_tends_to_the_mirror(self, d):
+        # A lossy right-handed slab takes no walk, so however thin it is its
+        # rows are finite, and they tend to the bare mirror's as d -> 0, by
+        # about 2 d relative here: the perfect lens seen from z + its
+        # thickness.
+        g = green_components(1.0, 1.0, SlabWithMirror(validate_material(2 + 0.1j, 1), d))
+        mirror = green_components(1.5, 1.0, PerfectLens(0.5))
+        for value, error, limit in ((g.g_xx, g.error_xx, mirror.g_xx),
+                                    (g.g_zz, g.error_zz, mirror.g_zz)):
+            assert abs(value - limit) <= 4.0 * d * abs(limit) + error + mirror.error_estimate
+
     def test_count_without_a_pole_raises(self, monkeypatch):
         # A count that puts a zero in a zero-free slab's strip, at every
         # halving: the search runs down to rectangles 1e-12 k0 wide and
         # fails with a typed error, not a missing residue.
-        slab = SlabWithMirror(validate_material(2 + 0.1j, 1), 1.0)
+        slab = SlabWithMirror(validate_material(2 + 0.1j, -1 + 0.1j), 1.0)
         monkeypatch.setattr(planarcp.green, "_count_zeros", false_zero_count)
         _strip_poles.cache_clear()
         with pytest.raises(NotConverged, match="no slab pole found"):
             green_components(1.0, 1.0, slab)
+
+    @staticmethod
+    def forbid_walk(monkeypatch):
+        """Fail the test if a walk's height or nodes are worked out."""
+        def built(*args):
+            raise AssertionError("walk built")
+
+        monkeypatch.setattr(planarcp.green, "_strip_height", built)
+        monkeypatch.setattr(planarcp.green, "_count_zeros", built)
+        _strip_poles.cache_clear()
 
     @staticmethod
     def walks(monkeypatch):
@@ -943,7 +975,8 @@ class TestStripPoles:
     def test_lone_zeros_walk_once(self, monkeypatch):
         # Each pinned medium whose D rows hold at most one zero each: the
         # walk's sums seed every polish, and no rectangle is halved
-        # (test_poles_pinned checks the poles found).
+        # (test_poles_pinned checks the poles found). The lossy
+        # right-handed ones have no zero and take no walk.
         lone = [m for m in self.PINNED
                 if all(max(kinds.count(0), kinds.count(1)) <= 1
                        for kinds in ([p[0] for p in poles] for poles in m["poles"]))]
@@ -954,13 +987,14 @@ class TestStripPoles:
             slab = SlabWithMirror(validate_material(complex(*medium["eps"]),
                                                     complex(*medium["mu"])), medium["d"])
             _strip_poles(slab, tuple(medium["omegas"]))
-            assert len(counts) == 1, medium
+            right_handed = medium["eps"][0] > 0 and medium["mu"][0] > 0
+            assert len(counts) == (0 if right_handed else 1), medium
 
     def test_zero_free_atom_walks_once(self, monkeypatch):
         # Two transitions of a slab with no strip zero: one walk counts
         # both, and no rectangle is halved.
         counts = self.walks(monkeypatch)
-        slab = SlabWithMirror(validate_material(2 + 0.1j, 1), 1.0)
+        slab = SlabWithMirror(validate_material(2 + 0.1j, -1 + 0.1j), 1.0)
         green_components(1.0, np.array([1.0, 0.8]), slab)
         assert len(counts) == 1 and counts[0].shape == (2, 2) and not counts[0].any()
 
@@ -1007,7 +1041,8 @@ class TestStripPoles:
         # Each transition's count from the atom's one walk is that of its
         # own walk and of a dense count, and its poles agree with those of
         # its own walk within their claims (each walk's sums seed the
-        # polish, so the last bits differ).
+        # polish, so the last bits differ). A lossy right-handed slab
+        # builds no walk, and the dense count finds no zero.
         if kind in ("eps-negative", "left-handed"):
             eps_re = -eps_re
         if kind in ("mu-negative", "left-handed"):
@@ -1019,17 +1054,41 @@ class TestStripPoles:
         with pytest.MonkeyPatch.context() as monkeypatch:
             counts = self.walks(monkeypatch)
             atom = _strip_poles(geometry, tuple(omegas))
-            walk = counts[0]
+            assert bool(counts) == (kind != "right-handed" or lossless)
+            walk = counts[0] if counts else np.zeros((2, len(omegas)), int)
             for i, k0 in enumerate(omegas):
                 del counts[:]
                 _strip_poles.cache_clear()
                 alone = _strip_poles(geometry, (k0,))[0]
-                assert walk[:, i].tolist() == counts[0][:, 0].tolist()
+                assert walk[:, i].tolist() == (counts[0][:, 0].tolist() if counts else [0, 0])
                 height = _strip_height(geometry.material, d, k0) / k0
                 # A lossless slab's guided modes lie on Re beta = 0.
                 assert walk[:, i].tolist() == dense_count(
                     eps, mu, d * k0, height, -1e-5 if lossless else 0.0, n=200_000)
                 assert_same_poles(atom[i], alone)
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(eps_re=st.floats(0.01, 30.0), mu_re=st.floats(0.01, 30.0),
+           eps_loss=st.floats(-8.0, 1.0), mu_loss=st.floats(-8.0, 1.0),
+           lossless=st.sampled_from(["neither", "eps", "mu"]),
+           log_d=st.floats(-2.0, math.log10(20.0)),
+           omegas=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=2, unique=True))
+    def test_lossy_right_handed_slab_takes_no_walk(self, eps_re, mu_re, eps_loss, mu_loss,
+                                                   lossless, log_d, omegas):
+        # The identity in _strip_poles' docstring: with Re eps, Re mu > 0
+        # and loss in either, D_s and D_p have no zero in the closed strip.
+        # No walk is built, and a dense count finds none at either
+        # transition.
+        eps = complex(eps_re, 0.0 if lossless == "eps" else 10.0 ** eps_loss)
+        mu = complex(mu_re, 0.0 if lossless == "mu" else 10.0 ** mu_loss)
+        d = 10.0 ** log_d
+        material = validate_material(eps, mu)
+        heights = [_strip_height(material, d, k0) / k0 for k0 in omegas]
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.forbid_walk(monkeypatch)
+            assert _strip_poles(SlabWithMirror(material, d), tuple(omegas)) == (None, None)
+        for k0, height in zip(omegas, heights):
+            assert dense_count(eps, mu, d * k0, height, n=200_000) == [0, 0]
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(kind=st.sampled_from(["right-handed", "eps-negative", "mu-negative",
