@@ -17,10 +17,11 @@ point, with the same decay in the same integrand (no surface-mode pole of
 and -(1/4) Res F, F = exp(2i beta z) R, at each pole of a mirror-backed
 slab, whose coefficients are even in beta1 and so have no cut; one walk
 per slab and set of transitions counts those poles for all transitions. A
-lossy slab with Re eps, Re mu > 0 takes no walk: a zero of D_s in the
-strip needs i beta |E_y(0)|^2 = (A + q^2 B)/mu - k0^2 eps B, A, B > 0 the
-slab's integrals of |E_y'|^2 and |E_y|^2, which passivity forbids there,
-and so does D_p's with H_y (_strip_poles).
+slab with Re eps, Re mu > 0 takes no walk: a zero of D_s in the strip
+needs i beta |E_y(0)|^2 = (A + q^2 B)/mu - k0^2 eps B, A, B > 0 the
+slab's integrals of |E_y'|^2 and |E_y|^2, which passivity with loss
+forbids there and its lossless limit leaves only on Re beta = 0, and so
+does D_p's with H_y (_strip_poles).
 """
 
 from __future__ import annotations
@@ -84,59 +85,17 @@ def _branch_point(material: MaterialResponse, k0):
     return k0 * root if root.real < 1.0 else None
 
 
-def _coefficients(geometry, k0):
-    """Return (rs_rp, z_offset, cut, poles): the reflection coefficients
-    of the complex vacuum wavenumber beta, the depth of the plane they
-    image, and what the path must add: poles is None or, per transition,
-    a slab's _strip_poles, and cut is None or a half space's (b0, jump).
-
-    k0 is a transition frequency or a column of them, against which
-    rs_rp, b0 and jump broadcast. b0 is what _branch_point finds. Turning
-    the cut to run up from b0, beta = b0 + i t, flips beta1 on the path
-    above t = Re b0 Im b0 / k0 and adds the integral of jump(b0 + i t, t): each
-    r = (a beta - beta1)/(a beta + beta1), a = mu or eps, at beta1 = s minus
-    at -s, s^2 = beta^2 - b0^2 = t (2i b0 - t): -4 a beta s / (a^2 beta^2 - s^2).
-
-    The ideal eps = mu = -1 slab of the perfect lens images its mirror to
-    the focal plane (Pendry, PRL 85, 3966 (2000)): its coefficients
-    -+exp(-2i beta d) are the ideal mirror's (-1, +1) seen from
-    z_A - d, so it returns those constants with z_offset = thickness.
-    """
-    if isinstance(geometry, PerfectLens):
-        def mirror(beta):
-            ones = np.ones_like(beta, dtype=complex)
-            return np.stack((-ones, ones))
-
-        return mirror, geometry.thickness, None, None
-
-    if isinstance(geometry, HalfSpace):
-        material = geometry.material
-        b0 = _branch_point(material, k0)
-        flip_above = math.inf if b0 is None else b0.real * b0.imag / k0
-
-        def half_space(beta):
-            beta1 = beta1_of_beta(beta, k0, material)
-            if b0 is not None:
-                beta1 = np.where(beta.imag > flip_above, -beta1, beta1)
-            return halfspace_rs_rp(beta, beta1, material)
-
-        def jump(beta, t):
-            s2 = t * (2j * b0 - t)
-            a = np.reshape((material.mu, material.epsilon), (2,) + (1,) * beta.ndim)
-            den = a * a * beta * beta - s2
-            if (abs(den) <= 1e-15 * abs(s2)).any():  # zero to rounding
-                raise DegenerateDenominator("a surface mode lies on the branch cut")
-            return -4.0 * a * beta * _passive_sqrt(s2) / den
-
-        return half_space, 0.0, None if b0 is None else (b0, jump), None
-
-    if isinstance(geometry, SlabWithMirror):
-        material, d = geometry.material, geometry.thickness
-        return (lambda beta: slab_mirror_rs_rp(
-                    beta, beta1_of_beta(beta, k0, material), material, d),
-                0.0, None, _strip_poles(geometry, tuple(np.ravel(k0).tolist())))
-
-    raise TypeError(f"unsupported geometry {geometry!r}")
+def _jump(material: MaterialResponse, b0, beta, t):
+    """The rows (r_s, r_p) of a half space's branch cut turned to run up
+    from b0, beta = b0 + i t: each r = (a beta - beta1)/(a beta + beta1),
+    a = mu or eps, at beta1 = s minus at -s, s^2 = beta^2 - b0^2 =
+    t (2i b0 - t): -4 a beta s / (a^2 beta^2 - s^2)."""
+    s2 = t * (2j * b0 - t)
+    a = np.reshape((material.mu, material.epsilon), (2,) + (1,) * beta.ndim)
+    den = a * a * beta * beta - s2
+    if (abs(den) <= 1e-15 * abs(s2)).any():  # zero to rounding
+        raise DegenerateDenominator("a surface mode lies on the branch cut")
+    return -4.0 * a * beta * _passive_sqrt(s2) / den
 
 
 def _strip_height(material: MaterialResponse, d: float, k0: float) -> float:
@@ -289,7 +248,7 @@ def _strip_poles(geometry: SlabWithMirror, omegas: tuple[float, ...]):
     N/D, so res is k0/top times N/D' by v at the pole, and dres how far
     that moves when the pole moves by its dbeta, plus 1e-15 |res|.
 
-    A lossy slab with Re eps > 0 and Re mu > 0 has none, and takes no walk.
+    A slab with Re eps > 0 and Re mu > 0 has none, and takes no walk.
     At a zero of D_s, phi = E_y solves phi'' + beta1^2 phi = 0 in the slab,
     phi = 0 at the mirror, phi and phi'/mu continuous at z = 0, and phi =
     exp(i beta z) above. Integrating phi* phi''/mu over the slab by parts,
@@ -300,11 +259,14 @@ def _strip_poles(geometry: SlabWithMirror, omegas: tuple[float, ...]):
     Re q^2 >= 0: Re mu >= 0 makes the left side >= 0, and passivity with
     loss the right side < 0. D_p: phi = H_y, phi' = 0 at the mirror, eps
     and mu swapped (Shadrivov, Sukhorukov & Kivshar, PRE 67, 057602
-    (2003): such a pole must carry power backward).
+    (2003): such a pole must carry power backward). Without loss both
+    sides vanish only on Re beta = 0, where a lossless slab's guided modes
+    lie; any loss moves them out of the closed strip, so their i0+ term is
+    nothing.
     """
     material, d = geometry.material, geometry.thickness
     check_slab_thickness(d, omegas)
-    if material.epsilon.real > 0.0 and material.mu.real > 0.0 and not material.is_lossless:
+    if material.epsilon.real > 0.0 and material.mu.real > 0.0:
         return (None,) * len(omegas)
     # A lossless slab's guided modes lie on Re beta = 0, where the i0+
     # limit decides whether they count: its strip starts at -eta k0, and
@@ -346,17 +308,50 @@ def _product(a: float, b: float) -> tuple[float, float]:
     return p, e if math.isfinite(e) else 0.0
 
 
-def _setup(geometry: Geometry, omegas: list[float], xx: bool, zz: bool, shared: bool):
-    """What green_components computes before z_A: z_offset, the lowest k0,
-    the path integrand without a cut, a cut's function of z_image that adds
-    it, per transition j with poles (j, 2i beta, its terms' rows at exp(2i
-    beta z) = 4, |at| of dres, dbeta, on_edge, any on_edge), and a dict for
-    the first-round values if shared and cut-free, else None.
+def _setup(geometry: Geometry, omegas: list[float], xx: bool, zz: bool):
+    """What green_components computes before z_A, a run's table entry:
+    z_offset, the depth of the plane the coefficients image; the lowest
+    k0; the path integrand; a half space's function of z_image that adds
+    its cut, or None; per transition j with a slab's _strip_poles (j, 2i
+    beta, its terms' rows at exp(2i beta z) = 4, |at| of dres, dbeta,
+    on_edge, any on_edge); and a dict for the first-round values, or None
+    with a cut, whose rows depend on z.
+
+    The cut is there if _branch_point finds b0. Turned to run up from b0,
+    beta = b0 + i t, it flips beta1 on the path above t = Re b0 Im b0 / k0
+    and adds the integral of _jump(b0 + i t, t). The perfect lens's ideal
+    eps = mu = -1 slab images its mirror to the focal plane (Pendry, PRL
+    85, 3966 (2000)): its coefficients -+exp(-2i beta d) are the ideal
+    mirror's (-1, +1) seen from z_A - d, so z_offset is the thickness.
     """
     # A column of frequencies broadcasts against the nodes; one stays a
     # float, on which numpy takes its faster scalar paths.
     k0 = omegas[0] if len(omegas) == 1 else np.array(omegas)[:, None]
-    rs_rp, z_offset, cut, poles = _coefficients(geometry, k0)
+    z_offset, b0, poles = 0.0, None, ()
+    if isinstance(geometry, PerfectLens):
+        z_offset = geometry.thickness
+
+        def rs_rp(beta):
+            ones = np.ones_like(beta, dtype=complex)
+            return np.stack((-ones, ones))
+    elif isinstance(geometry, HalfSpace):
+        material = geometry.material
+        b0 = _branch_point(material, k0)
+        flip_above = math.inf if b0 is None else b0.real * b0.imag / k0
+
+        def rs_rp(beta):
+            beta1 = beta1_of_beta(beta, k0, material)
+            if b0 is not None:
+                beta1 = np.where(beta.imag > flip_above, -beta1, beta1)
+            return halfspace_rs_rp(beta, beta1, material)
+    elif isinstance(geometry, SlabWithMirror):
+        material, d = geometry.material, geometry.thickness
+        poles = _strip_poles(geometry, tuple(omegas))
+
+        def rs_rp(beta):
+            return slab_mirror_rs_rp(beta, beta1_of_beta(beta, k0, material), material, d)
+    else:
+        raise TypeError(f"unsupported geometry {geometry!r}")
 
     def at(beta, r, k=k0):
         # The rows asked for, G_xx then G_zz, of r = (r_s, r_p); a lone row
@@ -375,7 +370,7 @@ def _setup(geometry: Geometry, omegas: list[float], xx: bool, zz: bool, shared: 
         return at(beta, rs_rp(beta))
 
     def with_cut(z_image):  # c: within a factor 4 below the first round's lowest edge
-        (b0, jump), c = cut, 0.5 * min(min(omegas) / 8.0, 0.5 / z_image)
+        c = 0.5 * min(min(omegas) / 8.0, 0.5 / z_image)
         cut_phase = np.exp(2j * (b0 - k0) * z_image)
         def cut_path(t):
             # The cut's rows at beta = b0 + i u, u = t w = t^2/(t + c), analytic in t, times
@@ -384,13 +379,13 @@ def _setup(geometry: Geometry, omegas: list[float], xx: bool, zz: bool, shared: 
             u = t * w
             on_cut = b0 + 1j * u
             stretch = cut_phase * (w * (2.0 - w) * np.exp(2.0 * c * z_image * w))
-            return path(t) + stretch * at(on_cut, jump(on_cut, u))
+            return path(t) + stretch * at(on_cut, _jump(material, b0, on_cut, u))
         return cut_path
 
     poles = [(j, 2j * p[0], at(p[0], p[1], k), np.abs(at(p[0], p[3], k)), p[2], p[4], p[4].any())
-             for j, (p, k) in enumerate(zip(poles or (), omegas)) if p is not None]
-    return (z_offset, min(omegas), path, None if cut is None else with_cut, poles,
-            {} if shared and cut is None else None)
+             for j, (p, k) in enumerate(zip(poles, omegas)) if p is not None]
+    return (z_offset, min(omegas), path, None if b0 is None else with_cut, poles,
+            {} if b0 is None else None)
 
 
 def green_components(z_A: float, omega, geometry: Geometry,
@@ -400,8 +395,8 @@ def green_components(z_A: float, omega, geometry: Geometry,
 
     In natural units, k0 = omega. G_xx integrates R = r_s - (beta/k0)^2 r_p
     and G_zz integrates R = 2 (q/k0)^2 r_p = 2 (1 - beta^2/k0^2) r_p,
-    each times the round-trip phase, on the path with what _coefficients
-    adds. Passing xx=False or zz=False leaves that component out of the
+    each times the round-trip phase, on the path with what _setup adds.
+    Passing xx=False or zz=False leaves that component out of the
     integrand and out of the convergence test; it is returned as None.
 
     omega is a positive finite transition frequency or a non-empty 1-D
@@ -409,8 +404,8 @@ def green_components(z_A: float, omega, geometry: Geometry,
     is the same for each) on the lowest one's ladder; each (transition,
     component) row meets its own tolerance, and each transition keeps its
     own cut, poles and phase. Any other omega raises ValueError. A run's
-    table, a dict, keeps each integrand's _setup and first-round values,
-    which a branch cut's rows would make depend on z_A.
+    table, a dict, keeps each integrand's _setup and, unless a branch
+    cut's rows make them depend on z_A, its first-round values.
     """
     if not (xx or zz):
         raise ValueError("green_components needs at least one of xx, zz")
@@ -420,11 +415,11 @@ def green_components(z_A: float, omega, geometry: Geometry,
     if not (omegas and all([0.0 < w < math.inf for w in omegas])):
         raise ValueError("omega must be a positive finite number or a non-empty "
                          f"1-D array of them, got {omega!r}")
+    # A lone call is a run of one point, with a table of its own.
+    table = {} if table is None else table
     key = (geometry, tuple(omegas), xx, zz)
-    if (setup := None if table is None else table.get(key)) is None:
-        setup = _setup(geometry, omegas, xx, zz, table is not None)
-        if setup[-1] is not None:  # shared, and without a cut
-            table[key] = setup
+    if (setup := table.get(key)) is None:
+        setup = table[key] = _setup(geometry, omegas, xx, zz)
     z_offset, lowest, path, cut, poles, first = setup
     require_distance("z_A", z_A, z_offset)
     z_image = z_A - z_offset

@@ -100,15 +100,15 @@ def _panels(a: np.ndarray, b: np.ndarray, rate: float):
     return nodes, _GK_W * (h * np.exp(nodes * -rate))
 
 
-def _sums(f, x: np.ndarray, weights: np.ndarray, scale=1.0):
-    """scale times the GK15 values of the panels with nodes x, shape (P, 15),
-    one row per component of an integrand of shape S + (N,), (m, P); their
-    |values| and errors on an axis of 2, (m, 2, P); and S. All panels go to
-    f as one flat node array."""
-    y = np.asarray(f(x.ravel()), dtype=complex)
+def _sums(y, weights: np.ndarray):
+    """The GK15 values of panels from the integrand's values y at their
+    nodes, shape S + (N,), and their weights, shape (2, P, 15), N = 15 P:
+    one row per component, (m, P); their |values| and errors on an axis
+    of 2, (m, 2, P); and S."""
+    y = np.asarray(y, dtype=complex)
     # Both rules in one product, summed over the contiguous node axis,
     # not BLAS: that keeps the bits independent of alignment and threads.
-    rules = scale * np.add.reduce(y.reshape(-1, 1, *x.shape) * weights, -1)
+    rules = np.add.reduce(y.reshape(-1, 1, *weights.shape[1:]) * weights, -1)
     return rules[:, 0], np.abs(rules), y.shape[:-1]
 
 
@@ -183,7 +183,8 @@ def _integrate(f, edges: np.ndarray, first, rel_tol: float, sector: str,
             a, b = np.delete(a, split), np.delete(b, split)
             val, scale = np.delete(val, split, axis=-1), np.delete(scale, split, axis=-1)
             spent += len(split)
-        new_val, new_scale, _ = _sums(f, *_panels(new_a, new_b, rate))
+        nodes, weights = _panels(new_a, new_b, rate)
+        new_val, new_scale, _ = _sums(f(nodes.ravel()), weights)
         a, b = np.concatenate((a, new_a)), np.concatenate((b, new_b))
         val = np.concatenate((val, new_val), axis=-1)
         scale = np.concatenate((scale, new_scale), axis=-1)
@@ -204,7 +205,8 @@ def integrate_propagating(integrand, beta_max: float,
     check_rel_tol(rel_tol)
     n = max(1, math.ceil(beta_max / max_panel_width)) if max_panel_width else 1
     edges = np.linspace(0.0, beta_max, n + 1)
-    first = _sums(integrand, *_panels(edges[:-1], edges[1:], 0.0))
+    nodes, weights = _panels(edges[:-1], edges[1:], 0.0)
+    first = _sums(integrand(nodes.ravel()), weights)
     return _integrate(integrand, edges, first, rel_tol, "propagating")
 
 
@@ -228,9 +230,10 @@ def integrate_evanescent(integrand, z_decay: float, rel_tol: float = REL_TOL,
     the cached _layout of panels in s = 2 kappa z_snap, z_snap = 2^e <=
     z_decay < 2^(e+1): its nodes are the same at every z_decay of an
     octave, and its weights carry the rest of the decay. A table, the
-    integrand's own dict, keeps its nodes, edges and values by (z_snap, depth).
-    Its ladder halves the first panel down to the first edge at or below
-    kappa = onset > 0, where the integrand has structure of its own. An
+    integrand's own dict, or without one this call's, keeps that round's
+    edges and integrand values by (z_snap, depth). The layout's ladder
+    halves the first panel down to the first edge at or below kappa =
+    onset > 0, where the integrand has structure of its own. An
     endpoint singularity such as sqrt(kappa), on which bisection would
     spend a round per octave, is the caller's to smooth by a change of
     variable. Each refinement round appends one more tail panel while the
@@ -248,11 +251,12 @@ def integrate_evanescent(integrand, z_decay: float, rel_tol: float = REL_TOL,
     while low > onset:
         depth, low = depth + 1, 0.5 * low
     edges, nodes, weights = _layout(depth)
-    if table is not None and (z_snap, depth) not in table:
-        table[z_snap, depth] = nodes * scale, edges * scale, integrand(nodes.ravel() * scale)
-    x, edges, values = table[z_snap, depth] if table else (nodes * scale, edges * scale, None)
-    # exp(-2 kappa z_decay) is the layout's exp(-s) times exp(-s (z_decay/z_snap - 1)).
-    weights = weights * np.exp(nodes * (1.0 - z_decay / z_snap))
-    first = _sums(integrand if table is None else lambda _: values, x, weights, scale)
+    table = {} if table is None else table
+    if (entry := table.get((z_snap, depth))) is None:
+        entry = table[z_snap, depth] = edges * scale, integrand(nodes.ravel() * scale)
+    edges, values = entry
+    # exp(-2 kappa z_decay) is the layout's exp(-s) times exp(-s (z_decay/z_snap
+    # - 1)), and dkappa = scale ds, exactly: scale is a power of two.
+    first = _sums(values, weights * (np.exp(nodes * (1.0 - z_decay / z_snap)) * scale))
     return _integrate(integrand, edges, first, rel_tol, "evanescent", 2.0 * z_decay,
                       0.125 * _CUTOFF / z_decay)

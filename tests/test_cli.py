@@ -247,20 +247,20 @@ class TestSweep:
         assert err[-1] == "planarcp: 2/2 points failed"
 
     @pytest.mark.parametrize("mu_re,failed", [
-        # A lossless eps = 4 slab's guided modes lie on the strip's edge
-        # Re beta = 0 and matter at every one of these distances: typed
-        # failures, no traceback, no hang.
+        # A lossless eps = -4 slab's guided mode lies on the strip's edge
+        # Re beta = 0 and matters at every one of these distances (G_xx's
+        # up to z = 15): typed failures, no traceback, no hang.
         ("1", 3),
         # mu = -1 exactly leaves no height bound from |mu + 1|, but the
         # finite rows stay finite.
         ("-1", 0),
     ])
     def test_slab_edge_cases(self, tmp_path, capsys, mu_re, failed):
-        eps = ["--eps-re", "4", "--eps-im", "0", "--thickness", "3"] if failed \
+        eps = ["--eps-re", "-4", "--eps-im", "0", "--thickness", "3"] if failed \
             else ["--eps-re", "2", "--eps-im", "0.1", "--thickness", "1"]
         code, out = run(tmp_path, "sweep", "--geometry", "slab-mirror", *eps,
                         "--mu-re", mu_re, "--mu-im", "0", "--zmin", "0.05",
-                        "--zmax", "20", "--points", "3", "--workers", "1",
+                        "--zmax", "10", "--points", "3", "--workers", "1",
                         "--reproducible")
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -274,8 +274,8 @@ class TestSweep:
         # Each failed row's cause reaches stderr from the worker that
         # evaluated it, in the order of the rows.
         code, out = run(tmp_path, "sweep", "--geometry", "slab-mirror",
-                        "--eps-re", "4", "--thickness", "3", "--zmin", "0.05",
-                        "--zmax", "20", "--points", "4", "--workers", "2")
+                        "--eps-re", "-4", "--thickness", "3", "--zmin", "0.05",
+                        "--zmax", "10", "--points", "4", "--workers", "2")
         lines = capsys.readouterr().err.splitlines()
         assert code == 2 and lines[-1] == "planarcp: 4/4 points failed"
         zs = [row.split(",")[0] for row in out.read_text().splitlines()[-4:]]
@@ -757,22 +757,31 @@ def test_model_built_once_per_run(tmp_path, monkeypatch, command):
     assert sorted(calls) == ["build_atom", "build_geometry"]
 
 
-def test_branch_cut_keeps_no_table(tmp_path, monkeypatch):
+def test_branch_cut_keeps_no_first_round(tmp_path, monkeypatch):
     # A left-handed half space's cut crosses the path, and its rows depend
-    # on z: its run passes every point the one table, which stays empty.
-    tables = []
-    auto = planarcp.cli.potential_auto
+    # on z: its run passes every point the one table, which keeps the
+    # integrand's set-up, built once with the cut's function of z, and no
+    # dict for first-round values.
+    tables, setups = [], []
+    auto, setup = planarcp.cli.potential_auto, planarcp.green._setup
 
     def recorded(atom, geometry, z, rel_tol, table):
         tables.append(table)
         return auto(atom, geometry, z, rel_tol, table)
 
+    def built(*args):
+        setups.append(setup(*args))
+        return setups[-1]
+
     monkeypatch.setattr(planarcp.cli, "potential_auto", recorded)
+    monkeypatch.setattr(planarcp.green, "_setup", built)
     code, _ = run(tmp_path, "sweep", "--eps-re", "-1", "--eps-im", "0.1", "--mu-re", "-1",
                   "--mu-im", "0.1", "--zmin", "0.3", "--zmax", "0.45", "--points", "4",
                   "--workers", "1")
     assert code == 0 and len(tables) == 4
-    assert all(t is tables[0] for t in tables) and tables[0] == {}
+    assert all(t is tables[0] for t in tables) and list(tables[0].values()) == setups
+    (cut_setup,) = setups
+    assert cut_setup[3] is not None and cut_setup[-1] is None
 
 
 def test_reproducible_help_says_what_readme_says(capsys):

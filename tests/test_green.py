@@ -21,8 +21,8 @@ from planarcp import (DegenerateDenominator, DomainError, HalfSpace,
                       green_components, validate_material)
 import planarcp.green
 from planarcp.dispersion import _passive_sqrt, halfspace_rs_rp
-from planarcp.green import (_coefficients, _count_zeros, _locate, _product,
-                            _strip_height, _strip_poles)
+from planarcp.green import (_branch_point, _count_zeros, _jump, _locate, _product,
+                            _setup, _strip_height, _strip_poles)
 import planarcp.quadrature
 from planarcp.quadrature import _WIDTH
 from conftest import VACUUM, false_zero_count
@@ -329,7 +329,8 @@ def on_path(geometry, monkeypatch) -> bool:
 
 
 def has_cut(geometry) -> bool:
-    return _coefficients(geometry, 1.0)[2] is not None
+    """Whether the set-up at omega = 1 adds a branch cut to the path."""
+    return _setup(geometry, [1.0], True, True)[3] is not None
 
 
 class TestSteepestDescentPath:
@@ -380,14 +381,13 @@ class TestSteepestDescentPath:
             eps, mu = (complex(rng.uniform(-6.0, 6.0), 10.0 ** rng.uniform(-6.0, 0.0))
                        for _ in range(2))
             material = validate_material(eps, mu)
-            cut = _coefficients(HalfSpace(material), 1.0)[2]
-            if cut is None:
+            b0 = _branch_point(material, 1.0)
+            if b0 is None:
                 continue
-            b0, jump = cut
             s = _passive_sqrt(t * (2j * b0 - t))
             plus = halfspace_rs_rp(b0 + 1j * t, s, material)
             minus = halfspace_rs_rp(b0 + 1j * t, -s, material)
-            for got, r_plus, r_minus in zip(jump(b0 + 1j * t, t), plus, minus):
+            for got, r_plus, r_minus in zip(_jump(material, b0, b0 + 1j * t, t), plus, minus):
                 want = r_plus - r_minus
                 rounding = 4.0 * eps_mach * (abs(r_plus) + abs(r_minus))
                 assert np.all(abs(got - want) <= 1e-12 * abs(want) + rounding), (eps, mu)
@@ -718,13 +718,19 @@ def _phase_counts(eps, mu, d, height, left, n):
     width = 1 - left
     beta = np.concatenate((left + width * t, 1 + 1j * height * t,
                            1 - width * t + 1j * height, left + 1j * height * (1 - t)))
-    w = np.sqrt(beta * beta + eps * mu - 1)
-    # cos(w d) and sin(w d) times exp(-|Im w| d), which keeps the phase.
+    # eps mu - 1 first: at eps mu = 1, beta^2 = 1e-20 would round away in 1.
+    w = np.sqrt(beta * beta + (eps * mu - 1))
+    # cos(w d) and sin(w d) times exp(-|Im w| d), which keeps the phase;
+    # sin(w d)/w is d at w = 0.
     up, down = (np.exp(s * 1j * w * d - abs(w.imag) * d) for s in (1, -1))
     cos, sin = (up + down) / 2, (up - down) / 2j
+    sinc = np.divide(sin, w, out=np.full_like(w, d), where=w != 0)
+    # At eps mu = 1, D_p's zero at beta = 0 cancels in r_p: count D_p/beta,
+    # as slab_mirror_denominators gives it.
     return [round(np.angle(f / np.roll(f, 1)).sum() / (2 * math.pi))
-            for f in (cos - 1j * mu * beta * sin / w,
-                      eps * beta * cos - 1j * w * sin)]
+            for f in (cos - 1j * mu * beta * sinc,
+                      eps * cos - 1j * beta * sinc if eps * mu == 1
+                      else eps * beta * cos - 1j * w * sin)]
 
 
 def assert_same_poles(got, want):
@@ -868,19 +874,51 @@ class TestStripPoles:
         with pytest.raises(DegenerateDenominator):
             _count_zeros(fns, 0j, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("d", [0.05, 1.0, 20.0])
+    def test_dense_count_of_the_vacuum_slab(self, d):
+        # At eps mu = 1 the strip from Re beta = -1e-5 has a node at beta =
+        # 1e-10, where w = beta, and D_p's zero at beta = 0 cancels in r_p:
+        # the count finds no zero, without a 0/0.
+        height = _strip_height(VACUUM, d, 1.0)
+        assert dense_count(1 + 0j, 1 + 0j, d, height, -1e-5, n=200_000) == [0, 0]
+
     def test_lossless_guided_mode_on_the_edge(self):
         # The real-q guided modes of a lossless slab lie on Re beta = 0,
-        # where the i0+ limit decides whether they count: a typed error
-        # where their terms matter, the path value where they do not.
-        slab = SlabWithMirror(validate_material(4, 1), 3.0)
+        # where the i0+ limit decides whether they count. eps = -4, d = 3
+        # walks, and finds one there, at beta = 0.577i: a typed error where
+        # its term matters, the path value where it does not. A right-handed
+        # one (eps = 2.15, mu = 4.44) takes no walk: its modes leave the
+        # strip with any loss.
+        slab = SlabWithMirror(validate_material(-4, 1), 3.0)
         with pytest.raises(DegenerateDenominator):
             green_components(1.0, 1.0, slab)
         beta, _, _, _, on_edge = _strip_poles(slab, (1.0,))[0]
         assert on_edge.all() and np.all(beta.real == pytest.approx(0, abs=1e-12))
-        thin = SlabWithMirror(validate_material(2.15, 4.44), 0.17)
-        lossy = SlabWithMirror(validate_material(2.15 + 1e-9j, 4.44 + 1e-9j), 0.17)
-        g, limit = green_components(38.2, 1.0, thin), green_components(38.2, 1.0, lossy)
-        assert abs(g.g_xx - limit.g_xx) <= 1e-8 * abs(limit.g_xx)
+        for lossless, lossy, z in (
+                (slab, SlabWithMirror(validate_material(-4 + 1e-9j, 1), 3.0), 40.0),
+                (SlabWithMirror(validate_material(2.15, 4.44), 0.17),
+                 SlabWithMirror(validate_material(2.15 + 1e-9j, 4.44 + 1e-9j), 0.17), 38.2)):
+            g, limit = green_components(z, 1.0, lossless), green_components(z, 1.0, lossy)
+            assert abs(g.g_xx - limit.g_xx) <= 1e-8 * abs(limit.g_xx)
+
+    @pytest.mark.parametrize("z", [0.05, 1.0])
+    def test_lossless_right_handed_slab_is_the_lossy_limit(self, z):
+        # eps = 4, d = 3 has guided modes on Re beta = 0 that any loss moves
+        # out of the closed strip, so its i0+ rows are the path's alone, and
+        # finite. Each differs from the rows at eps = 4 + i delta by
+        # O(delta), with one slope from delta = 1e-6 to 1e-10 (measured:
+        # 0.133 and 0.134 of |G| per unit delta at z = 0.05, 1.02 and 0.358
+        # at z = 1).
+        g = green_components(z, 1.0, SlabWithMirror(validate_material(4, 1), 3.0))
+        slopes = []
+        for delta in (1e-6, 1e-8, 1e-10):
+            lossy = green_components(z, 1.0, SlabWithMirror(
+                validate_material(4 + delta * 1j, 1), 3.0))
+            slopes.append([abs(a - b) / (delta * abs(b))
+                           for a, b in ((g.g_xx, lossy.g_xx), (g.g_zz, lossy.g_zz))])
+        slopes = np.array(slopes)
+        assert (slopes <= 2.0).all()
+        assert (slopes.max(axis=0) <= 1.01 * slopes.min(axis=0)).all()
 
     @pytest.mark.parametrize("d", [1e-310, 1e-30, 1e6, 1e12, 1e300])
     def test_thickness_outside_the_walk_range(self, d, monkeypatch):
@@ -1036,13 +1074,16 @@ class TestStripPoles:
     # transition, above the first one's own height of 1.03 k0.
     @example(kind="left-handed", eps_re=0.2755, mu_re=4.54, eps_loss=-3.854,
              mu_loss=-0.4225, lossless=False, log_d=-0.923, omegas=[8.12, 0.514])
+    # The vacuum slab, eps = mu = 1, where w = beta.
+    @example(kind="right-handed", eps_re=1.0, mu_re=1.0, eps_loss=-4.0, mu_loss=-4.0,
+             lossless=True, log_d=0.0, omegas=[1.0, 0.5])
     def test_one_walk_counts_every_transition(self, kind, eps_re, mu_re, eps_loss,
                                               mu_loss, lossless, log_d, omegas):
         # Each transition's count from the atom's one walk is that of its
         # own walk and of a dense count, and its poles agree with those of
         # its own walk within their claims (each walk's sums seed the
-        # polish, so the last bits differ). A lossy right-handed slab
-        # builds no walk, and the dense count finds no zero.
+        # polish, so the last bits differ). A right-handed slab builds no
+        # walk, and the dense count finds no zero off Re beta = 0.
         if kind in ("eps-negative", "left-handed"):
             eps_re = -eps_re
         if kind in ("mu-negative", "left-handed"):
@@ -1054,7 +1095,7 @@ class TestStripPoles:
         with pytest.MonkeyPatch.context() as monkeypatch:
             counts = self.walks(monkeypatch)
             atom = _strip_poles(geometry, tuple(omegas))
-            assert bool(counts) == (kind != "right-handed" or lossless)
+            assert bool(counts) == (kind != "right-handed")
             walk = counts[0] if counts else np.zeros((2, len(omegas)), int)
             for i, k0 in enumerate(omegas):
                 del counts[:]
@@ -1062,9 +1103,11 @@ class TestStripPoles:
                 alone = _strip_poles(geometry, (k0,))[0]
                 assert walk[:, i].tolist() == (counts[0][:, 0].tolist() if counts else [0, 0])
                 height = _strip_height(geometry.material, d, k0) / k0
-                # A lossless slab's guided modes lie on Re beta = 0.
+                # A lossless slab's guided modes lie on Re beta = 0: a walk
+                # counts them, and a right-handed slab has no zero but them.
+                left = (1e-5 if kind == "right-handed" else -1e-5) if lossless else 0.0
                 assert walk[:, i].tolist() == dense_count(
-                    eps, mu, d * k0, height, -1e-5 if lossless else 0.0, n=200_000)
+                    eps, mu, d * k0, height, left, n=200_000)
                 assert_same_poles(atom[i], alone)
 
     @settings(max_examples=20, derandomize=True, deadline=None)

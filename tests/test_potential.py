@@ -88,14 +88,17 @@ class TestNumeric:
         # their rows (G_xx alone, both, two transitions), at distances of
         # one octave of z and one far out: every call returns the bits of
         # its lone call, or raises the same error, and each integrand keeps
-        # its own set-up and first-round values. The lens slab has 3 and 2
-        # strip poles at transitions (1, 0.8); the lossless slab's 4 poles
-        # at omega = 1 all lie on Re beta = 0, where its guided modes fail
-        # the near points and are negligible at the far one.
+        # its own set-up, and its first-round values unless a branch cut
+        # crosses its path (eps = mu = -1 + 0.1i, whose cut rows depend on
+        # z). The lens slab has 3 and 2 strip poles at transitions
+        # (1, 0.8); the lossless eps = -4 slab's one pole at omega = 1 lies
+        # on Re beta = 0, where its guided mode fails the near points and
+        # is negligible at the far one.
         table, lossless = {}, set()
         geometries = (HalfSpace(validate_material(-3 + 1e-3j, 1)), HALF,
                       SlabWithMirror(validate_material(2 + 0.1j, 1), 0.2), PerfectLens(0.1),
-                      LENS_SLAB, SlabWithMirror(validate_material(4, 1), 3.0))
+                      LENS_SLAB, HalfSpace(validate_material(-1 + 0.1j, -1 + 0.1j)),
+                      SlabWithMirror(validate_material(-4, 1), 3.0))
         atoms = (PAR, MIXED, TWO_LEVEL_MIXED,
                  Atom([Transition(1.0, 0.6, 0.4), Transition(0.8, 0.3, 0.7)]))
         for z in (0.3, 0.4, 0.45, 40.0):

@@ -24,13 +24,20 @@ def propagating(f, span, rel_tol=REL_TOL, width=None):
     return integrate_propagating(f, span, rel_tol, max_panel_width=width)
 
 
+def sums(f, a, b, rate):
+    """_sums of f on the panels [a_j, b_j] with the decay exp(-rate x),
+    as a refinement round evaluates them."""
+    nodes, weights = _panels(a, b, rate)
+    return _sums(f(nodes.ravel()), weights)
+
+
 def with_edges(f, z, inner, rel_tol=REL_TOL):
     """integrate_evanescent's refinement loop on f(kappa) exp(-2 kappa z)
     from its first round on the default layout's panels, with the inner
     edges added, in kappa: the decay in every round's weights."""
     scale = 0.5 / z
     edges = np.union1d(_layout(0)[0] * scale, inner)
-    return _integrate(f, edges, _sums(f, *_panels(edges[:-1], edges[1:], 2.0 * z)), rel_tol,
+    return _integrate(f, edges, sums(f, edges[:-1], edges[1:], 2.0 * z), rel_tol,
                       "evanescent", 2.0 * z, 0.25 * _CUTOFF * scale)
 
 
@@ -254,21 +261,23 @@ class TestEvanescent:
 
     def test_every_round_gets_the_integrand(self, monkeypatch):
         # A Lorentzian at kappa = 0.7 takes ten refinement rounds. Each of
-        # the 11 rounds passes the integrand itself to _sums, never one
+        # the 11 rounds passes _sums the integrand's own values, never ones
         # multiplied by the decay: the first round's weights are the
         # layout's, at rate 1 in s, and each later round's are
-        # _panels(a, b, 2z)'s in kappa.
+        # _panels(a, b, 2z)'s in kappa, at their nodes.
         z = 0.5
+        calls = []
 
         def f(k):
-            return 1.0 / ((k - 0.7) ** 2 + 1e-6) + 0j
+            calls.append((k, 1.0 / ((k - 0.7) ** 2 + 1e-6) + 0j))
+            return calls[-1][1]
 
-        sums, panels = [], []
+        given, panels = [], []
         real_sums, real_panels = planarcp.quadrature._sums, planarcp.quadrature._panels
 
-        def spy_sums(g, x, weights, scale=1.0):
-            sums.append((g, x, weights))
-            return real_sums(g, x, weights, scale)
+        def spy_sums(y, weights):
+            given.append((y, weights))
+            return real_sums(y, weights)
 
         def spy_panels(a, b, rate):
             panels.append((a, b, rate))
@@ -278,12 +287,13 @@ class TestEvanescent:
         monkeypatch.setattr(planarcp.quadrature, "_panels", spy_panels)
         _layout.cache_clear()
         integrate_evanescent(f, z)
-        assert len(sums) == 11 and all(g is f for g, _, _ in sums)
+        assert len(given) == len(calls) == 11
+        assert all(y is values for (y, _), (_, values) in zip(given, calls))
         assert len(panels) == 11 and panels[0][2] == 1.0
-        for (_, x, weights), (a, b, rate) in zip(sums[1:], panels[1:]):
+        for (_, weights), (k, _), (a, b, rate) in zip(given[1:], calls[1:], panels[1:]):
             nodes, want = real_panels(a, b, 2.0 * z)
             assert rate == 2.0 * z
-            assert np.array_equal(x, nodes) and np.array_equal(weights, want)
+            assert np.array_equal(k, nodes.ravel()) and np.array_equal(weights, want)
 
     @pytest.mark.parametrize("onset", ["-1.0", "0.0", "math.nan"])
     def test_rejects_onset_not_positive(self, onset):
@@ -447,14 +457,15 @@ class TestFirstRoundLayout:
         edges, nodes, weights = _layout(depth)
         # _EDGES and the ladder's depth edges below _WIDTH, and no other.
         assert (edges[1] < _WIDTH) == ladder and len(edges) == len(_EDGES) + depth
-        value, sums, _ = _sums(integrand, nodes * scale, weights, scale)
+        # Nodes and weights in s, scaled to kappa by a power of two.
+        value, rules, _ = _sums(integrand(nodes.ravel() * scale), weights * scale)
         a, b = edges[:-1] * scale, edges[1:] * scale
-        want_value, want_sums, _ = _sums(integrand, *_panels(a, b, 2.0 * z))
-        size = _sums(lambda k: abs(integrand(k)), *_panels(a, b, 2.0 * z))[0].real
+        want_value, want_rules, _ = sums(integrand, a, b, 2.0 * z)
+        size = sums(lambda k: abs(integrand(k)), a, b, 2.0 * z)[0].real
         bound = 8.0 * np.finfo(float).eps * (1.0 + edges[1:]) * size
-        assert value.shape == want_value.shape and sums.shape == want_sums.shape
+        assert value.shape == want_value.shape and rules.shape == want_rules.shape
         assert (abs(value - want_value) <= bound).all()
-        assert (abs(sums[..., 1, :] - want_sums[..., 1, :]) <= bound).all()
+        assert (abs(rules[..., 1, :] - want_rules[..., 1, :]) <= bound).all()
 
     def test_one_layout_per_depth(self):
         # halfspace-sweep's 200 distances (k0 = 1) share one layout
